@@ -13,12 +13,12 @@ from .errors import (AmbiguousSupport, ContractViolation, DataError,
                      NoSamplesAvailable, NumericalFailure)
 from .lifting import (FeatureMatrix, KernelMatrix, dirichlet_gram,
                       effective_bandwidth, feature_map, feature_matrix,
-                      gaussian_kernel)
+                      gaussian_kernel_matrix)
 from .recovery import (NullspaceBasis, SumOfSquares, chamfer_distance,
                        estimate_coefficients, hermitian_align,
                        nullspace_basis, rank_bound, rasterized_rank_tol,
-                       recover_curve, shift_set, sos_polynomial)
+                       recover_curve, shift_set)
 from .segmentation import (GrayImage, SegmentResult, ToeplitzLift, build_lift,
-                           gradient_spectrum, segment, toeplitz_apply)
+                           gradient_spectrum, segment)
 
 __version__ = "0.1.0"

@@ -129,12 +129,6 @@ class TrigPolynomial:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def shifted_dc(self, offset: float) -> "TrigPolynomial":
-        """Copy with `offset` added to the zero-frequency coefficient."""
-        c = self.coeffs.copy()
-        c[self.support.index_of((0, 0))] += offset
-        return TrigPolynomial(self.support, c, hermitian=self.hermitian)
-
 
 @dataclass
 class PointSet:

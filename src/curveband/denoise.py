@@ -58,15 +58,19 @@ class DenoiseTrace:
     costs_before: list[float] = field(default_factory=list)
     gammas: list[float] = field(default_factory=list)
     rel_changes: list[float] = field(default_factory=list)
-    snapshots: list[np.ndarray] | None = None
 
 
-def _as_matrix(x) -> np.ndarray:
-    return x.points if isinstance(x, PointSet) else np.asarray(x, dtype=float)
+def irls_weights(k: np.ndarray, sigma: float, gamma: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Half-inverse kernel weight P = (K + gamma I)^(-1/2) and the derived
+    weight matrix W = -(1/sigma^2) K * P (elementwise product), for K the
+    Gaussian kernel matrix of width sigma of the iterate.
 
-
-def _weights_from_kernel(k: np.ndarray, sigma: float, gamma: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
+    Eigenvalues of K below 0 (floating-point leakage; K is PSD) are clamped
+    to 0 before the shift.
+    """
+    if gamma <= 0:
+        raise ContractViolation("gamma must be positive")
     try:
         w, u = np.linalg.eigh(k)
     except np.linalg.LinAlgError as exc:
@@ -74,20 +78,6 @@ def _weights_from_kernel(k: np.ndarray, sigma: float, gamma: float
     w = np.maximum(w, 0.0)  # K is PSD; clamp floating-point leakage
     p = (u * (w + gamma) ** -0.5) @ u.T
     return p, -(k * p) / (sigma * sigma)
-
-
-def irls_weights(x, sigma: float, gamma: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Half-inverse kernel weight P = (K + gamma I)^(-1/2) and the derived
-    weight matrix W = -(1/sigma^2) K * P (elementwise product).
-
-    Eigenvalues of K below 0 (floating-point leakage; K is PSD) are clamped
-    to 0 before the shift.
-    """
-    if gamma <= 0:
-        raise ContractViolation("gamma must be positive")
-    return _weights_from_kernel(gaussian_kernel_matrix(_as_matrix(x), sigma),
-                                sigma, gamma)
 
 
 def graph_laplacian(w: np.ndarray) -> np.ndarray:
@@ -104,7 +94,7 @@ def solve_quadratic(y, laplacian: np.ndarray, lam: float) -> np.ndarray:
     Only the symmetric part of L enters the quadratic form:
     X = Y (I + lam (L + L^T)/2)^(-1).
     """
-    y = _as_matrix(y)
+    y = y.points if isinstance(y, PointSet) else np.asarray(y, dtype=float)
     sym = 0.5 * (laplacian + laplacian.T)
     system = np.eye(sym.shape[0]) + lam * sym
     try:
@@ -113,8 +103,7 @@ def solve_quadratic(y, laplacian: np.ndarray, lam: float) -> np.ndarray:
         raise NumericalFailure(f"quadratic update is singular: {exc}")
 
 
-def klr_denoise(noisy: PointSet, cfg: IrlsConfig | None = None,
-                keep_snapshots: bool = False
+def klr_denoise(noisy: PointSet, cfg: IrlsConfig | None = None
                 ) -> tuple[PointSet, DenoiseTrace]:
     """Denoise a point cloud by kernel low-rank IRLS.
 
@@ -129,10 +118,10 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig | None = None,
     y = noisy.points
     x = y.copy()
     gamma = cfg.gamma0
-    trace = DenoiseTrace(snapshots=[] if keep_snapshots else None)
+    trace = DenoiseTrace()
+    k_cur = gaussian_kernel_matrix(x, cfg.sigma)
     for it in range(1, cfg.max_iters + 1):
-        k_cur = gaussian_kernel_matrix(x, cfg.sigma)
-        p, w = _weights_from_kernel(k_cur, cfg.sigma, gamma)
+        p, w = irls_weights(k_cur, cfg.sigma, gamma)
         cost_before = float(np.linalg.norm(x - y) ** 2
                             + cfg.lam * np.trace(k_cur @ p).real)
         x_new = solve_quadratic(y, graph_laplacian(w), cfg.lam)
@@ -146,11 +135,9 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig | None = None,
         trace.costs_before.append(cost_before)
         trace.gammas.append(gamma)
         trace.rel_changes.append(rel)
-        if trace.snapshots is not None:
-            trace.snapshots.append(x_new.copy())
         if not np.isfinite(cost) or not np.all(np.isfinite(x_new)):
             raise NumericalFailure("non-finite iterate in IRLS", trace=trace)
-        x = x_new
+        x, k_cur = x_new, k_new  # the cost's kernel is the next pass's
         gamma /= cfg.eta
         if rel < cfg.rel_tol:
             break

@@ -14,14 +14,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .curve_model import (FrequencySupport, PointSet, Polyline,
-                          TrigPolynomial, extract_zero_level_set, multiply,
+                          PolylineComponent, TrigPolynomial,
+                          contour_periodic_grid, evaluate_on_grid,
+                          extract_zero_level_set, multiply,
                           project_to_zero_set, random_curve, sample_curve)
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
 from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
-from .recovery import (ANALYTIC_RANK_TOL, chamfer_distance,
+from .recovery import (ANALYTIC_RANK_TOL, SumOfSquares, chamfer_distance,
                        estimate_coefficients, hermitian_align,
-                       nullspace_basis, rasterized_rank_tol, recover_curve,
-                       sos_polynomial)
+                       nullspace_basis, rasterized_rank_tol, recover_curve)
 from .segmentation import GrayImage
 
 
@@ -193,7 +194,7 @@ def overcomplete_trial(seed, outer: FrequencySupport | None = None,
     if not recovered.is_empty:
         result["chamfer"] = chamfer_distance(recovered, truth)
     if basis.q >= 1:
-        sos = sos_polynomial(basis)
+        sos = SumOfSquares(basis)
         on_vals = sos(pts)
         off_vals = sos(offcurve_probes(truth, 2000, child_seed(seed, 3)))
         result["on_p95"] = float(np.quantile(on_vals, 0.95))
@@ -249,31 +250,23 @@ def multi_disk_phantom(size: int = 64) -> GrayImage:
 def curve_phantom(poly: TrigPolynomial, size: int = 64) -> GrayImage:
     """Indicator of {psi > 0} sampled at pixel centers: a piecewise-constant
     image whose edge set is exactly a band-limited curve."""
-    from .curve_model import evaluate_on_grid
-
-    # pixel centers: shift the grid evaluation by half a pixel via modulation
-    coords = (np.arange(size) + 0.5) / size
-    lo1, hi1 = poly.support.axis_range(0)
-    lo2, hi2 = poly.support.axis_range(1)
-    e1 = np.exp(2j * np.pi * np.outer(coords, np.arange(lo1, hi1 + 1)))
-    e2 = np.exp(2j * np.pi * np.outer(coords, np.arange(lo2, hi2 + 1)))
-    vals = (e1 @ poly.coeff_grid() @ e2.T).real
+    # pixel centers: a half-pixel shift, c_k times exp(j pi (k1 + k2) / size)
+    k = poly.support.indices()
+    shifted = TrigPolynomial(
+        poly.support, poly.coeffs * np.exp(1j * np.pi * k.sum(axis=1) / size))
+    vals = evaluate_on_grid(shifted, size).real
     return GrayImage((vals > 0).astype(float))
 
 
 def edge_contours(edge_map: GrayImage, level: float = 0.02) -> Polyline:
     """Contours of the (max-normalized) edge map at a small level; the edge
     set is where the map is near zero."""
-    from .curve_model import contour_periodic_grid
-
     return contour_periodic_grid(edge_map.pixels - level)
 
 
 def circle_polyline(center=(0.5, 0.5), radius: float = 0.3,
                     n: int = 720) -> Polyline:
     """Dense circle reference for phantom comparisons (coords = (y, x))."""
-    from .curve_model import PolylineComponent
-
     t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     v = np.stack([center[0] + radius * np.sin(t),
                   center[1] + radius * np.cos(t)], axis=1) % 1.0

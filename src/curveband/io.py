@@ -73,6 +73,8 @@ def load_points(path, dim: int | None = None) -> PointSet:
     if dim is not None and rows.shape[1] != dim:
         raise DataError(
             f"point file {path} has dimension {rows.shape[1]}, expected {dim}")
+    if not np.all(np.isfinite(rows)):
+        raise DataError(f"point file {path} holds non-finite coordinates")
     return PointSet(rows.shape[1], rows.T)
 
 
@@ -99,7 +101,10 @@ def load_polyline_csv(path) -> Polyline:
             continue
         try:
             cid, x1, x2 = line.split(",")
-            groups.setdefault(int(cid), []).append((float(x1), float(x2)))
+            vertex = (float(x1), float(x2))
+            if not np.all(np.isfinite(vertex)):
+                raise ValueError("non-finite coordinates")
+            groups.setdefault(int(cid), []).append(vertex)
         except ValueError as exc:
             raise DataError(f"malformed polyline file {path}, line {ln}: {exc}")
     comps = [PolylineComponent(np.array(groups[cid]), closed=True)

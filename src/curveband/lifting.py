@@ -30,17 +30,10 @@ class FeatureMatrix:
 
 @dataclass
 class KernelMatrix:
-    """N x N pairwise kernel values.
-
-    kind "dirichlet": conjugate pairing of exponential features (Hermitian,
-    diagonal = |support|). kind "gaussian": exp(-|xi-xj|^2 / 2 sigma^2)
-    (symmetric real, unit diagonal). Both are positive semidefinite.
-    """
+    """N x N pairwise kernel values: the conjugate pairing of exponential
+    features (Hermitian, positive semidefinite, diagonal = |support|)."""
 
     data: np.ndarray
-    kind: str
-    support: FrequencySupport | None = None
-    sigma: float | None = None
 
 
 def feature_map(x, support: FrequencySupport) -> np.ndarray:
@@ -86,20 +79,12 @@ def dirichlet_gram(pts: PointSet, support: FrequencySupport) -> KernelMatrix:
     x = pts.points
     d1 = x[0][None, :] - x[0][:, None]
     d2 = x[1][None, :] - x[1][:, None]
-    return KernelMatrix(_dirichlet_1d(d1, support.k1) * _dirichlet_1d(d2, support.k2),
-                        kind="dirichlet", support=support)
-
-
-def gaussian_kernel(pts: PointSet, sigma: float) -> KernelMatrix:
-    """Gaussian kernel matrix exp(-|xi-xj|^2 / 2 sigma^2), any dimension."""
-    if sigma <= 0:
-        raise ContractViolation("sigma must be positive")
-    return KernelMatrix(gaussian_kernel_matrix(pts.points, sigma),
-                        kind="gaussian", sigma=sigma)
+    return KernelMatrix(_dirichlet_1d(d1, support.k1) * _dirichlet_1d(d2, support.k2))
 
 
 def gaussian_kernel_matrix(x: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian kernel of raw column-per-point coordinates, shape (N, N)."""
+    """Gaussian kernel exp(-|xi-xj|^2 / 2 sigma^2) of column-per-point
+    coordinates in any dimension, shape (N, N), unit diagonal."""
     if sigma <= 0:
         raise ContractViolation("sigma must be positive")
     diff = x[:, :, None] - x[:, None, :]

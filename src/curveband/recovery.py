@@ -11,6 +11,7 @@ metric used to score recoveries.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .curve_model import (FrequencySupport, PointSet, Polyline,
                           evaluate_on_grid, extract_zero_level_set)
 from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
 from .lifting import feature_matrix
+
+_log = logging.getLogger(__name__)
 
 # Singular values below tol * sigma_max count as null directions. Analytic
 # (exact) samples sit at machine noise; rasterized samples sit at the
@@ -76,6 +79,19 @@ class NullspaceBasis:
         return float(above), float(below)
 
 
+def _feature_svd(pts: PointSet, support: FrequencySupport
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (descending, zero-padded to |support|) and full right
+    singular vectors of the transposed feature matrix."""
+    if pts.n_points < 1:
+        raise ContractViolation("the feature-matrix SVD needs at least 1 point")
+    m = feature_matrix(pts, support).data.T
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    s_full = np.zeros(len(support))
+    s_full[:s.size] = s
+    return s_full, vh
+
+
 def estimate_coefficients(pts: PointSet, support: FrequencySupport,
                           rank_tol: float = ANALYTIC_RANK_TOL
                           ) -> TrigPolynomial:
@@ -87,12 +103,7 @@ def estimate_coefficients(pts: PointSet, support: FrequencySupport,
     positive. Raises AmbiguousSupport when a second singular value also
     falls below rank_tol * sigma_max.
     """
-    if pts.n_points < 1:
-        raise ContractViolation("estimate_coefficients needs at least 1 point")
-    m = feature_matrix(pts, support).data.T
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    s_full = np.zeros(len(support))
-    s_full[:s.size] = s
+    s_full, vh = _feature_svd(pts, support)
     if len(support) >= 2 and s_full[-2] < rank_tol * s_full[0]:
         raise AmbiguousSupport(
             "null space has dimension > 1 at tolerance "
@@ -137,12 +148,7 @@ def rank_bound(outer: FrequencySupport, inner: FrequencySupport) -> int:
 def nullspace_basis(pts: PointSet, support: FrequencySupport,
                     rank_tol: float = ANALYTIC_RANK_TOL) -> NullspaceBasis:
     """Orthonormal numerical null space of the transposed feature matrix."""
-    if pts.n_points < 1:
-        raise ContractViolation("nullspace_basis needs at least 1 point")
-    m = feature_matrix(pts, support).data.T
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    s_full = np.zeros(len(support))
-    s_full[:s.size] = s
+    s_full, vh = _feature_svd(pts, support)
     rank = int(np.count_nonzero(s_full > rank_tol * s_full[0]))
     return NullspaceBasis(support, np.conj(vh[rank:]), s_full)
 
@@ -181,11 +187,6 @@ class SumOfSquares:
         return evaluate_on_grid(self.polynomial, grid_res).real
 
 
-def sos_polynomial(basis: NullspaceBasis) -> SumOfSquares:
-    """Sum-of-squares evaluator over the basis polynomials."""
-    return SumOfSquares(basis)
-
-
 def hermitian_align(poly: TrigPolynomial, defect_tol: float = 0.05
                     ) -> TrigPolynomial | None:
     """Rotate a coefficient vector by a global phase so it becomes hermitian.
@@ -221,8 +222,14 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
     polynomial is contoured at an automatically calibrated level: 3x the
     median over the input samples, floored at the smallest level the
     contouring grid can actually resolve (estimated from gamma at the grid
-    corners adjacent to the samples).
+    corners adjacent to the samples). Rejects grid_res < 16 before any work
+    and logs a warning when N < |support| - 1 (underdetermined null space).
     """
+    if grid_res < 16:
+        raise ContractViolation("grid_res must be at least 16")
+    if pts.n_points < len(support) - 1:
+        _log.warning("%d samples < |support| - 1 = %d: underdetermined null "
+                     "space", pts.n_points, len(support) - 1)
     if rank_tol is None:
         rank_tol = rasterized_rank_tol(grid_res)
     basis = nullspace_basis(pts, support, rank_tol)

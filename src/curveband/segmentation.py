@@ -20,7 +20,7 @@ from scipy.sparse.linalg import spsolve
 
 from .curve_model import FrequencySupport
 from .errors import ContractViolation
-from .recovery import NullspaceBasis, sos_polynomial
+from .recovery import NullspaceBasis, SumOfSquares
 
 
 @dataclass
@@ -61,15 +61,6 @@ def gradient_spectrum(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     g0 = np.roll(f, -1, axis=0) - f
     g1 = np.roll(f, -1, axis=1) - f
     return np.fft.fft2(g0), np.fft.fft2(g1)
-
-
-def _spectrum_multipliers(shape) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frequency factors turning an image spectrum into the two
-    finite-difference gradient spectra."""
-    h, w = shape
-    m0 = np.exp(2j * np.pi * np.fft.fftfreq(h))[:, None] - 1.0
-    m1 = np.exp(2j * np.pi * np.fft.fftfreq(w))[None, :] - 1.0
-    return m0 * np.ones((1, w)), np.ones((h, 1)) * m1
 
 
 @dataclass
@@ -125,10 +116,6 @@ def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift
                         (np.fft.fftshift(g0), np.fft.fftshift(g1)))
 
 
-def toeplitz_apply(lift: ToeplitzLift, coeffs: np.ndarray) -> np.ndarray:
-    return lift.apply(coeffs)
-
-
 def trailing_energy(lift: ToeplitzLift, rank: int) -> float:
     """Sum of squared singular values beyond `rank`."""
     s = np.linalg.svd(lift.materialize(), compute_uv=False)
@@ -157,7 +144,7 @@ def _edge_weight_map(vectors: np.ndarray, support: FrequencySupport,
     """Sum-of-squares of the trailing filters evaluated on the pixel grid."""
     basis = NullspaceBasis(support, vectors,
                            np.zeros(len(support)))
-    return np.maximum(sos_polynomial(basis).evaluate_grid(shape), 0.0)
+    return np.maximum(SumOfSquares(basis).evaluate_grid(shape), 0.0)
 
 
 def segment(h: GrayImage, rank: int, lam: float,
@@ -165,12 +152,14 @@ def segment(h: GrayImage, rank: int, lam: float,
             rel_tol: float = 1e-3) -> SegmentResult:
     """Piecewise-constant approximation of `h` plus its edge map.
 
-    Alternates (a) an SVD of the lifted gradient spectra to get the trailing
-    right singular subspace with (b) a quadratic image update that penalizes
-    gradient energy weighted by the sum-of-squares of the trailing filters
-    (the circular-convolution form of the trailing-energy penalty, solved by
-    a sparse direct factorization). Starts from f = h; returns the best
-    iterate by objective value, flagged if the iterates did not settle.
+    One loop from f = h: each pass evaluates f (an SVD of its lifted
+    gradient spectra gives the objective and the edge weight map, the
+    sum-of-squares of the trailing right singular filters), then stops if
+    the last update moved f by less than rel_tol or max_iters updates were
+    made, else updates f by a sparse direct solve of the quadratic that
+    penalizes gradient energy weighted by that map (the circular-convolution
+    form of the trailing-energy penalty). Returns the best evaluated iterate
+    by objective, flagged if not converged; `iterations` counts updates.
     """
     if lam <= 0:
         raise ContractViolation("lam must be positive")
@@ -188,35 +177,25 @@ def segment(h: GrayImage, rank: int, lam: float,
     history = []
     converged = False
     iterations = 0
-    for it in range(1, max_iters + 1):
-        iterations = it
+    while True:
         lift = build_lift(GrayImage(np.clip(f, 0.0, 1.0)), filter_support)
         _, s, vh = np.linalg.svd(lift.materialize(), full_matrices=False)
-        trailing = np.conj(vh[rank:])
         objective = float(np.linalg.norm(f - h.pixels) ** 2
                           + lam * np.sum(s[rank:] ** 2))
         history.append(objective)
-        weights = _edge_weight_map(trailing, filter_support, (hh, ww))
+        weights = _edge_weight_map(np.conj(vh[rank:]), filter_support, (hh, ww))
         if objective < best[0]:
             best = (objective, f.copy(), weights)
+        if converged or iterations >= max_iters:
+            break
+        iterations += 1
         s_diag = sp.diags(weights.ravel())
         system = (sp.eye(hh * ww)
                   + (lam * scale) * (d0.T @ s_diag @ d0 + d1.T @ s_diag @ d1))
         f_new = spsolve(system.tocsc(), h_flat).reshape(hh, ww)
         step = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1e-30)
         f = f_new
-        if step < rel_tol:
-            converged = True
-            break
-
-    lift = build_lift(GrayImage(np.clip(f, 0.0, 1.0)), filter_support)
-    _, s, vh = np.linalg.svd(lift.materialize(), full_matrices=False)
-    objective = float(np.linalg.norm(f - h.pixels) ** 2
-                      + lam * np.sum(s[rank:] ** 2))
-    history.append(objective)
-    weights = _edge_weight_map(np.conj(vh[rank:]), filter_support, (hh, ww))
-    if objective < best[0]:
-        best = (objective, f.copy(), weights)
+        converged = bool(step < rel_tol)
 
     _, f_best, edge_raw = best
     peak = edge_raw.max()

@@ -27,7 +27,12 @@ def refine_to_zero_set(poly, pts, iters=6):
 def count_common_zeros(pa, pb, grid=128, bound_hint=64):
     """Number of solutions of pa(x) = pb(x) = 0 in the unit square, found by
     dense grid search plus Gauss-Newton refinement. Asserts the count stays
-    within bound_hint."""
+    within bound_hint.
+
+    Gauss-Newton runs on all (at most 400) candidates at once; each one
+    stops after 30 steps or after a step shorter than 1e-14, as it would
+    alone.
+    """
     ga = np.abs(evaluate_on_grid(pa, grid)) ** 2
     gb = np.abs(evaluate_on_grid(pb, grid)) ** 2
     f = ga + gb
@@ -35,31 +40,31 @@ def count_common_zeros(pa, pb, grid=128, bound_hint=64):
     cand = np.argwhere(f <= max(floor, 1e-8))
     derivs = [(derivative_coeffs(p, 0), derivative_coeffs(p, 1))
               for p in (pa, pb)]
-    solutions = []
-    for i, j in cand[:400]:
-        x = np.array([i / grid, j / grid], dtype=float)
-        for _ in range(30):
-            p = PointSet(2, x[:, None])
-            va = evaluate(pa, p)[0]
-            vb = evaluate(pb, p)[0]
-            r = np.array([va.real, va.imag, vb.real, vb.imag])
-            rows = []
-            for d1, d2 in derivs:
-                g1 = evaluate(d1, p)[0]
-                g2 = evaluate(d2, p)[0]
-                rows += [[g1.real, g2.real], [g1.imag, g2.imag]]
-            jac = np.array(rows)
-            step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-            x = (x - step) % 1.0
-            if np.linalg.norm(step) < 1e-14:
-                break
-        p = PointSet(2, x[:, None])
-        if abs(evaluate(pa, p)[0]) < 1e-9 and abs(evaluate(pb, p)[0]) < 1e-9:
-            solutions.append(x)
+    x = cand[:400].T / grid                       # (2, candidates)
+    active = np.ones(x.shape[1], dtype=bool)
+    for _ in range(30):
+        if not active.any():
+            break
+        p = PointSet(2, x[:, active])
+        va, vb = evaluate(pa, p), evaluate(pb, p)
+        r = np.stack([va.real, va.imag, vb.real, vb.imag], axis=1)
+        rows = []
+        for d1, d2 in derivs:
+            g1, g2 = evaluate(d1, p), evaluate(d2, p)
+            rows += [np.stack([g1.real, g2.real], axis=1),
+                     np.stack([g1.imag, g2.imag], axis=1)]
+        jac = np.stack(rows, axis=1)              # (active, 4, 2)
+        # rtol=None cuts at max(M, N) * eps, as lstsq(rcond=None) does
+        step = np.einsum("mij,mj->mi", np.linalg.pinv(jac, rtol=None), r)
+        x[:, active] = (x[:, active] - step.T) % 1.0
+        active[active] = np.linalg.norm(step, axis=1) >= 1e-14
+    p = PointSet(2, x)
+    on_both = ((np.abs(evaluate(pa, p)) < 1e-9)
+               & (np.abs(evaluate(pb, p)) < 1e-9))
     distinct = []
-    for x in solutions:
-        if all(np.linalg.norm((x - y + 0.5) % 1.0 - 0.5) > 1e-5
+    for z in x[:, on_both].T:
+        if all(np.linalg.norm((z - y + 0.5) % 1.0 - 0.5) > 1e-5
                for y in distinct):
-            distinct.append(x)
+            distinct.append(z)
     assert len(distinct) <= bound_hint
     return len(distinct)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from curveband import io as cio
+from curveband import sample_curve
 from curveband.cli import main
-from curveband.experiments import disk_phantom, noisy_curve_samples
+from curveband.experiments import (child_seed, disk_phantom,
+                                   noisy_curve_samples, union_curve)
 
 
 def run(args):
@@ -62,6 +64,23 @@ class TestRecover:
         code = run(["recover", tmp_path / "nope.csv", "--gamma", "5x5"])
         assert code == 3
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_non_finite_point_exits_3(self, tmp_path, capsys):
+        pts_path = tmp_path / "pts.csv"
+        pts_path.write_text("0.1,0.2\nnan,0.5\n0.3,0.4\n")
+        code = run(["recover", pts_path, "--gamma", "3x3",
+                    "--out-dir", tmp_path / "rec"])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_grid_below_16_exits_2(self, tmp_path):
+        # criterion-3 samples: over-estimated support, sum-of-squares path
+        _, truth, _, _ = union_curve(0, 512)
+        pts_path = tmp_path / "union0.csv"
+        cio.save_points(sample_curve(truth, 220, seed=child_seed(0, 1)),
+                        pts_path)
+        assert run(["recover", pts_path, "--gamma", "11x11", "--grid-res", 8,
+                    "--out-dir", tmp_path / "rec"]) == 2
 
 
 class TestPhaseTransition:
@@ -158,6 +177,15 @@ class TestEval:
         report = dict(line.split(",") for line in
                       (out / "eval.csv").read_text().strip().splitlines()[1:])
         assert float(report["mse"]) > 0
+
+    def test_non_finite_polyline_exits_3(self, tmp_path, capsys):
+        good = tmp_path / "a.csv"
+        good.write_text("0,0.1,0.2\n0,0.3,0.4\n0,0.2,0.6\n")
+        bad = tmp_path / "b.csv"
+        bad.write_text("0,0.1,0.2\n0,nan,0.4\n0,0.2,0.6\n")
+        assert run(["eval", good, bad, "--kind", "curves",
+                    "--out-dir", tmp_path / "ev"]) == 3
+        assert "line 2" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, tmp_path):
         assert run(["synth", "--support", "nonsense",

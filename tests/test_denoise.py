@@ -6,13 +6,14 @@ from curveband import (ContractViolation, IrlsConfig, PointSet,
                        point_cloud_mse, point_cloud_snr)
 from curveband.denoise import solve_quadratic
 from curveband.experiments import denoise_trial, noisy_curve_samples
+from curveband.lifting import gaussian_kernel_matrix
 
 
 class TestIrlsWeights:
     def test_single_point(self):
         x = np.array([[0.5], [0.5]])
         gamma, sigma = 0.1, 0.2
-        p, w = irls_weights(x, sigma, gamma)
+        p, w = irls_weights(gaussian_kernel_matrix(x, sigma), sigma, gamma)
         assert abs(p[0, 0] - (1 + gamma) ** -0.5) <= 1e-12
         assert abs(w[0, 0] - (-(1 + gamma) ** -0.5 / sigma ** 2)) <= 1e-12
 
@@ -20,7 +21,7 @@ class TestIrlsWeights:
         # kernel is numerically the identity, so P = (1+gamma)^(-1/2) I
         sigma, gamma = 0.01, 0.25
         x = np.array([[0.1, 0.5, 0.9], [0.1, 0.5, 0.9]])
-        p, w = irls_weights(x, sigma, gamma)
+        p, w = irls_weights(gaussian_kernel_matrix(x, sigma), sigma, gamma)
         expected = (1 + gamma) ** -0.5
         assert np.abs(p - expected * np.eye(3)).max() <= 1e-12
         assert np.abs(np.diag(w) - (-expected / sigma ** 2)).max() <= 1e-10
@@ -30,14 +31,13 @@ class TestIrlsWeights:
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, size=(2, 5))
         gamma, sigma = 0.05, 0.15
-        p, _ = irls_weights(x, sigma, gamma)
-        from curveband.lifting import gaussian_kernel_matrix
         k = gaussian_kernel_matrix(x, sigma)
+        p, _ = irls_weights(k, sigma, gamma)
         assert np.abs(p @ p - np.linalg.inv(k + gamma * np.eye(5))).max() <= 1e-8
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ContractViolation):
-            irls_weights(np.zeros((2, 3)), 0.1, 0.0)
+            irls_weights(np.ones((3, 3)), 0.1, 0.0)  # 3 coincident points
 
 
 class TestGraphLaplacian:

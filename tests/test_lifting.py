@@ -4,7 +4,8 @@ import pytest
 from curveband import (ContractViolation, FrequencySupport, PointSet,
                        TrigPolynomial, dirichlet_gram, effective_bandwidth,
                        extract_zero_level_set, feature_map, feature_matrix,
-                       gaussian_kernel, multiply, random_curve, sample_curve)
+                       gaussian_kernel_matrix, multiply, random_curve,
+                       sample_curve)
 from curveband.recovery import rank_bound, rasterized_rank_tol
 
 
@@ -115,20 +116,20 @@ class TestDirichletGram:
 
 class TestGaussianKernel:
     def test_unit_diagonal(self):
-        k = gaussian_kernel(random_points(10, 2), 0.2)
-        assert np.allclose(k.data.diagonal(), 1.0)
+        k = gaussian_kernel_matrix(random_points(10, 2).points, 0.2)
+        assert np.allclose(k.diagonal(), 1.0)
 
     def test_distance_sigma_sqrt2(self):
         sigma = 0.13
         pts = PointSet(2, np.array([[0.2, 0.2 + sigma * np.sqrt(2)],
                                     [0.5, 0.5]]))
-        k = gaussian_kernel(pts, sigma)
-        assert abs(k.data[0, 1] - np.exp(-1.0)) <= 1e-12
+        k = gaussian_kernel_matrix(pts.points, sigma)
+        assert abs(k[0, 1] - np.exp(-1.0)) <= 1e-12
 
     def test_matches_naive_pairwise_loop(self):
         pts = random_points(3, 3, dim=3)
         sigma = 0.25
-        k = gaussian_kernel(pts, sigma).data
+        k = gaussian_kernel_matrix(pts.points, sigma)
         for i in range(3):
             for j in range(3):
                 d2 = np.sum((pts.points[:, i] - pts.points[:, j]) ** 2)
@@ -137,14 +138,14 @@ class TestGaussianKernel:
     def test_entries_in_unit_interval_and_decreasing(self):
         x = np.zeros((2, 5))
         x[0] = [0.0, 0.1, 0.2, 0.3, 0.4]
-        k = gaussian_kernel(PointSet(2, x), 0.15).data
+        k = gaussian_kernel_matrix(x, 0.15)
         row = k[0]
         assert np.all(row > 0) and np.all(row <= 1)
         assert np.all(np.diff(row) < 0)
 
     def test_invalid_sigma(self):
         with pytest.raises(ContractViolation):
-            gaussian_kernel(random_points(4, 0), 0.0)
+            gaussian_kernel_matrix(random_points(4, 0).points, 0.0)
 
 
 class TestEffectiveBandwidth:

@@ -1,13 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
 from curveband import (AmbiguousSupport, ContractViolation, FrequencySupport,
-                       PointSet, Polyline, PolylineComponent, TrigPolynomial,
-                       chamfer_distance, estimate_coefficients, evaluate,
-                       evaluate_on_grid, extract_zero_level_set,
+                       PointSet, Polyline, PolylineComponent, SumOfSquares,
+                       TrigPolynomial, chamfer_distance, estimate_coefficients,
+                       evaluate, evaluate_on_grid, extract_zero_level_set,
                        hermitian_align, multiply, nullspace_basis, random_curve,
-                       rank_bound, recover_curve, sample_curve, shift_set,
-                       sos_polynomial)
+                       rank_bound, recover_curve, sample_curve, shift_set)
 from curveband.experiments import (curve_with_zero_set, overcomplete_trial,
                                    union_curve)
 from curveband.recovery import rasterized_rank_tol
@@ -162,8 +163,8 @@ class TestSumOfSquares:
     def test_nonnegative_everywhere(self):
         _, truth, _, _ = union_curve(3, 256)
         pts = sample_curve(truth, 230, seed=7)
-        sos = sos_polynomial(nullspace_basis(pts, FrequencySupport(11, 11),
-                                             rasterized_rank_tol(256)))
+        sos = SumOfSquares(nullspace_basis(pts, FrequencySupport(11, 11),
+                                           rasterized_rank_tol(256)))
         rng = np.random.default_rng(8)
         vals = sos(PointSet(2, rng.uniform(0, 1, size=(2, 10000))))
         assert vals.min() >= 0.0
@@ -173,7 +174,7 @@ class TestSumOfSquares:
         pts = line_pair_points(16, 9)
         basis = nullspace_basis(pts, support)
         assert basis.q == 1
-        sos = sos_polynomial(basis)
+        sos = SumOfSquares(basis)
         probe = PointSet(2, np.random.default_rng(10).uniform(0, 1, (2, 200)))
         direct = np.abs(evaluate(TrigPolynomial(support, basis.vectors[0]),
                                  probe)) ** 2
@@ -182,8 +183,8 @@ class TestSumOfSquares:
     def test_polynomial_route_matches_feature_route(self):
         _, truth, _, _ = union_curve(4, 256)
         pts = sample_curve(truth, 230, seed=11)
-        sos = sos_polynomial(nullspace_basis(pts, FrequencySupport(7, 7),
-                                             rasterized_rank_tol(256)))
+        sos = SumOfSquares(nullspace_basis(pts, FrequencySupport(7, 7),
+                                           rasterized_rank_tol(256)))
         probe = PointSet(2, np.random.default_rng(12).uniform(0, 1, (2, 64)))
         grid_vals = evaluate_on_grid(sos.polynomial, 64).real
         direct = sos(PointSet(2, np.stack([np.arange(64) / 64,
@@ -192,7 +193,7 @@ class TestSumOfSquares:
         assert np.abs(sos(probe).imag).max() if np.iscomplexobj(sos(probe)) else True
 
     def test_empty_basis_rejected(self):
-        from curveband.recovery import NullspaceBasis, SumOfSquares
+        from curveband.recovery import NullspaceBasis
         empty = NullspaceBasis(FrequencySupport(3, 3),
                                np.zeros((0, 9), dtype=complex), np.zeros(9))
         with pytest.raises(ContractViolation):
@@ -240,6 +241,23 @@ class TestRecoverCurve:
             if not recovered.is_empty:
                 wins += chamfer_distance(recovered, truth) <= 4.0 / grid_res
         assert wins >= 3
+
+
+    def test_small_grid_rejected_on_both_paths(self):
+        single = line_pair_points(16, 9)  # one null vector on 3x1
+        with pytest.raises(ContractViolation):
+            recover_curve(single, FrequencySupport(3, 1), grid_res=8)
+        scattered = PointSet(2, np.random.default_rng(0).uniform(0, 1, (2, 10)))
+        with pytest.raises(ContractViolation):  # sum-of-squares path
+            recover_curve(scattered, FrequencySupport(7, 7), grid_res=8)
+
+    def test_too_few_samples_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
+            recover_curve(line_pair_points(16, 9), FrequencySupport(3, 1), 64)
+            assert not caplog.records
+            recover_curve(line_pair_points(2, 3), FrequencySupport(3, 3), 64)
+        assert len(caplog.records) == 1
+        assert "underdetermined" in caplog.records[0].getMessage()
 
 
 class TestChamferDistance:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from curveband import (ContractViolation, FrequencySupport, GrayImage,
-                       chamfer_distance, segment)
+                       PointSet, chamfer_distance, evaluate, segment)
 from curveband.experiments import (circle_polyline, curve_phantom,
                                    curve_with_zero_set, disk_phantom,
                                    edge_contours, multi_disk_phantom)
 from curveband.recovery import rank_bound
 from curveband.segmentation import (build_lift, gradient_spectrum,
-                                    toeplitz_apply, trailing_energy)
+                                    trailing_energy)
 
 
 def materialize_by_oracle(lift):
@@ -82,7 +82,7 @@ class TestToeplitzLift:
         lift = build_lift(img, support)
         c = np.zeros(9)
         c[support.index_of((0, 0))] = 1.0
-        out = toeplitz_apply(lift, c)
+        out = lift.apply(c)
         v1, v2 = lift.valid_shape
         crops = [s[1:1 + v1, 1:1 + v2].ravel() for s in lift.spectra]
         assert np.abs(out - np.concatenate(crops)).max() <= 1e-12
@@ -92,7 +92,7 @@ class TestToeplitzLift:
         lift = build_lift(img, FrequencySupport(3, 3))
         rng = np.random.default_rng(2)
         c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        assert np.abs(toeplitz_apply(lift, c)).max() <= 1e-12
+        assert np.abs(lift.apply(c)).max() <= 1e-12
 
     def test_matches_materialized_oracle(self):
         rng = np.random.default_rng(3)
@@ -118,7 +118,7 @@ class TestToeplitzLift:
         img = GrayImage(np.full((16, 16), 0.5))
         lift = build_lift(img, FrequencySupport(3, 3))
         with pytest.raises(ContractViolation):
-            toeplitz_apply(lift, np.zeros(8))
+            lift.apply(np.zeros(8))
 
 
 class TestSegment:
@@ -192,6 +192,27 @@ class TestSegment:
             assert fractions[1] < fractions[0]
             assert fractions[1] <= 5e-3
 
+    # iterations, converged and objective_history of segment on
+    # disk_phantom(32) with a 7x7 filter and rank 20, recorded from the
+    # implementation that evaluated the last iterate in a copy of the loop
+    # body after the loop
+    @pytest.mark.parametrize("lam, max_iters, iterations, converged, history", [
+        (1e-2, 3, 3, False, [226.02486312684906, 89.49383142518076,
+                             79.347957565752, 75.3752490393213]),
+        (1e-2, 0, 0, False, [226.02486312684906]),
+        (1e-4, 3, 2, True, [2.2602486312684906, 2.1608547894183516,
+                            2.162333062356102]),
+    ])
+    def test_pinned_iteration_record(self, lam, max_iters, iterations,
+                                     converged, history):
+        result = segment(disk_phantom(32), rank=20, lam=lam,
+                         filter_support=FrequencySupport(7, 7),
+                         max_iters=max_iters)
+        assert result.iterations == iterations
+        assert result.converged is converged
+        np.testing.assert_allclose(result.objective_history, history,
+                                   rtol=1e-12, atol=0)
+
     def test_invalid_rank_rejected(self):
         img = disk_phantom(32)
         with pytest.raises(ContractViolation):
@@ -202,3 +223,14 @@ class TestSegment:
         img = disk_phantom(32)
         with pytest.raises(ContractViolation):
             segment(img, rank=5, lam=0.0, filter_support=FrequencySupport(5, 5))
+
+
+class TestCurvePhantom:
+    def test_matches_direct_evaluation_at_pixel_centres(self):
+        poly, _ = curve_with_zero_set(FrequencySupport(5, 5), 7, 256)
+        size = 48
+        c = (np.arange(size) + 0.5) / size
+        yy, xx = np.meshgrid(c, c, indexing="ij")
+        vals = evaluate(poly, PointSet(2, np.stack([yy.ravel(), xx.ravel()])))
+        expected = (vals.real > 0).reshape(size, size).astype(float)
+        assert np.array_equal(curve_phantom(poly, size).pixels, expected)
