@@ -39,12 +39,17 @@ def _parse_support(text: str) -> FrequencySupport:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
-    return [int(p) for p in text.split(",") if p.strip()]
+    """Integers `a,b,c`, or the inclusive range `start:stop[:step]`."""
+    try:
+        if ":" not in text:
+            return [int(p) for p in text.split(",") if p.strip()]
+        start, stop, step = ([int(p) for p in text.split(":")] + [1])[:3]
+    except ValueError:
+        raise ContractViolation(f"bad integer list {text!r}")
+    if step <= 0 or text.count(":") > 2:
+        raise ContractViolation(
+            f"bad range {text!r}, expected start:stop[:step] with step > 0")
+    return list(range(start, stop + 1, step))
 
 
 def _out_dir(args) -> Path:
@@ -70,7 +75,11 @@ def cmd_recover(args) -> int:
     out = _out_dir(args)
     pts = io.load_points(args.points, dim=2)
     outer = _parse_support(args.gamma)
-    tol = args.rank_tol if args.rank_tol else rasterized_rank_tol(args.grid_res)
+    tol = args.rank_tol
+    if tol is None:
+        tol = rasterized_rank_tol(args.grid_res)
+    elif not 0 < tol < np.inf:
+        raise ContractViolation(f"--rank-tol must be positive and finite, got {tol}")
     t0 = time.perf_counter()
     basis = nullspace_basis(pts, outer, tol)
     curve = recover_curve(pts, outer, args.grid_res, tol)

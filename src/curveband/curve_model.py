@@ -157,8 +157,7 @@ class PointSet:
 
 @dataclass
 class PolylineComponent:
-    vertices: np.ndarray  # (M, 2), coordinates in [0,1)^2
-    closed: bool = True
+    vertices: np.ndarray  # (M, 2), coordinates in [0,1)^2; a closed loop
 
 
 @dataclass
@@ -185,25 +184,17 @@ class Polyline:
         return np.concatenate([c.vertices for c in self.components], axis=0)
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, deltas, lengths) over all segments of all components.
+        """(starts, deltas, lengths) over all segments of all components,
+        the closing segment of each loop included.
 
         Deltas are minimum-image, so seam-crossing segments keep their true
         (short) length.
         """
-        starts, deltas = [], []
-        for comp in self.components:
-            v = comp.vertices
-            if v.shape[0] < 2:
-                continue
-            nxt = np.roll(v, -1, axis=0) if comp.closed else v[1:]
-            cur = v if comp.closed else v[:-1]
-            d = wrap_delta(nxt - cur)
-            starts.append(cur)
-            deltas.append(d)
-        if not starts:
+        loops = [c.vertices for c in self.components if c.vertices.shape[0] >= 2]
+        if not loops:
             return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
-        s = np.concatenate(starts, axis=0)
-        d = np.concatenate(deltas, axis=0)
+        s = np.concatenate(loops, axis=0)
+        d = wrap_delta(np.concatenate([np.roll(v, -1, axis=0) for v in loops]) - s)
         return s, d, np.linalg.norm(d, axis=1)
 
     def total_length(self) -> float:
@@ -324,98 +315,80 @@ def extract_zero_level_set(poly: TrigPolynomial,
 def contour_periodic_grid(values: np.ndarray) -> Polyline:
     """Zero contour of a real scalar field sampled on a periodic grid.
 
-    Grid point (i, j) sits at coordinates (i/n1, j/n2). All components are
-    closed loops on the torus.
+    Grid point (i, j) sits at coordinates (i/n1, j/n2); the grid must be at
+    least 2x2. All components are closed loops on the torus. Components
+    start at crossed grid edges in the order a row-major scan of the cells
+    first links them, and head towards the edge each was first linked to.
     """
     v = np.where(values == 0.0, _ZERO_NUDGE, values)
+    if v.ndim != 2 or min(v.shape) < 2:
+        raise ContractViolation(
+            f"periodic contouring needs a grid of at least 2x2, got {v.shape}")
     n1, n2 = v.shape
     pos = v > 0
-    b00 = pos
     b10 = np.roll(pos, -1, axis=0)
-    b01 = np.roll(pos, -1, axis=1)
-    b11 = np.roll(b10, -1, axis=1)
-    case = (b00.astype(np.int8) + 2 * b10 + 4 * b11 + 8 * b01)
-    active = np.argwhere((case != 0) & (case != 15))
-    if active.size == 0:
+    i, j = np.nonzero((pos != b10) | (pos != np.roll(pos, -1, axis=1))
+                      | (pos != np.roll(b10, -1, axis=1)))
+    if i.size == 0:
         return Polyline([])
 
-    # Edge keys: ('a0', i, j) runs from grid point (i,j) towards axis 0,
-    # ('a1', i, j) towards axis 1. Indices are taken mod the grid shape.
-    adjacency: dict[tuple, list] = {}
+    # Corners a=(i,j), b=(i+1,j), c=(i+1,j+1), d=(i,j+1) of the active cells
+    # and their edges in slot order ab, bc, dc, ad. Edge ids: i*n2 + j for
+    # the edge from (i, j) along axis 0, n1*n2 + i*n2 + j along axis 1.
+    ip = (i + 1) % n1
+    jp = (j + 1) % n2
+    a, b, c, d = v[i, j], v[ip, j], v[ip, jp], v[i, jp]
+    sa, sb, sc, sd = a > 0, b > 0, c > 0, d > 0
+    crossed = np.stack([sa != sb, sb != sc, sd != sc, sa != sd], axis=1)
+    slot_edges = np.stack([i * n2 + j, n1 * n2 + ip * n2 + j,
+                           i * n2 + jp, n1 * n2 + i * n2 + j], axis=1)
+    # A two-crossing cell links its crossed slots. A saddle cell links two
+    # slot pairs, split by the sign of the cell-center average.
+    saddle = crossed.all(axis=1)
+    center_like_a = (0.25 * (a + b + c + d) > 0) == sa
+    pairs = np.where(center_like_a[:, None, None], [[0, 1], [3, 2]],
+                     [[0, 3], [1, 2]])
+    pairs[~saddle, 0] = np.nonzero(crossed[~saddle])[1].reshape(-1, 2)
+    cell = np.repeat(np.arange(i.size), 1 + saddle)
+    used = np.stack([np.ones_like(saddle), saddle], axis=1)
+    ends = slot_edges[cell[:, None], pairs[used]].ravel()
 
-    def link(e, f):
-        adjacency.setdefault(e, []).append(f)
-        adjacency.setdefault(f, []).append(e)
+    # Every crossed edge ends exactly two links. The stable sort puts its two
+    # occurrences side by side, first occurrence first; the neighbour at an
+    # occurrence is the other end of that link.
+    order = np.argsort(ends, kind="stable")
+    edges = ends[order[::2]]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) // 2
+    first, second = rank[order ^ 1].reshape(-1, 2).T.tolist()
 
-    for i, j in active:
-        i = int(i)
-        j = int(j)
-        ip = (i + 1) % n1
-        jp = (j + 1) % n2
-        sa, sb, sc, sd = pos[i, j], pos[ip, j], pos[ip, jp], pos[i, jp]
-        e_ab = ("a0", i, j)
-        e_dc = ("a0", i, jp)
-        e_ad = ("a1", i, j)
-        e_bc = ("a1", ip, j)
-        crossed = []
-        if sa != sb:
-            crossed.append(e_ab)
-        if sb != sc:
-            crossed.append(e_bc)
-        if sd != sc:
-            crossed.append(e_dc)
-        if sa != sd:
-            crossed.append(e_ad)
-        if len(crossed) == 2:
-            link(crossed[0], crossed[1])
-        elif len(crossed) == 4:
-            # Saddle cell; split by the sign of the cell-center average.
-            center = 0.25 * (v[i, j] + v[ip, j] + v[ip, jp] + v[i, jp])
-            if (center > 0) == sa:
-                link(e_ab, e_bc)
-                link(e_ad, e_dc)
-            else:
-                link(e_ab, e_ad)
-                link(e_bc, e_dc)
+    # Crossing positions by linear interpolation along each edge; t moves
+    # only the coordinate along the edge's axis (the other gets an exact 0).
+    axis1, ei, ej = np.unravel_index(edges, (2, n1, n2))
+    v0 = v[ei, ej]
+    t = v0 / (v0 - v[(ei + 1 - axis1) % n1, (ej + axis1) % n2])
+    xy = np.stack([((ei + t * (1 - axis1)) / n1) % 1.0,
+                   ((ej + t * axis1) / n2) % 1.0], axis=1)
 
-    def edge_position(e):
-        kind, i, j = e
-        if kind == "a0":
-            v0, v1 = v[i, j], v[(i + 1) % n1, j]
-            t = v0 / (v0 - v1)
-            return np.array([((i + t) / n1) % 1.0, j / n2])
-        v0, v1 = v[i, j], v[i, (j + 1) % n2]
-        t = v0 / (v0 - v1)
-        return np.array([i / n1, ((j + t) / n2) % 1.0])
-
+    # Walk each loop once, from its first edge in start order, then drop
+    # vertices that repeat their predecessor.
     components = []
-    visited = set()
-    for start in adjacency:
-        if start in visited:
+    visited = np.zeros(edges.size, dtype=bool)
+    for start in np.argsort(order[::2]).tolist():
+        if visited[start]:
             continue
-        loop = [start]
-        visited.add(start)
-        prev, cur = None, start
-        closed = True
+        loop, prev, cur = [start], -1, start
         while True:
-            nbrs = adjacency[cur]
-            if len(nbrs) != 2:
-                closed = False  # defensive; should not happen on a torus
-                break
-            nxt = nbrs[1] if nbrs[0] == prev else nbrs[0]
+            nxt = second[cur] if first[cur] == prev else first[cur]
             if nxt == start:
                 break
             loop.append(nxt)
-            visited.add(nxt)
             prev, cur = cur, nxt
-        verts = np.array([edge_position(e) for e in loop])
-        keep = np.ones(len(verts), dtype=bool)
-        if len(verts) > 1:
-            same = np.all(verts == np.roll(verts, 1, axis=0), axis=1)
-            keep &= ~same
-        verts = verts[keep]
+        visited[loop] = True
+        verts = xy[loop]
+        verts = verts[np.any(verts != np.roll(verts, 1, axis=0), axis=1)]
         if verts.shape[0] >= 2:
-            components.append(PolylineComponent(verts, closed=closed))
+            components.append(PolylineComponent(verts))
     return Polyline(components)
 
 

@@ -57,11 +57,22 @@ def half_region(curve: Polyline, side: str = "left"
     raise ContractViolation(f"unknown side {side!r}")
 
 
-def _contour_of_estimate(est: TrigPolynomial, grid_res: int) -> Polyline:
+def _recovery_error(pts: PointSet, support: FrequencySupport,
+                    truth: Polyline, grid_res: int) -> float:
+    """Curve error of the known-support recovery from `pts` against `truth`
+    (inf = failed: ambiguous or rejected estimate, no real-valued alignment,
+    or an empty curve on either side)."""
+    try:
+        est = estimate_coefficients(pts, support, rasterized_rank_tol(grid_res))
+    except (AmbiguousSupport, ContractViolation):
+        return np.inf
     aligned = hermitian_align(est)
     if aligned is None:
-        return Polyline([])
-    return extract_zero_level_set(aligned, grid_res)
+        return np.inf
+    recovered = extract_zero_level_set(aligned, grid_res)
+    if recovered.is_empty or truth.is_empty:
+        return np.inf
+    return chamfer_distance(recovered, truth)
 
 
 def known_support_trial(support: FrequencySupport, n_samples: int, seed,
@@ -75,14 +86,7 @@ def known_support_trial(support: FrequencySupport, n_samples: int, seed,
     _, truth = curve_with_zero_set(support, seed, grid_res)
     region = half_region(truth, restrict) if restrict else None
     pts = sample_curve(truth, n_samples, seed=child_seed(seed, 1), region=region)
-    try:
-        est = estimate_coefficients(pts, support, rasterized_rank_tol(grid_res))
-    except (AmbiguousSupport, ContractViolation):
-        return np.inf
-    recovered = _contour_of_estimate(est, grid_res)
-    if recovered.is_empty:
-        return np.inf
-    return chamfer_distance(recovered, truth)
+    return _recovery_error(pts, support, truth, grid_res)
 
 
 def phase_transition(k_values, n_values, trials: int, seed,
@@ -96,6 +100,9 @@ def phase_transition(k_values, n_values, trials: int, seed,
     """
     if len(k_values) == 0 or len(n_values) == 0:
         raise ContractViolation("phase transition needs non-empty ranges")
+    if trials < 1:
+        raise ContractViolation(f"phase transition needs trials >= 1, "
+                                f"got {trials}")
     if threshold is None:
         threshold = 3.0 / grid_res
     jobs = [(ki, ni, t) for ki in range(len(k_values))
@@ -142,15 +149,7 @@ def union_split_trial(seed, n_first: int, n_second: int,
     if n_second:
         parts.append(sample_curve(c2, n_second, seed=child_seed(seed, 2)).points)
     pts = PointSet(2, np.concatenate(parts, axis=1))
-    try:
-        est = estimate_coefficients(pts, product.support,
-                                    rasterized_rank_tol(grid_res))
-    except (AmbiguousSupport, ContractViolation):
-        return np.inf
-    recovered = _contour_of_estimate(est, grid_res)
-    if recovered.is_empty or truth.is_empty:
-        return np.inf
-    return chamfer_distance(recovered, truth)
+    return _recovery_error(pts, product.support, truth, grid_res)
 
 
 def offcurve_probes(curve: Polyline, n: int, seed,
@@ -270,4 +269,4 @@ def circle_polyline(center=(0.5, 0.5), radius: float = 0.3,
     t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     v = np.stack([center[0] + radius * np.sin(t),
                   center[1] + radius * np.cos(t)], axis=1) % 1.0
-    return Polyline([PolylineComponent(v, closed=True)])
+    return Polyline([PolylineComponent(v)])

@@ -107,7 +107,7 @@ def load_polyline_csv(path) -> Polyline:
             groups.setdefault(int(cid), []).append(vertex)
         except ValueError as exc:
             raise DataError(f"malformed polyline file {path}, line {ln}: {exc}")
-    comps = [PolylineComponent(np.array(groups[cid]), closed=True)
+    comps = [PolylineComponent(np.array(groups[cid]))
              for cid in sorted(groups)]
     return Polyline(comps)
 
@@ -117,14 +117,10 @@ def _svg_paths(curve: Polyline) -> list[str]:
     paths = []
     for comp in curve.components:
         v = comp.vertices
-        if comp.closed and v.shape[0] >= 2:
+        if v.shape[0] >= 2:
             v = np.vstack([v, v[:1]])
-        runs = [[v[0]]]
-        for a, b in zip(v[:-1], v[1:]):
-            if np.any(np.abs(b - a) > 0.5):  # seam crossing
-                runs.append([])
-            runs[-1].append(b)
-        for run in runs:
+        seam = np.any(np.abs(np.diff(v, axis=0)) > 0.5, axis=1)  # seam crossing
+        for run in np.split(v, np.flatnonzero(seam) + 1):
             if len(run) < 2:
                 continue
             d = "M " + " L ".join(f"{p[0]:.6f} {p[1]:.6f}" for p in run)
@@ -165,7 +161,9 @@ def load_pgm(path) -> GrayImage:
         if pos >= len(raw):
             raise DataError(f"truncated PGM header in {path}")
         if raw[pos:pos + 1] == b"#":
-            pos = raw.index(b"\n", pos) + 1
+            pos = raw.find(b"\n", pos) + 1
+            if pos == 0:
+                raise DataError(f"unterminated PGM header comment in {path}")
             continue
         if raw[pos:pos + 1].isspace():
             pos += 1

@@ -3,6 +3,7 @@
 import numpy as np
 
 from curveband import PointSet, TrigPolynomial, evaluate, evaluate_on_grid
+from curveband.curve_model import _ZERO_NUDGE
 
 
 def derivative_coeffs(poly, axis):
@@ -68,3 +69,103 @@ def count_common_zeros(pa, pb, grid=128, bound_hint=64):
             distinct.append(z)
     assert len(distinct) <= bound_hint
     return len(distinct)
+
+
+def contour_periodic_grid_reference(values):
+    """Zero contour of a real scalar field sampled on a periodic grid, traced
+    over a dict-of-lists edge adjacency with tuple edge keys; the reference
+    for `curveband.contour_periodic_grid`.
+
+    Grid point (i, j) sits at coordinates (i/n1, j/n2). Returns one
+    (vertices, closed) pair per component.
+    """
+    v = np.where(values == 0.0, _ZERO_NUDGE, values)
+    n1, n2 = v.shape
+    pos = v > 0
+    b00 = pos
+    b10 = np.roll(pos, -1, axis=0)
+    b01 = np.roll(pos, -1, axis=1)
+    b11 = np.roll(b10, -1, axis=1)
+    case = (b00.astype(np.int8) + 2 * b10 + 4 * b11 + 8 * b01)
+    active = np.argwhere((case != 0) & (case != 15))
+    if active.size == 0:
+        return []
+
+    # Edge keys: ('a0', i, j) runs from grid point (i,j) towards axis 0,
+    # ('a1', i, j) towards axis 1. Indices are taken mod the grid shape.
+    adjacency: dict[tuple, list] = {}
+
+    def link(e, f):
+        adjacency.setdefault(e, []).append(f)
+        adjacency.setdefault(f, []).append(e)
+
+    for i, j in active:
+        i = int(i)
+        j = int(j)
+        ip = (i + 1) % n1
+        jp = (j + 1) % n2
+        sa, sb, sc, sd = pos[i, j], pos[ip, j], pos[ip, jp], pos[i, jp]
+        e_ab = ("a0", i, j)
+        e_dc = ("a0", i, jp)
+        e_ad = ("a1", i, j)
+        e_bc = ("a1", ip, j)
+        crossed = []
+        if sa != sb:
+            crossed.append(e_ab)
+        if sb != sc:
+            crossed.append(e_bc)
+        if sd != sc:
+            crossed.append(e_dc)
+        if sa != sd:
+            crossed.append(e_ad)
+        if len(crossed) == 2:
+            link(crossed[0], crossed[1])
+        elif len(crossed) == 4:
+            # Saddle cell; split by the sign of the cell-center average.
+            center = 0.25 * (v[i, j] + v[ip, j] + v[ip, jp] + v[i, jp])
+            if (center > 0) == sa:
+                link(e_ab, e_bc)
+                link(e_ad, e_dc)
+            else:
+                link(e_ab, e_ad)
+                link(e_bc, e_dc)
+
+    def edge_position(e):
+        kind, i, j = e
+        if kind == "a0":
+            v0, v1 = v[i, j], v[(i + 1) % n1, j]
+            t = v0 / (v0 - v1)
+            return np.array([((i + t) / n1) % 1.0, j / n2])
+        v0, v1 = v[i, j], v[i, (j + 1) % n2]
+        t = v0 / (v0 - v1)
+        return np.array([i / n1, ((j + t) / n2) % 1.0])
+
+    components = []
+    visited = set()
+    for start in adjacency:
+        if start in visited:
+            continue
+        loop = [start]
+        visited.add(start)
+        prev, cur = None, start
+        closed = True
+        while True:
+            nbrs = adjacency[cur]
+            if len(nbrs) != 2:
+                closed = False  # defensive; should not happen on a torus
+                break
+            nxt = nbrs[1] if nbrs[0] == prev else nbrs[0]
+            if nxt == start:
+                break
+            loop.append(nxt)
+            visited.add(nxt)
+            prev, cur = cur, nxt
+        verts = np.array([edge_position(e) for e in loop])
+        keep = np.ones(len(verts), dtype=bool)
+        if len(verts) > 1:
+            same = np.all(verts == np.roll(verts, 1, axis=0), axis=1)
+            keep &= ~same
+        verts = verts[keep]
+        if verts.shape[0] >= 2:
+            components.append((verts, closed))
+    return components

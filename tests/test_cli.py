@@ -82,6 +82,14 @@ class TestRecover:
         assert run(["recover", pts_path, "--gamma", "11x11", "--grid-res", 8,
                     "--out-dir", tmp_path / "rec"]) == 2
 
+    def test_non_positive_rank_tol_exits_2(self, tmp_path, capsys):
+        pts_path = tmp_path / "pts.csv"
+        pts_path.write_text("0.25,0.1\n0.75,0.4\n0.25,0.7\n")
+        assert run(["recover", pts_path, "--gamma", "3x3", "--rank-tol", 0,
+                    "--grid-res", 64, "--out-dir", tmp_path / "rec"]) == 2
+        assert "--rank-tol" in capsys.readouterr().err
+        assert not (tmp_path / "rec" / "rank_report.csv").exists()
+
 
 class TestPhaseTransition:
     def test_csv_deterministic_and_gated_cells(self, tmp_path):
@@ -106,6 +114,19 @@ class TestPhaseTransition:
                         "--threads", threads, "--out-dir", out]) == 0
             results.append((out / "phase_transition.csv").read_bytes())
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("flag,value", [("--k-range", "3,x"),
+                                            ("--n-range", "5:20:0"),
+                                            ("--n-range", "5:")])
+    def test_bad_integer_list_exits_2(self, tmp_path, flag, value):
+        assert run(["phase-transition", flag, value, "--trials", 1,
+                    "--out-dir", tmp_path]) == 2
+        assert not (tmp_path / "phase_transition.csv").exists()
+
+    def test_zero_trials_exits_2(self, tmp_path):
+        assert run(["phase-transition", "--k-range", "3", "--n-range", "40",
+                    "--trials", 0, "--out-dir", tmp_path]) == 2
+        assert not (tmp_path / "phase_transition.csv").exists()
 
 
 class TestDenoise:
@@ -156,6 +177,11 @@ class TestSegment:
     def test_non_pgm_input_exits_3(self, tmp_path):
         bogus = tmp_path / "x.pgm"
         bogus.write_bytes(b"not an image")
+        assert run(["segment", bogus, "--rank", 5]) == 3
+
+    def test_unterminated_header_comment_exits_3(self, tmp_path):
+        bogus = tmp_path / "u.pgm"
+        bogus.write_bytes(b"P5\n# x")
         assert run(["segment", bogus, "--rank", 5]) == 3
 
 

@@ -5,8 +5,10 @@ from curveband import (ContractViolation, FrequencySupport, NoSamplesAvailable,
                        NumericalFailure, PointSet, TrigPolynomial, evaluate,
                        evaluate_on_grid, extract_zero_level_set, multiply,
                        project_to_zero_set, random_curve, sample_curve)
-from curveband.experiments import child_seed, union_curve
-from oracles import refine_to_zero_set
+from curveband.curve_model import contour_periodic_grid, wrap_delta
+from curveband.experiments import (child_seed, disk_phantom, multi_disk_phantom,
+                                   union_curve)
+from oracles import contour_periodic_grid_reference, refine_to_zero_set
 
 
 def naive_evaluate(poly, x):
@@ -155,7 +157,11 @@ class TestExtractZeroLevelSet:
         curve = extract_zero_level_set(poly, 128)
         assert not curve.is_empty
         for comp in curve.components:
-            assert comp.closed
+            # every segment, the one from the last vertex back to the first
+            # included, joins two edges of one grid cell
+            v = comp.vertices
+            step = wrap_delta(np.roll(v, -1, axis=0) - v)
+            assert np.linalg.norm(step, axis=1).max() <= np.sqrt(2) / 128
             assert comp.vertices.shape[0] >= 3
 
     def test_consecutive_vertices_distinct(self):
@@ -174,6 +180,61 @@ class TestExtractZeroLevelSet:
         poly = TrigPolynomial(FrequencySupport(3, 3), np.ones(9))
         with pytest.raises(ContractViolation):
             extract_zero_level_set(poly, 64)
+
+
+def contour_fields():
+    """Named scalar fields covering the tracer's cases: smooth curves,
+    products with many components, a non-square grid, exact zeros, no
+    crossing at all, saddles in every cell, and piecewise-constant images."""
+    for k in (3, 5, 7):
+        for res in (16, 64, 256):
+            for seed in range(3):
+                poly = random_curve(FrequencySupport(k, k), seed)
+                yield f"k{k}-res{res}-seed{seed}", evaluate_on_grid(poly, res).real
+    for seed in (0, 1):
+        product, _, _, _ = union_curve(seed, 512)
+        yield f"union{seed}-512", evaluate_on_grid(product, 512).real
+    poly = random_curve(FrequencySupport(5, 5), 3)
+    yield "non-square", evaluate_on_grid(poly, (96, 160)).real
+    rng = np.random.default_rng(0)
+    for shape in ((2, 2), (2, 5), (7, 3), (40, 40)):
+        for t in range(5):
+            yield f"rounded-noise-{shape}-{t}", np.round(
+                0.5 * rng.standard_normal(shape))
+    yield "all-zero", np.zeros((32, 32))
+    checker = (-1.0) ** np.add.outer(np.arange(32), np.arange(32))
+    yield "checkerboard", checker
+    yield "checkerboard-jittered", checker * rng.uniform(0.5, 1.5, (32, 32))
+    # saddle at cell (0, 0) whose center sign flips if a+b+c+d is reordered
+    yield "saddle-rounding", np.array([[1.0, -1e-17, 1.0, -1.0],
+                                       [-1.0, 1e-16, -1.0, 1.0]] * 2)
+    for name, img in (("disk", disk_phantom(64)),
+                      ("multi-disk", multi_disk_phantom(64))):
+        for level in (0.0, 0.1, 0.5):
+            yield f"{name}-{level}", img.pixels - level
+
+
+class TestContourPeriodicGrid:
+    def test_matches_reference_tracer_exactly(self):
+        for name, values in contour_fields():
+            curve = contour_periodic_grid(values)
+            expected = contour_periodic_grid_reference(values)
+            assert len(curve.components) == len(expected), name
+            for comp, (verts, closed) in zip(curve.components, expected):
+                assert closed, name
+                assert np.array_equal(comp.vertices, verts), name
+
+    def test_fields_cover_saddles_zeros_and_empty(self):
+        fields = dict(contour_fields())
+        assert contour_periodic_grid(fields["all-zero"]).is_empty
+        checker = contour_periodic_grid(fields["checkerboard"])
+        assert checker.num_vertices() == 2 * 32 * 32
+        assert np.any(fields["rounded-noise-(40, 40)-0"] == 0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1), (0, 4), (8,)])
+    def test_grid_below_2x2_rejected(self, shape):
+        with pytest.raises(ContractViolation):
+            contour_periodic_grid(np.ones(shape))
 
 
 class TestSampleCurve:

@@ -100,6 +100,12 @@ class TestPgm:
         with pytest.raises(DataError):
             cio.load_pgm(path)
 
+    def test_rejects_unterminated_comment(self, tmp_path):
+        path = tmp_path / "u.pgm"
+        path.write_bytes(b"P5\n# x")
+        with pytest.raises(DataError, match="comment"):
+            cio.load_pgm(path)
+
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n16 16\n255\n" + b"\x00" * 100)

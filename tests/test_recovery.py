@@ -269,15 +269,15 @@ class TestChamferDistance:
         d = 0.07
         x2 = np.linspace(0, 1, 400, endpoint=False)
         a = Polyline([PolylineComponent(
-            np.stack([np.full(400, 0.3), x2], axis=1), closed=False)])
+            np.stack([np.full(400, 0.3), x2], axis=1))])
         b = Polyline([PolylineComponent(
-            np.stack([np.full(400, 0.3 + d), x2], axis=1), closed=False)])
+            np.stack([np.full(400, 0.3 + d), x2], axis=1))])
         assert abs(chamfer_distance(a, b) - d) <= 0.01 * d
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(17)
-        a = Polyline([PolylineComponent(rng.uniform(0, 1, (50, 2)), False)])
-        b = Polyline([PolylineComponent(rng.uniform(0, 1, (50, 2)), False)])
+        a = Polyline([PolylineComponent(rng.uniform(0, 1, (50, 2)))])
+        b = Polyline([PolylineComponent(rng.uniform(0, 1, (50, 2)))])
         va, vb = a.vertex_array(), b.vertex_array()
         d2 = np.sum((va[:, None, :] - vb[None, :, :]) ** 2, axis=2)
         expected = 0.5 * (np.sqrt(d2.min(axis=1)).mean()
@@ -316,9 +316,17 @@ class TestCommonZeroBounds:
         assert found_any >= 1  # random curve pairs typically do intersect
 
     def test_complex_2x2_pairs_respect_bound(self):
+        # two complex equations in two real unknowns share no zero in
+        # general, so each pair gets one planted: shifting the (0,0)
+        # coefficient by minus the value at z makes both vanish at z
         rng = np.random.default_rng(40)
+        support = FrequencySupport(2, 2)
+        dc = support.index_of((0, 0))
         for _ in range(10):
             coeffs = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-            pa = TrigPolynomial(FrequencySupport(2, 2), coeffs[0])
-            pb = TrigPolynomial(FrequencySupport(2, 2), coeffs[1])
-            count_common_zeros(pa, pb, bound_hint=16)
+            z = PointSet(2, rng.uniform(0, 1, (2, 1)))
+            for c in coeffs:
+                c[dc] -= evaluate(TrigPolynomial(support, c), z)[0]
+            pa = TrigPolynomial(support, coeffs[0])
+            pb = TrigPolynomial(support, coeffs[1])
+            assert count_common_zeros(pa, pb, bound_hint=16) >= 1
