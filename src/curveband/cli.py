@@ -177,7 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="trial worker threads (>= 1); only phase-transition uses it, the "
+             "other commands accept it because the benchmark harness passes "
+             "it to every op")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common],
@@ -235,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ContractViolation as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -58,10 +58,6 @@ class FrequencySupport:
     def shape(self) -> tuple[int, int]:
         return (self.k1, self.k2)
 
-    @property
-    def degree(self) -> int:
-        return self.k1 + self.k2
-
     def axis_range(self, axis: int) -> tuple[int, int]:
         """Inclusive (lo, hi) frequency bounds along `axis` (0 or 1)."""
         k = (self.k1, self.k2)[axis]
@@ -119,13 +115,6 @@ class TrigPolynomial:
         """Coefficients as a (k1, k2) grid."""
         return self.coeffs.reshape(self.support.shape)
 
-    def hermitian_defect(self) -> float:
-        """max |c[-k] - conj(c[k])|; inf if the grid is not symmetric."""
-        if self.support.k1 % 2 == 0 or self.support.k2 % 2 == 0:
-            return np.inf
-        g = self.coeff_grid()
-        return float(np.abs(g[::-1, ::-1] - np.conj(g)).max())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
@@ -156,32 +145,28 @@ class PointSet:
 
 
 @dataclass
-class PolylineComponent:
-    vertices: np.ndarray  # (M, 2), coordinates in [0,1)^2; a closed loop
-
-
-@dataclass
 class Polyline:
     """Ordered vertex lists approximating a curve in the periodic unit square.
 
-    Segments that cross the domain seam are stored with wrapped coordinates;
-    geometric helpers use minimum-image deltas.
+    Each component is an (M, 2) array of coordinates in [0,1)^2 forming a
+    closed loop. Segments that cross the domain seam are stored with wrapped
+    coordinates; geometric helpers use minimum-image deltas.
     """
 
-    components: list[PolylineComponent] = field(default_factory=list)
+    components: list[np.ndarray] = field(default_factory=list)
 
     @property
     def is_empty(self) -> bool:
         return not self.components
 
     def num_vertices(self) -> int:
-        return sum(c.vertices.shape[0] for c in self.components)
+        return sum(c.shape[0] for c in self.components)
 
     def vertex_array(self) -> np.ndarray:
         """All vertices stacked, shape (total, 2)."""
         if self.is_empty:
             return np.zeros((0, 2))
-        return np.concatenate([c.vertices for c in self.components], axis=0)
+        return np.concatenate(self.components, axis=0)
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, deltas, lengths) over all segments of all components,
@@ -190,7 +175,7 @@ class Polyline:
         Deltas are minimum-image, so seam-crossing segments keep their true
         (short) length.
         """
-        loops = [c.vertices for c in self.components if c.vertices.shape[0] >= 2]
+        loops = [c for c in self.components if c.shape[0] >= 2]
         if not loops:
             return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
         s = np.concatenate(loops, axis=0)
@@ -388,7 +373,7 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
         verts = xy[loop]
         verts = verts[np.any(verts != np.roll(verts, 1, axis=0), axis=1)]
         if verts.shape[0] >= 2:
-            components.append(PolylineComponent(verts))
+            components.append(verts)
     return Polyline(components)
 
 

@@ -36,6 +36,11 @@ class IrlsConfig:
     rel_tol: float = 1e-5
 
     def __post_init__(self):
+        floats = (self.lam, self.sigma, self.gamma0, self.eta, self.rel_tol)
+        if not np.all(np.isfinite(floats)):
+            raise ContractViolation(f"IRLS settings must be finite: {floats}")
+        if self.rel_tol < 0:
+            raise ContractViolation("rel_tol must not be negative")
         if self.lam < 0 or self.sigma <= 0 or self.gamma0 <= 0:
             raise ContractViolation("lam, sigma, gamma0 must be positive")
         if self.eta <= 1:
@@ -122,12 +127,12 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig | None = None
     k_cur = gaussian_kernel_matrix(x, cfg.sigma)
     for it in range(1, cfg.max_iters + 1):
         p, w = irls_weights(k_cur, cfg.sigma, gamma)
-        cost_before = float(np.linalg.norm(x - y) ** 2
-                            + cfg.lam * np.trace(k_cur @ p).real)
         x_new = solve_quadratic(y, graph_laplacian(w), cfg.lam)
         k_new = gaussian_kernel_matrix(x_new, cfg.sigma)
-        cost = float(np.linalg.norm(x_new - y) ** 2
-                     + cfg.lam * np.trace(k_new @ p).real)
+        # P is symmetric, so tr(K P) = sum(K * P) without the matrix product
+        cost_before, cost = (float(np.linalg.norm(xi - y) ** 2
+                                   + cfg.lam * np.sum(ki * p))
+                             for xi, ki in ((x, k_cur), (x_new, k_new)))
         denom = np.linalg.norm(x)
         rel = float(np.linalg.norm(x_new - x) / denom) if denom > 0 else 0.0
         trace.iterations.append(it)

@@ -14,9 +14,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .curve_model import (FrequencySupport, PointSet, Polyline,
-                          PolylineComponent, TrigPolynomial,
-                          contour_periodic_grid, evaluate_on_grid,
-                          extract_zero_level_set, multiply,
+                          TrigPolynomial, contour_periodic_grid,
+                          evaluate_on_grid, extract_zero_level_set, multiply,
                           project_to_zero_set, random_curve, sample_curve)
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
 from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
@@ -25,6 +24,13 @@ from .recovery import (ANALYTIC_RANK_TOL, SumOfSquares, chamfer_distance,
                        nullspace_basis, rasterized_rank_tol, recover_curve)
 from .segmentation import GrayImage
 
+# Random polynomials drawn per curve before giving up on a non-empty zero set.
+_MAX_CURVE_ATTEMPTS = 64
+# Off-curve probes keep at least this distance from the curve.
+_PROBE_MIN_DISTANCE = 0.02
+# Level of the (max-normalized) edge map at which edges are contoured.
+_EDGE_LEVEL = 0.02
+
 
 def child_seed(seed, *extra) -> list[int]:
     """Flatten a seed (int or sequence) plus extra words into one seed list."""
@@ -32,17 +38,16 @@ def child_seed(seed, *extra) -> list[int]:
     return base + [int(e) for e in extra]
 
 
-def curve_with_zero_set(support: FrequencySupport, seed, grid_res: int = 512,
-                        max_attempts: int = 64
+def curve_with_zero_set(support: FrequencySupport, seed, grid_res: int = 512
                         ) -> tuple[TrigPolynomial, Polyline]:
     """Draw random real polynomials until one has a non-empty zero set."""
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_CURVE_ATTEMPTS):
         poly = random_curve(support, child_seed(seed, attempt))
         curve = extract_zero_level_set(poly, grid_res)
         if not curve.is_empty:
             return poly, curve
     raise NumericalFailure(
-        f"no curve with a non-empty zero set in {max_attempts} attempts")
+        f"no curve with a non-empty zero set in {_MAX_CURVE_ATTEMPTS} attempts")
 
 
 def half_region(curve: Polyline, side: str = "left"
@@ -90,21 +95,20 @@ def known_support_trial(support: FrequencySupport, n_samples: int, seed,
 
 
 def phase_transition(k_values, n_values, trials: int, seed,
-                     grid_res: int = 256, threshold: float | None = None,
-                     threads: int = 1) -> np.ndarray:
+                     grid_res: int = 256, threads: int = 1) -> np.ndarray:
     """Success frequency per (support size, sample count) cell.
 
-    Success means the recovered curve lies within `threshold` (default
-    3/grid_res) of the truth. Returns an array of shape
-    (len(k_values), len(n_values)).
+    Success means the recovered curve lies within 3 grid cells (3/grid_res)
+    of the truth. Every trial runs on one pool of `threads` workers; each
+    has its own seed, so the result does not depend on `threads`. Returns an
+    array of shape (len(k_values), len(n_values)).
     """
     if len(k_values) == 0 or len(n_values) == 0:
         raise ContractViolation("phase transition needs non-empty ranges")
-    if trials < 1:
-        raise ContractViolation(f"phase transition needs trials >= 1, "
-                                f"got {trials}")
-    if threshold is None:
-        threshold = 3.0 / grid_res
+    if trials < 1 or threads < 1 or min(n_values) < 0:
+        raise ContractViolation(
+            f"phase transition needs trials >= 1, threads >= 1 and sample "
+            f"counts >= 0, got {trials}, {threads} and {min(n_values)}")
     jobs = [(ki, ni, t) for ki in range(len(k_values))
             for ni in range(len(n_values)) for t in range(trials)]
 
@@ -114,13 +118,10 @@ def phase_transition(k_values, n_values, trials: int, seed,
         err = known_support_trial(
             FrequencySupport(k, k), int(n_values[ni]),
             seed=child_seed(seed, k, int(n_values[ni]), t), grid_res=grid_res)
-        return err <= threshold
+        return err <= 3.0 / grid_res
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outcomes = list(pool.map(run, jobs))
     freq = np.zeros((len(k_values), len(n_values)))
     for (ki, ni, _), ok in zip(jobs, outcomes):
         freq[ki, ni] += ok
@@ -152,16 +153,16 @@ def union_split_trial(seed, n_first: int, n_second: int,
     return _recovery_error(pts, product.support, truth, grid_res)
 
 
-def offcurve_probes(curve: Polyline, n: int, seed,
-                    min_distance: float = 0.02) -> PointSet:
-    """Uniform points in the unit square at least min_distance from the curve."""
+def offcurve_probes(curve: Polyline, n: int, seed) -> PointSet:
+    """Uniform points in the unit square at least _PROBE_MIN_DISTANCE from
+    the curve."""
     tree = cKDTree(curve.vertex_array())
     rng = np.random.default_rng(seed)
     kept = []
     while len(kept) < n:
         cand = rng.uniform(0.0, 1.0, size=(4 * n, 2))
         dist = tree.query(cand)[0]
-        kept.extend(cand[dist > min_distance][: n - len(kept)])
+        kept.extend(cand[dist > _PROBE_MIN_DISTANCE][: n - len(kept)])
     return PointSet(2, np.array(kept).T)
 
 
@@ -225,13 +226,13 @@ def denoise_trial(seed, n_samples: int = 400, noise_std: float = 0.01,
 # synthetic phantoms for segmentation
 
 
-def disk_phantom(size: int = 64, center=(0.5, 0.5), radius: float = 0.3,
-                 contrast: float = 1.0) -> GrayImage:
+def disk_phantom(size: int = 64, center=(0.5, 0.5),
+                 radius: float = 0.3) -> GrayImage:
     """Filled-disk indicator image (pixel centers at (i+1/2)/size)."""
     coords = (np.arange(size) + 0.5) / size
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
     inside = (yy - center[0]) ** 2 + (xx - center[1]) ** 2 < radius ** 2
-    return GrayImage(np.where(inside, contrast, 0.0))
+    return GrayImage(inside.astype(float))
 
 
 def multi_disk_phantom(size: int = 64) -> GrayImage:
@@ -257,16 +258,16 @@ def curve_phantom(poly: TrigPolynomial, size: int = 64) -> GrayImage:
     return GrayImage((vals > 0).astype(float))
 
 
-def edge_contours(edge_map: GrayImage, level: float = 0.02) -> Polyline:
-    """Contours of the (max-normalized) edge map at a small level; the edge
-    set is where the map is near zero."""
-    return contour_periodic_grid(edge_map.pixels - level)
+def edge_contours(edge_map: GrayImage) -> Polyline:
+    """Contours of the (max-normalized) edge map at the small level
+    _EDGE_LEVEL; the edge set is where the map is near zero."""
+    return contour_periodic_grid(edge_map.pixels - _EDGE_LEVEL)
 
 
-def circle_polyline(center=(0.5, 0.5), radius: float = 0.3,
-                    n: int = 720) -> Polyline:
-    """Dense circle reference for phantom comparisons (coords = (y, x))."""
-    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    v = np.stack([center[0] + radius * np.sin(t),
-                  center[1] + radius * np.cos(t)], axis=1) % 1.0
-    return Polyline([PolylineComponent(v)])
+def circle_polyline(radius: float = 0.3) -> Polyline:
+    """Dense circle (720 vertices) centred in the unit square, for phantom
+    comparisons (coords = (y, x))."""
+    t = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+    v = np.stack([0.5 + radius * np.sin(t),
+                  0.5 + radius * np.cos(t)], axis=1) % 1.0
+    return Polyline([v])

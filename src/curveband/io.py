@@ -8,11 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .curve_model import (FrequencySupport, PointSet, Polyline,
-                          PolylineComponent, TrigPolynomial, wrap_delta)
+from .curve_model import FrequencySupport, PointSet, Polyline, TrigPolynomial
 from .denoise import DenoiseTrace, IrlsConfig
 from .errors import DataError
-from .recovery import NullspaceBasis
 from .segmentation import GrayImage
 
 # ---------------------------------------------------------------------------
@@ -40,17 +38,6 @@ def load_coefficients(path) -> TrigPolynomial:
         raise DataError(f"coefficient file not found: {path}")
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed coefficient file {path}: {exc}")
-
-
-def save_nullspace_basis(basis: NullspaceBasis, path) -> None:
-    payload = {
-        "k1": basis.support.k1,
-        "k2": basis.support.k2,
-        "vectors": [[[float(c.real), float(c.imag)] for c in row]
-                    for row in basis.vectors],
-        "singular_values": [float(s) for s in basis.singular_values],
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +72,7 @@ def load_points(path, dim: int | None = None) -> PointSet:
 def save_polyline_csv(curve: Polyline, path) -> None:
     lines = []
     for cid, comp in enumerate(curve.components):
-        for v in comp.vertices:
+        for v in comp:
             lines.append(f"{cid},{v[0]:.17g},{v[1]:.17g}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
@@ -107,16 +94,13 @@ def load_polyline_csv(path) -> Polyline:
             groups.setdefault(int(cid), []).append(vertex)
         except ValueError as exc:
             raise DataError(f"malformed polyline file {path}, line {ln}: {exc}")
-    comps = [PolylineComponent(np.array(groups[cid]))
-             for cid in sorted(groups)]
-    return Polyline(comps)
+    return Polyline([np.array(groups[cid]) for cid in sorted(groups)])
 
 
 def _svg_paths(curve: Polyline) -> list[str]:
     """Path strings; components are split where they cross the domain seam."""
     paths = []
-    for comp in curve.components:
-        v = comp.vertices
+    for v in curve.components:
         if v.shape[0] >= 2:
             v = np.vstack([v, v[:1]])
         seam = np.any(np.abs(np.diff(v, axis=0)) > 0.5, axis=1)  # seam crossing
@@ -128,9 +112,9 @@ def _svg_paths(curve: Polyline) -> list[str]:
     return paths
 
 
-def save_polyline_svg(curve: Polyline, path, stroke: str = "#c22",
+def save_polyline_svg(curve: Polyline, path,
                       points: PointSet | None = None) -> None:
-    body = [f'<path d="{d}" fill="none" stroke="{stroke}" '
+    body = [f'<path d="{d}" fill="none" stroke="#c22" '
             'stroke-width="0.003"/>' for d in _svg_paths(curve)]
     if points is not None:
         body += [f'<circle cx="{x:.6f}" cy="{y:.6f}" r="0.005" fill="#26c"/>'

@@ -36,14 +36,9 @@ class KernelMatrix:
     data: np.ndarray
 
 
-def feature_map(x, support: FrequencySupport) -> np.ndarray:
-    """Feature vector of a single point, length |support|, enumeration order."""
-    x = np.asarray(x, dtype=float).reshape(2)
-    return np.exp(2j * np.pi * (support.indices() @ x))
-
-
 def feature_matrix(pts: PointSet, support: FrequencySupport) -> FeatureMatrix:
-    """Stack feature maps of all points as columns."""
+    """Feature maps exp(j 2 pi k.x) of all points as columns, rows in
+    support enumeration order."""
     if pts.dim != 2:
         raise ContractViolation(f"feature lifting needs dim 2, got {pts.dim}")
     phase = support.indices() @ pts.points

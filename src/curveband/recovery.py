@@ -37,6 +37,10 @@ _log = logging.getLogger(__name__)
 # (curve_model.project_to_zero_set) ranked at ANALYTIC_RANK_TOL.
 ANALYTIC_RANK_TOL = 1e-6
 
+# hermitian_align rejects a vector whose asymmetry |c[-k] - conj(c[k])|,
+# after phase alignment, exceeds this fraction of its largest coefficient.
+_HERMITIAN_DEFECT_TOL = 0.05
+
 
 def rasterized_rank_tol(grid_res: int = 512) -> float:
     """Default rank tolerance for samples read off a grid_res rasterization."""
@@ -79,17 +83,22 @@ class NullspaceBasis:
         return float(above), float(below)
 
 
-def _feature_svd(pts: PointSet, support: FrequencySupport
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values (descending, zero-padded to |support|) and full right
-    singular vectors of the transposed feature matrix."""
-    if pts.n_points < 1:
-        raise ContractViolation("the feature-matrix SVD needs at least 1 point")
-    m = feature_matrix(pts, support).data.T
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    s_full = np.zeros(len(support))
+def _right_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of m (descending, zero-padded to its column count)
+    and all of its right singular vectors. A wide m needs the full SVD for
+    that; the thin SVD of a tall m already returns every one."""
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    s_full = np.zeros(m.shape[1])
     s_full[:s.size] = s
     return s_full, vh
+
+
+def _feature_svd(pts: PointSet, support: FrequencySupport
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """_right_svd of the transposed feature matrix."""
+    if pts.n_points < 1:
+        raise ContractViolation("the feature-matrix SVD needs at least 1 point")
+    return _right_svd(feature_matrix(pts, support).data.T)
 
 
 def estimate_coefficients(pts: PointSet, support: FrequencySupport,
@@ -187,15 +196,14 @@ class SumOfSquares:
         return evaluate_on_grid(self.polynomial, grid_res).real
 
 
-def hermitian_align(poly: TrigPolynomial, defect_tol: float = 0.05
-                    ) -> TrigPolynomial | None:
+def hermitian_align(poly: TrigPolynomial) -> TrigPolynomial | None:
     """Rotate a coefficient vector by a global phase so it becomes hermitian.
 
     A vector that equals exp(j a) times a real-valued polynomial's
     coefficients satisfies sum_k c[k] c[-k] = exp(2j a) |c|^2, which pins the
     phase. Returns the symmetrized hermitian polynomial, or None when the
-    residual asymmetry exceeds defect_tol (relative) -- i.e. the vector is
-    not a phase rotation of a real polynomial.
+    residual asymmetry exceeds _HERMITIAN_DEFECT_TOL (relative) -- i.e. the
+    vector is not a phase rotation of a real polynomial.
     """
     if poly.support.k1 % 2 == 0 or poly.support.k2 % 2 == 0:
         return None
@@ -206,7 +214,7 @@ def hermitian_align(poly: TrigPolynomial, defect_tol: float = 0.05
     aligned = g * np.exp(-0.5j * np.angle(pairing))
     defect = np.abs(aligned[::-1, ::-1] - np.conj(aligned)).max()
     scale = np.abs(aligned).max()
-    if scale == 0 or defect > defect_tol * scale:
+    if scale == 0 or defect > _HERMITIAN_DEFECT_TOL * scale:
         return None
     sym = 0.5 * (aligned + np.conj(aligned[::-1, ::-1]))
     return TrigPolynomial(poly.support, sym.ravel(), hermitian=True)

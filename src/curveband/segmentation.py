@@ -20,7 +20,10 @@ from scipy.sparse.linalg import spsolve
 
 from .curve_model import FrequencySupport
 from .errors import ContractViolation
-from .recovery import NullspaceBasis, SumOfSquares
+from .recovery import NullspaceBasis, SumOfSquares, _right_svd
+
+# segment stops once an update moves f by less than this (relative).
+_SEGMENT_REL_TOL = 1e-3
 
 
 @dataclass
@@ -139,30 +142,24 @@ def _difference_operators(h: int, w: int) -> tuple[sp.spmatrix, sp.spmatrix]:
     return d0.tocsr(), d1.tocsr()
 
 
-def _edge_weight_map(vectors: np.ndarray, support: FrequencySupport,
-                     shape: tuple[int, int]) -> np.ndarray:
-    """Sum-of-squares of the trailing filters evaluated on the pixel grid."""
-    basis = NullspaceBasis(support, vectors,
-                           np.zeros(len(support)))
-    return np.maximum(SumOfSquares(basis).evaluate_grid(shape), 0.0)
-
-
 def segment(h: GrayImage, rank: int, lam: float,
-            filter_support: FrequencySupport, max_iters: int = 15,
-            rel_tol: float = 1e-3) -> SegmentResult:
+            filter_support: FrequencySupport,
+            max_iters: int = 15) -> SegmentResult:
     """Piecewise-constant approximation of `h` plus its edge map.
 
     One loop from f = h: each pass evaluates f (an SVD of its lifted
     gradient spectra gives the objective and the edge weight map, the
     sum-of-squares of the trailing right singular filters), then stops if
-    the last update moved f by less than rel_tol or max_iters updates were
-    made, else updates f by a sparse direct solve of the quadratic that
-    penalizes gradient energy weighted by that map (the circular-convolution
-    form of the trailing-energy penalty). Returns the best evaluated iterate
-    by objective, flagged if not converged; `iterations` counts updates.
+    the last update moved f by less than _SEGMENT_REL_TOL or max_iters
+    updates were made, else updates f by a sparse direct solve of the
+    quadratic that penalizes gradient energy weighted by that map (the
+    circular-convolution form of the trailing-energy penalty). Returns the
+    best evaluated iterate by objective, flagged if not converged;
+    `iterations` counts updates. Rejects a lam that is not positive and
+    finite before any work.
     """
-    if lam <= 0:
-        raise ContractViolation("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ContractViolation(f"lam must be positive and finite, got {lam}")
     lift0 = build_lift(h, filter_support)
     if not 0 <= rank < min(lift0.shape):
         raise ContractViolation(
@@ -179,11 +176,12 @@ def segment(h: GrayImage, rank: int, lam: float,
     iterations = 0
     while True:
         lift = build_lift(GrayImage(np.clip(f, 0.0, 1.0)), filter_support)
-        _, s, vh = np.linalg.svd(lift.materialize(), full_matrices=False)
+        s, vh = _right_svd(lift.materialize())
         objective = float(np.linalg.norm(f - h.pixels) ** 2
                           + lam * np.sum(s[rank:] ** 2))
         history.append(objective)
-        weights = _edge_weight_map(np.conj(vh[rank:]), filter_support, (hh, ww))
+        basis = NullspaceBasis(filter_support, np.conj(vh[rank:]), s)
+        weights = np.maximum(SumOfSquares(basis).evaluate_grid((hh, ww)), 0.0)
         if objective < best[0]:
             best = (objective, f.copy(), weights)
         if converged or iterations >= max_iters:
@@ -195,7 +193,7 @@ def segment(h: GrayImage, rank: int, lam: float,
         f_new = spsolve(system.tocsc(), h_flat).reshape(hh, ww)
         step = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1e-30)
         f = f_new
-        converged = bool(step < rel_tol)
+        converged = bool(step < _SEGMENT_REL_TOL)
 
     _, f_best, edge_raw = best
     peak = edge_raw.max()

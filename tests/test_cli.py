@@ -40,6 +40,11 @@ class TestSynth:
         assert (a / "coeffs.json").read_bytes() == (b / "coeffs.json").read_bytes()
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert run(["synth", "--seed", -1, "--out-dir", tmp_path]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "coeffs.json").exists()
+
 
 class TestRecover:
     def test_pipeline_reports_rank(self, tmp_path):
@@ -123,6 +128,15 @@ class TestPhaseTransition:
                     "--out-dir", tmp_path]) == 2
         assert not (tmp_path / "phase_transition.csv").exists()
 
+    @pytest.mark.parametrize("flags", [["--n-range", "40", "--seed", "-1"],
+                                       ["--n-range=-5"],
+                                       ["--n-range", "40", "--threads", "0"]])
+    def test_negative_seed_or_count_and_zero_threads_exit_2(self, tmp_path,
+                                                             flags):
+        assert run(["phase-transition", "--k-range", "3", "--trials", 1,
+                    *flags, "--out-dir", tmp_path]) == 2
+        assert not (tmp_path / "phase_transition.csv").exists()
+
     def test_zero_trials_exits_2(self, tmp_path):
         assert run(["phase-transition", "--k-range", "3", "--n-range", "40",
                     "--trials", 0, "--out-dir", tmp_path]) == 2
@@ -161,6 +175,14 @@ class TestDenoise:
                     "--out-dir", out]) == 0
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert len(trace) - 1 == 4
+
+    def test_non_finite_config_exits_2(self, tmp_path, sample_points):
+        _, noisy_path = sample_points
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("gamma0 = inf\n")
+        assert run(["denoise", noisy_path, "--config", cfg,
+                    "--out-dir", tmp_path]) == 2
+        assert not (tmp_path / "denoised.csv").exists()
 
 
 class TestSegment:

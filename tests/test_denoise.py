@@ -142,6 +142,21 @@ class TestKlrDenoise:
         frac = np.mean(costs <= before + 1e-12)
         assert frac >= 0.9
 
+    def test_surrogate_costs_match_trace_formula(self):
+        # reference |X-Y|_F^2 + lam tr(K(X) P) with the matrix product, for
+        # the one iteration from X = Y
+        _, noisy = noisy_curve_samples(5, 100, 0.01)
+        cfg = IrlsConfig(max_iters=1)
+        out, trace = klr_denoise(noisy, cfg)
+        k0 = gaussian_kernel_matrix(noisy.points, cfg.sigma)
+        p, _ = irls_weights(k0, cfg.sigma, cfg.gamma0)
+        k1 = gaussian_kernel_matrix(out.points, cfg.sigma)
+        expected = [cfg.lam * np.trace(k0 @ p),
+                    np.linalg.norm(out.points - noisy.points) ** 2
+                    + cfg.lam * np.trace(k1 @ p)]
+        np.testing.assert_allclose([trace.costs_before[0], trace.costs[0]],
+                                   expected, rtol=1e-12, atol=0)
+
     def test_permutation_equivariance(self):
         _, noisy = noisy_curve_samples(2, 80, 0.01)
         cfg = IrlsConfig(max_iters=8, rel_tol=0.0)
@@ -187,6 +202,17 @@ class TestKlrDenoise:
             IrlsConfig(eta=1.0)
         with pytest.raises(ContractViolation):
             IrlsConfig(sigma=-0.1)
+
+    @pytest.mark.parametrize("field", ["lam", "sigma", "gamma0", "eta",
+                                       "rel_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ContractViolation, match="finite"):
+            IrlsConfig(**{field: value})
+
+    def test_negative_rel_tol_rejected(self):
+        with pytest.raises(ContractViolation, match="rel_tol"):
+            IrlsConfig(rel_tol=-1e-5)
 
 
 class TestPointCloudMetrics:

@@ -3,7 +3,7 @@ import pytest
 
 from curveband import (ContractViolation, FrequencySupport, PointSet,
                        TrigPolynomial, dirichlet_gram, effective_bandwidth,
-                       extract_zero_level_set, feature_map, feature_matrix,
+                       extract_zero_level_set, feature_matrix,
                        gaussian_kernel_matrix, multiply, random_curve,
                        sample_curve)
 from curveband.recovery import rank_bound, rasterized_rank_tol
@@ -12,6 +12,11 @@ from curveband.recovery import rank_bound, rasterized_rank_tol
 def random_points(n, seed, dim=2):
     rng = np.random.default_rng(seed)
     return PointSet(dim, rng.uniform(0, 1, size=(dim, n)))
+
+
+def feature_map(x, support):
+    """Feature vector of one point: the single column of its feature matrix."""
+    return feature_matrix(PointSet(2, np.reshape(x, (2, 1))), support).data[:, 0]
 
 
 class TestFeatureMap:
@@ -58,7 +63,8 @@ class TestFeatureMatrix:
         pts = random_points(7, 0)
         m = feature_matrix(pts, support).data
         for i in range(7):
-            assert np.allclose(m[:, i], feature_map(pts.points[:, i], support))
+            expected = np.exp(2j * np.pi * (support.indices() @ pts.points[:, i]))
+            assert np.allclose(m[:, i], expected)
 
 
 class TestDirichletGram:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curveband import (AmbiguousSupport, ContractViolation, FrequencySupport,
-                       PointSet, Polyline, PolylineComponent, SumOfSquares,
+                       PointSet, Polyline, SumOfSquares,
                        TrigPolynomial, chamfer_distance, estimate_coefficients,
                        evaluate, evaluate_on_grid, extract_zero_level_set,
                        hermitian_align, multiply, nullspace_basis, random_curve,
@@ -268,16 +268,14 @@ class TestChamferDistance:
     def test_parallel_lines_offset(self):
         d = 0.07
         x2 = np.linspace(0, 1, 400, endpoint=False)
-        a = Polyline([PolylineComponent(
-            np.stack([np.full(400, 0.3), x2], axis=1))])
-        b = Polyline([PolylineComponent(
-            np.stack([np.full(400, 0.3 + d), x2], axis=1))])
+        a = Polyline([np.stack([np.full(400, 0.3), x2], axis=1)])
+        b = Polyline([np.stack([np.full(400, 0.3 + d), x2], axis=1)])
         assert abs(chamfer_distance(a, b) - d) <= 0.01 * d
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(17)
-        a = Polyline([PolylineComponent(rng.uniform(0, 1, (50, 2)))])
-        b = Polyline([PolylineComponent(rng.uniform(0, 1, (50, 2)))])
+        a = Polyline([rng.uniform(0, 1, (50, 2))])
+        b = Polyline([rng.uniform(0, 1, (50, 2))])
         va, vb = a.vertex_array(), b.vertex_array()
         d2 = np.sum((va[:, None, :] - vb[None, :, :]) ** 2, axis=2)
         expected = 0.5 * (np.sqrt(d2.min(axis=1)).mean()

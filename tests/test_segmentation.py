@@ -224,6 +224,39 @@ class TestSegment:
         with pytest.raises(ContractViolation):
             segment(img, rank=5, lam=0.0, filter_support=FrequencySupport(5, 5))
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected_before_any_work(self, lam,
+                                                        monkeypatch):
+        def no_lift(*args):
+            raise AssertionError("lift built before lam was checked")
+
+        monkeypatch.setattr("curveband.segmentation.build_lift", no_lift)
+        with pytest.raises(ContractViolation, match="lam"):
+            segment(disk_phantom(32), rank=5, lam=lam,
+                    filter_support=FrequencySupport(5, 5))
+
+    def test_wide_lift_edge_map_uses_every_trailing_filter(self):
+        # 16 px with a 13x13 filter: the lift has 2 * 4 * 4 = 32 rows and
+        # 169 columns, so its null space alone has dimension >= 137
+        img = disk_phantom(16)
+        support = FrequencySupport(13, 13)
+        rank = 5
+        lift = build_lift(img, support)
+        m = materialize_by_oracle(lift)
+        assert m.shape == (32, 169)
+        vh = np.linalg.svd(m, full_matrices=True)[2]
+        trailing = np.conj(vh[rank:])                    # (164, 169)
+        c = np.arange(16) / 16
+        yy, xx = np.meshgrid(c, c, indexing="ij")
+        grid = np.stack([yy.ravel(), xx.ravel()])
+        values = trailing @ np.exp(2j * np.pi * (support.indices() @ grid))
+        expected = np.sum(np.abs(values) ** 2, axis=0).reshape(16, 16)
+        expected /= expected.max()
+        result = segment(img, rank=rank, lam=1.0, filter_support=support,
+                         max_iters=0)
+        np.testing.assert_allclose(result.edge_map.pixels, expected,
+                                   rtol=0, atol=1e-9)
+
 
 class TestCurvePhantom:
     def test_matches_direct_evaluation_at_pixel_centres(self):
