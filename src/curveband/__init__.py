@@ -12,8 +12,7 @@ from .denoise import (DenoiseTrace, IrlsConfig, graph_laplacian, irls_weights,
 from .errors import (AmbiguousSupport, ContractViolation, DataError,
                      NoSamplesAvailable, NumericalFailure)
 from .lifting import (FeatureMatrix, KernelMatrix, dirichlet_gram,
-                      effective_bandwidth, feature_matrix,
-                      gaussian_kernel_matrix)
+                      feature_matrix, gaussian_kernel_matrix)
 from .recovery import (NullspaceBasis, SumOfSquares, chamfer_distance,
                        estimate_coefficients, hermitian_align,
                        nullspace_basis, rank_bound, rasterized_rank_tol,

@@ -10,7 +10,7 @@ import numpy as np
 
 from .curve_model import FrequencySupport, PointSet, Polyline, TrigPolynomial
 from .denoise import DenoiseTrace, IrlsConfig
-from .errors import DataError
+from .errors import ContractViolation, DataError
 from .segmentation import GrayImage
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,10 @@ def load_irls_config(path) -> IrlsConfig:
         except ValueError:
             raise DataError(
                 f"config {path}, line {ln}: bad value `{value}` for `{key}`")
-    return IrlsConfig(**kwargs)
+    try:
+        return IrlsConfig(**kwargs)
+    except ContractViolation as exc:
+        raise DataError(f"config {path}: {exc}")
 
 
 def save_irls_config(cfg: IrlsConfig, path) -> None:

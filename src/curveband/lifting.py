@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .curve_model import FrequencySupport, PointSet
 from .errors import ContractViolation
@@ -82,14 +83,5 @@ def gaussian_kernel_matrix(x: np.ndarray, sigma: float) -> np.ndarray:
     coordinates in any dimension, shape (N, N), unit diagonal."""
     if sigma <= 0:
         raise ContractViolation("sigma must be positive")
-    diff = x[:, :, None] - x[:, None, :]
-    d2 = np.einsum("dij,dij->ij", diff, diff)
+    d2 = cdist(x.T, x.T, "sqeuclidean")
     return np.exp(-d2 / (2.0 * sigma * sigma))
-
-
-def effective_bandwidth(sigma: float, n: int) -> int:
-    """Frequency-support size at which a Gaussian of width sigma becomes
-    numerically band-limited: round((6 / (pi sigma))^n)."""
-    if sigma <= 0:
-        raise ContractViolation("sigma must be positive")
-    return int(round((6.0 / (np.pi * sigma)) ** n))

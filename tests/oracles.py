@@ -4,6 +4,7 @@ import numpy as np
 
 from curveband import PointSet, TrigPolynomial, evaluate, evaluate_on_grid
 from curveband.curve_model import _ZERO_NUDGE
+from curveband.errors import ContractViolation, NumericalFailure
 
 
 def derivative_coeffs(poly, axis):
@@ -169,3 +170,22 @@ def contour_periodic_grid_reference(values):
         if verts.shape[0] >= 2:
             components.append((verts, closed))
     return components
+
+
+def irls_weights_reference(k, sigma, gamma):
+    """Half-inverse kernel weight P = (K + gamma I)^(-1/2) and the derived
+    weight matrix W = -(1/sigma^2) K * P (elementwise product), from the full
+    eigendecomposition of K; the reference for `curveband.irls_weights`.
+
+    Eigenvalues of K below 0 (floating-point leakage; K is PSD) are clamped
+    to 0 before the shift.
+    """
+    if gamma <= 0:
+        raise ContractViolation("gamma must be positive")
+    try:
+        w, u = np.linalg.eigh(k)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"kernel eigendecomposition failed: {exc}")
+    w = np.maximum(w, 0.0)  # K is PSD; clamp floating-point leakage
+    p = (u * (w + gamma) ** -0.5) @ u.T
+    return p, -(k * p) / (sigma * sigma)

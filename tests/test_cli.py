@@ -176,12 +176,17 @@ class TestDenoise:
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert len(trace) - 1 == 4
 
-    def test_non_finite_config_exits_2(self, tmp_path, sample_points):
+    @pytest.mark.parametrize("line", ["gamma0 = inf", "eta = 1"],
+                             ids=["gamma0-inf", "eta-1"])
+    def test_out_of_range_config_exits_3(self, tmp_path, sample_points,
+                                         capsys, line):
+        # a config file is data: a value IrlsConfig rejects is a data error
         _, noisy_path = sample_points
-        cfg = tmp_path / "inf.cfg"
-        cfg.write_text("gamma0 = inf\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
         assert run(["denoise", noisy_path, "--config", cfg,
-                    "--out-dir", tmp_path]) == 2
+                    "--out-dir", tmp_path]) == 3
+        assert str(cfg) in capsys.readouterr().err
         assert not (tmp_path / "denoised.csv").exists()
 
 

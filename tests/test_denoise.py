@@ -8,6 +8,22 @@ from curveband.denoise import solve_quadratic
 from curveband.experiments import denoise_trial, noisy_curve_samples
 from curveband.lifting import gaussian_kernel_matrix
 
+from oracles import irls_weights_reference
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Records the order of every matrix passed to numpy.linalg.eigh."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
 
 class TestIrlsWeights:
     def test_single_point(self):
@@ -34,6 +50,54 @@ class TestIrlsWeights:
         k = gaussian_kernel_matrix(x, sigma)
         p, _ = irls_weights(k, sigma, gamma)
         assert np.abs(p @ p - np.linalg.inv(k + gamma * np.eye(5))).max() <= 1e-8
+
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-4, 1e-7])
+    @pytest.mark.parametrize("std", [0.01, 0.02])
+    def test_factored_weights_match_eigh_reference(self, eigh_sizes, std,
+                                                   gamma):
+        # the documented bound |P - P_ref|_2 <= eps gamma^(-1/2), eps = 1e-6,
+        # with the factor truncated below N
+        _, noisy = noisy_curve_samples(0, 600, std)
+        sigma = IrlsConfig().sigma
+        k = gaussian_kernel_matrix(noisy.points, sigma)
+        p, _ = irls_weights(k, sigma, gamma)
+        (rank,) = eigh_sizes
+        p_ref, _ = irls_weights_reference(k, sigma, gamma)
+        assert rank < 600
+        assert np.linalg.norm(p - p_ref, 2) * np.sqrt(gamma) <= 1e-6
+
+    @pytest.mark.parametrize("cloud, gamma", [
+        ("curve", 1e-14), ("pairs", 1e-14), ("pairs", 1e-7), ("pairs", 1e-2),
+    ])
+    def test_rounding_floor_keeps_weights_finite_and_bounded(
+            self, eigh_sizes, cloud, gamma):
+        # below the rounding floor the bound is N u max diag K gamma^(-3/2)/2;
+        # a Gaussian kernel has unit diagonal. A twin's residual after its
+        # pair is pivoted is rounding noise, so the factor stops at 150.
+        points = (noisy_curve_samples(0, 600, 0.01)[1].points
+                  if cloud == "curve"
+                  else np.tile(np.random.default_rng(12).uniform(0, 1, (2, 150)),
+                               2))
+        sigma = IrlsConfig().sigma
+        k = gaussian_kernel_matrix(points, sigma)
+        p, _ = irls_weights(k, sigma, gamma)
+        (rank,) = eigh_sizes
+        p_ref, _ = irls_weights_reference(k, sigma, gamma)
+        assert cloud == "curve" or rank <= 150
+        tau = max(2e-6 * gamma, k.shape[0] * np.finfo(float).eps)
+        assert np.all(np.isfinite(p))
+        assert np.abs(p - p.T).max() <= 1e-14 * np.abs(p).max()
+        assert np.linalg.norm(p - p_ref, 2) <= 0.5 * tau * gamma ** -1.5
+
+    def test_rank_stops_growing_below_rounding_floor(self, eigh_sizes):
+        # below gamma = N u / (2 eps) the Cholesky tolerance is the rounding
+        # floor, so a smaller gamma must not pull rounding noise into the
+        # factor
+        _, noisy = noisy_curve_samples(0, 600, 0.01)
+        k = gaussian_kernel_matrix(noisy.points, 0.1)
+        for gamma in (600 * np.finfo(float).eps / 2e-6, 1e-10, 1e-14):
+            irls_weights(k, 0.1, gamma)
+        assert eigh_sizes[0] == eigh_sizes[1] == eigh_sizes[2] < 600
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ContractViolation):
@@ -156,6 +220,25 @@ class TestKlrDenoise:
                     + cfg.lam * np.trace(k1 @ p)]
         np.testing.assert_allclose([trace.costs_before[0], trace.costs[0]],
                                    expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("std", [0.005, 0.01, 0.02])
+    def test_matches_eigh_reference_end_to_end(self, monkeypatch, std):
+        clean, noisy = noisy_curve_samples(8, 300, std)
+        out, trace = klr_denoise(noisy)
+        monkeypatch.setattr("curveband.denoise.irls_weights",
+                            irls_weights_reference)
+        ref, ref_trace = klr_denoise(noisy)
+        assert trace.iterations == ref_trace.iterations
+        assert np.abs(out.points - ref.points).max() <= 1e-8
+        assert abs(point_cloud_snr(clean, out)
+                   - point_cloud_snr(clean, ref)) <= 1e-3
+
+    def test_no_full_size_eigendecomposition(self, eigh_sizes):
+        # the O(N^3) eigh of the N x N kernel must not come back
+        _, noisy = noisy_curve_samples(9, 300, 0.01)
+        _, trace = klr_denoise(noisy)
+        assert len(eigh_sizes) == len(trace.iterations)
+        assert max(eigh_sizes) < 300
 
     def test_permutation_equivariance(self):
         _, noisy = noisy_curve_samples(2, 80, 0.01)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from curveband import (ContractViolation, FrequencySupport, PointSet,
-                       TrigPolynomial, dirichlet_gram, effective_bandwidth,
-                       extract_zero_level_set, feature_matrix,
-                       gaussian_kernel_matrix, multiply, random_curve,
-                       sample_curve)
+                       TrigPolynomial, dirichlet_gram, extract_zero_level_set,
+                       feature_matrix, gaussian_kernel_matrix, multiply,
+                       random_curve, sample_curve)
 from curveband.recovery import rank_bound, rasterized_rank_tol
 
 
@@ -153,16 +152,3 @@ class TestGaussianKernel:
         with pytest.raises(ContractViolation):
             gaussian_kernel_matrix(random_points(4, 0).points, 0.0)
 
-
-class TestEffectiveBandwidth:
-    def test_boundary_case(self):
-        assert effective_bandwidth(6.0 / np.pi, 2) == 1
-
-    def test_direct_formula(self):
-        sigma = 6.0 / (10.0 * np.pi)  # makes 6/(pi sigma) = 10
-        assert effective_bandwidth(sigma, 2) == 100
-
-    def test_monotone_in_sigma(self):
-        sigmas = np.linspace(0.05, 1.0, 12)
-        values = [effective_bandwidth(s, 2) for s in sigmas]
-        assert all(a >= b for a, b in zip(values, values[1:]))
