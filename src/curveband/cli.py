@@ -16,14 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, io
-from .curve_model import (FrequencySupport, extract_zero_level_set,
-                          random_curve, sample_curve)
+from .curve_model import FrequencySupport, extract_zero_level_set, random_curve
 from .denoise import IrlsConfig, klr_denoise, point_cloud_mse, point_cloud_snr
 from .errors import (AmbiguousSupport, ContractViolation, DataError,
                      NoSamplesAvailable, NumericalFailure)
 from .recovery import (chamfer_distance, nullspace_basis, rank_bound,
                        rasterized_rank_tol, recover_curve)
-from .segmentation import build_lift, segment
+from .segmentation import segment
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -75,11 +74,11 @@ def cmd_recover(args) -> int:
     out = _out_dir(args)
     pts = io.load_points(args.points, dim=2)
     outer = _parse_support(args.gamma)
-    tol = args.rank_tol
-    if tol is None:
-        tol = rasterized_rank_tol(args.grid_res)
-    elif not 0 < tol < np.inf:
-        raise ContractViolation(f"--rank-tol must be positive and finite, got {tol}")
+    if args.rank_tol is not None and not 0 < args.rank_tol < np.inf:
+        raise ContractViolation(
+            f"--rank-tol must be positive and finite, got {args.rank_tol}")
+    default_tol = rasterized_rank_tol(args.grid_res)  # rejects a grid under 16
+    tol = default_tol if args.rank_tol is None else args.rank_tol
     t0 = time.perf_counter()
     basis = nullspace_basis(pts, outer, tol)
     curve = recover_curve(pts, outer, args.grid_res, tol)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import convolve2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, NoSamplesAvailable, NumericalFailure
 
@@ -70,19 +70,6 @@ class FrequencySupport:
         a, b = np.meshgrid(np.arange(lo1, hi1 + 1), np.arange(lo2, hi2 + 1),
                            indexing="ij")
         return np.stack([a.ravel(), b.ravel()], axis=1)
-
-    def index_of(self, k: tuple[int, int]) -> int:
-        """Position of frequency pair `k` in enumeration order."""
-        lo1, _ = self.axis_range(0)
-        lo2, _ = self.axis_range(1)
-        if not self.contains(k):
-            raise ContractViolation(f"frequency {k} outside support {self.shape}")
-        return (k[0] - lo1) * self.k2 + (k[1] - lo2)
-
-    def contains(self, k: tuple[int, int]) -> bool:
-        lo1, hi1 = self.axis_range(0)
-        lo2, hi2 = self.axis_range(1)
-        return lo1 <= k[0] <= hi1 and lo2 <= k[1] <= hi2
 
     def fits_inside(self, other: "FrequencySupport") -> bool:
         """Componentwise: does every shift-0 placement of self lie in other?"""
@@ -243,11 +230,21 @@ def multiply(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
         if ka % 2 == 0 and kb % 2 == 0:
             raise ContractViolation(
                 "product of two even-sized supports along an axis is not centered")
-    grid = convolve2d(a.coeff_grid(), b.coeff_grid(), mode="full")
+    grid = _convolve_full(a.coeff_grid(), b.coeff_grid())
     support = FrequencySupport(a.support.k1 + b.support.k1 - 1,
                                a.support.k2 + b.support.k2 - 1)
     return TrigPolynomial(support, grid.ravel(),
                           hermitian=a.hermitian and b.hermitian)
+
+
+def _convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2-D convolution of coefficient grids, shape (a1+b1-1, a2+b2-1):
+    every window of `a` zero-padded by b's size minus one, contracted
+    against the flipped `b`."""
+    b1, b2 = b.shape
+    padded = np.pad(a, ((b1 - 1, b1 - 1), (b2 - 1, b2 - 1)))
+    return np.einsum("ijkl,kl->ij", sliding_window_view(padded, b.shape),
+                     b[::-1, ::-1])
 
 
 def random_curve(support: FrequencySupport, seed) -> TrigPolynomial:

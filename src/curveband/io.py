@@ -213,13 +213,6 @@ def load_irls_config(path) -> IrlsConfig:
         raise DataError(f"config {path}: {exc}")
 
 
-def save_irls_config(cfg: IrlsConfig, path) -> None:
-    Path(path).write_text(
-        f"lambda = {cfg.lam:g}\nsigma = {cfg.sigma:g}\n"
-        f"gamma0 = {cfg.gamma0:g}\neta = {cfg.eta:g}\n"
-        f"max_iters = {cfg.max_iters}\nrel_tol = {cfg.rel_tol:g}\n")
-
-
 # ---------------------------------------------------------------------------
 # CSV reports
 

@@ -15,12 +15,12 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 from scipy.spatial import cKDTree
 
 from .curve_model import (FrequencySupport, PointSet, Polyline,
-                          TrigPolynomial, contour_periodic_grid,
-                          evaluate_on_grid, extract_zero_level_set)
+                          TrigPolynomial, _convolve_full,
+                          contour_periodic_grid, evaluate_on_grid,
+                          extract_zero_level_set)
 from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
 from .lifting import feature_matrix
 
@@ -43,7 +43,10 @@ _HERMITIAN_DEFECT_TOL = 0.05
 
 
 def rasterized_rank_tol(grid_res: int = 512) -> float:
-    """Default rank tolerance for samples read off a grid_res rasterization."""
+    """Default rank tolerance for samples read off a grid_res rasterization.
+    Rejects grid_res < 16, the smallest grid extract_zero_level_set takes."""
+    if grid_res < 16:
+        raise ContractViolation(f"grid_res must be at least 16, got {grid_res}")
     return 1e-3 * (512.0 / grid_res)
 
 
@@ -179,7 +182,7 @@ class SumOfSquares:
         acc = np.zeros((2 * k1 - 1, 2 * k2 - 1), dtype=complex)
         for row in basis.vectors:
             g = row.reshape(k1, k2)
-            acc += convolve2d(g, np.conj(g[::-1, ::-1]), mode="full")
+            acc += _convolve_full(g, np.conj(g[::-1, ::-1]))
         acc = 0.5 * (acc + np.conj(acc[::-1, ::-1]))
         self.polynomial = TrigPolynomial(
             FrequencySupport(2 * k1 - 1, 2 * k2 - 1), acc.ravel(),
@@ -233,14 +236,12 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
     corners adjacent to the samples). Rejects grid_res < 16 before any work
     and logs a warning when N < |support| - 1 (underdetermined null space).
     """
-    if grid_res < 16:
-        raise ContractViolation("grid_res must be at least 16")
+    default_tol = rasterized_rank_tol(grid_res)  # rejects grid_res < 16
     if pts.n_points < len(support) - 1:
         _log.warning("%d samples < |support| - 1 = %d: underdetermined null "
                      "space", pts.n_points, len(support) - 1)
-    if rank_tol is None:
-        rank_tol = rasterized_rank_tol(grid_res)
-    basis = nullspace_basis(pts, support, rank_tol)
+    basis = nullspace_basis(pts, support,
+                            default_tol if rank_tol is None else rank_tol)
     if basis.q == 0:
         raise NumericalFailure(
             "no null-space vector at tolerance; the support may be too small "

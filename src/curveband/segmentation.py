@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import convolve2d
 from scipy.sparse.linalg import spsolve
 
 from .curve_model import FrequencySupport
@@ -89,16 +88,6 @@ class ToeplitzLift:
         v = self.valid_shape
         return (2 * v[0] * v[1], len(self.filter_support))
 
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Stacked valid convolutions; `coeffs` in support enumeration order."""
-        c = np.asarray(coeffs, dtype=complex).reshape(-1)
-        if c.size != len(self.filter_support):
-            raise ContractViolation(
-                f"expected {len(self.filter_support)} coefficients, got {c.size}")
-        grid = c.reshape(self.filter_support.shape)
-        return np.concatenate(
-            [convolve2d(s, grid, mode="valid").ravel() for s in self.spectra])
-
     def materialize(self) -> np.ndarray:
         """Dense matrix with columns in support enumeration order."""
         g1, g2 = self.filter_support.shape
@@ -156,10 +145,12 @@ def segment(h: GrayImage, rank: int, lam: float,
     circular-convolution form of the trailing-energy penalty). Returns the
     best evaluated iterate by objective, flagged if not converged;
     `iterations` counts updates. Rejects a lam that is not positive and
-    finite before any work.
+    finite, or a negative max_iters, before any work.
     """
     if not 0 < lam < np.inf:
         raise ContractViolation(f"lam must be positive and finite, got {lam}")
+    if max_iters < 0:
+        raise ContractViolation(f"max_iters must be >= 0, got {max_iters}")
     lift0 = build_lift(h, filter_support)
     if not 0 <= rank < min(lift0.shape):
         raise ContractViolation(

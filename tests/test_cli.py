@@ -78,14 +78,25 @@ class TestRecover:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
-    def test_grid_below_16_exits_2(self, tmp_path):
-        # criterion-3 samples: over-estimated support, sum-of-squares path
+    def test_grid_below_16_exits_2(self, tmp_path, capsys, monkeypatch):
+        # criterion-3 samples: over-estimated support, sum-of-squares path;
+        # every grid under 16 is rejected before the feature-matrix SVD
         _, truth, _, _ = union_curve(0, 512)
         pts_path = tmp_path / "union0.csv"
         cio.save_points(sample_curve(truth, 220, seed=child_seed(0, 1)),
                         pts_path)
-        assert run(["recover", pts_path, "--gamma", "11x11", "--grid-res", 8,
-                    "--out-dir", tmp_path / "rec"]) == 2
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD ran before the grid was checked")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for grid in (8, 0, -5):
+            for extra in ([], ["--rank-tol", 1e-3]):
+                capsys.readouterr()
+                assert run(["recover", pts_path, "--gamma", "11x11",
+                            "--grid-res", grid, "--out-dir", tmp_path / "rec",
+                            *extra]) == 2, (grid, extra)
+                assert "grid_res" in capsys.readouterr().err, (grid, extra)
 
     def test_non_positive_rank_tol_exits_2(self, tmp_path, capsys):
         pts_path = tmp_path / "pts.csv"

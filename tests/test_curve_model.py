@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
 
+import curveband
 from curveband import (ContractViolation, FrequencySupport, NoSamplesAvailable,
                        NumericalFailure, PointSet, TrigPolynomial, evaluate,
                        evaluate_on_grid, extract_zero_level_set, multiply,
                        project_to_zero_set, random_curve, sample_curve)
-from curveband.curve_model import contour_periodic_grid, wrap_delta
+from curveband.curve_model import (_convolve_full, contour_periodic_grid,
+                                   wrap_delta)
 from curveband.experiments import (child_seed, disk_phantom, multi_disk_phantom,
                                    union_curve)
 from oracles import contour_periodic_grid_reference, refine_to_zero_set
@@ -34,11 +42,6 @@ class TestFrequencySupport:
         s = FrequencySupport(3, 2)
         expected = [(-1, -1), (-1, 0), (0, -1), (0, 0), (1, -1), (1, 0)]
         assert [tuple(k) for k in s.indices()] == expected
-
-    def test_index_of_matches_enumeration(self):
-        s = FrequencySupport(5, 3)
-        for i, k in enumerate(s.indices()):
-            assert s.index_of((int(k[0]), int(k[1]))) == i
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ContractViolation):
@@ -73,6 +76,33 @@ class TestEvaluate:
         poly = TrigPolynomial(FrequencySupport(1, 1), [1.0])
         with pytest.raises(ContractViolation):
             evaluate(poly, PointSet(3, np.zeros((3, 4))))
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = str(Path(curveband.__file__).resolve().parents[1])
+    code = "import sys, curveband; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+class TestConvolveFull:
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((1, 1), (1, 1)), ((1, 1), (5, 3)), ((4, 7), (1, 1)),
+        ((3, 5), (2, 4)), ((8, 6), (8, 6)), ((11, 11), (11, 11)),
+    ])
+    def test_matches_convolve2d(self, shape_a, shape_b):
+        rng = np.random.default_rng(sum(shape_a) * 31 + sum(shape_b))
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        pairs = ((a, b), (a.real, b), (a, b.real), (a, np.conj(a[::-1, ::-1])))
+        for x, y in pairs:
+            ref = convolve2d(x, y, mode="full")
+            out = _convolve_full(x, y)
+            assert out.shape == ref.shape
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestMultiply:
@@ -322,7 +352,8 @@ class TestProjectToZeroSet:
         # polynomial with no zero set, so Newton cannot converge.
         product, raw = union6
         c = product.coeffs.copy()
-        c[product.support.index_of((0, 0))] += 2 * np.abs(c).sum()
+        dc = np.flatnonzero(~product.support.indices().any(axis=1)).item()
+        c[dc] += 2 * np.abs(c).sum()
         no_zeros = TrigPolynomial(product.support, c, hermitian=True)
         with pytest.raises(NumericalFailure):
             project_to_zero_set(no_zeros, raw)

@@ -116,7 +116,8 @@ class TestIrlsConfigFile:
         cfg = IrlsConfig(lam=0.25, sigma=0.08, gamma0=0.5, eta=2.0,
                          max_iters=12, rel_tol=1e-4)
         path = tmp_path / "cfg.txt"
-        cio.save_irls_config(cfg, path)
+        path.write_text("lambda = 0.25\nsigma = 0.08\ngamma0 = 0.5\n"
+                        "eta = 2\nmax_iters = 12\nrel_tol = 0.0001\n")
         back = cio.load_irls_config(path)
         assert back == cfg
 
