@@ -169,7 +169,10 @@ def load_pgm(path) -> GrayImage:
     data = np.frombuffer(raw[pos:pos + width * height], dtype=np.uint8)
     if data.size != width * height:
         raise DataError(f"truncated PGM pixel data in {path}")
-    return GrayImage(data.reshape(height, width).astype(float) / maxval)
+    try:
+        return GrayImage(data.reshape(height, width).astype(float) / maxval)
+    except ContractViolation as exc:
+        raise DataError(f"image {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------

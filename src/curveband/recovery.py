@@ -18,9 +18,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .curve_model import (FrequencySupport, PointSet, Polyline,
-                          TrigPolynomial, _convolve_full,
-                          contour_periodic_grid, evaluate_on_grid,
-                          extract_zero_level_set)
+                          TrigPolynomial, contour_periodic_grid,
+                          evaluate_on_grid, extract_zero_level_set)
 from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
 from .lifting import feature_matrix
 
@@ -86,22 +85,18 @@ class NullspaceBasis:
         return float(above), float(below)
 
 
-def _right_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of m (descending, zero-padded to its column count)
-    and all of its right singular vectors. A wide m needs the full SVD for
-    that; the thin SVD of a tall m already returns every one."""
+def _feature_svd(pts: PointSet, support: FrequencySupport
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of the transposed feature matrix m (descending,
+    zero-padded to |support|) and all of its right singular vectors. A wide
+    m needs the full SVD for that; the thin SVD of a tall m returns all."""
+    if pts.n_points < 1:
+        raise ContractViolation("the feature-matrix SVD needs at least 1 point")
+    m = feature_matrix(pts, support).data.T
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     s_full = np.zeros(m.shape[1])
     s_full[:s.size] = s
     return s_full, vh
-
-
-def _feature_svd(pts: PointSet, support: FrequencySupport
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """_right_svd of the transposed feature matrix."""
-    if pts.n_points < 1:
-        raise ContractViolation("the feature-matrix SVD needs at least 1 point")
-    return _right_svd(feature_matrix(pts, support).data.T)
 
 
 def estimate_coefficients(pts: PointSet, support: FrequencySupport,
@@ -170,8 +165,11 @@ class SumOfSquares:
 
     Nonnegative everywhere and vanishing only on the common zero set of the
     basis polynomials. Also materialized as a hermitian trig polynomial on
-    the doubled support (the autocorrelation of each basis grid), which is
-    what grid evaluation and contouring use.
+    the doubled support, which is what grid evaluation and contouring use:
+    with V the (q, |support|) basis rows, the coefficient at lag d sums the
+    null-space projector P = V^T conj(V) over every index pair a - b = d
+    (the summed autocorrelations of the basis grids). P, and so gamma, is
+    unchanged by any unitary rotation of the rows.
     """
 
     def __init__(self, basis: NullspaceBasis):
@@ -179,10 +177,13 @@ class SumOfSquares:
             raise ContractViolation("sum of squares needs a non-empty basis")
         self.basis = basis
         k1, k2 = basis.support.shape
-        acc = np.zeros((2 * k1 - 1, 2 * k2 - 1), dtype=complex)
-        for row in basis.vectors:
-            g = row.reshape(k1, k2)
-            acc += _convolve_full(g, np.conj(g[::-1, ::-1]))
+        n1, n2 = 2 * k1 - 1, 2 * k2 - 1
+        i1, i2 = np.divmod(np.arange(k1 * k2), k2)
+        lag = ((i1[:, None] - i1 + k1 - 1) * n2
+               + (i2[:, None] - i2 + k2 - 1)).ravel()
+        p = (basis.vectors.T @ np.conj(basis.vectors)).ravel()
+        acc = (np.bincount(lag, p.real, n1 * n2)
+               + 1j * np.bincount(lag, p.imag, n1 * n2)).reshape(n1, n2)
         acc = 0.5 * (acc + np.conj(acc[::-1, ::-1]))
         self.polynomial = TrigPolynomial(
             FrequencySupport(2 * k1 - 1, 2 * k2 - 1), acc.ravel(),

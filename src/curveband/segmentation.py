@@ -5,7 +5,9 @@ annihilated by convolution with the coefficients of any band-limited
 function vanishing on the edge set. Stacking the valid-region convolutions
 of the two gradient spectra with all candidate filters yields a block
 Toeplitz operator whose trailing singular values measure edge complexity;
-segmentation penalizes them while staying close to the input image.
+segmentation penalizes them while staying close to the input image. Both
+the squared singular values and the right singular vectors of the lift M
+come from an eigendecomposition of its small Gram M^H M, never an SVD of M.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from scipy.sparse.linalg import spsolve
 
 from .curve_model import FrequencySupport
 from .errors import ContractViolation
-from .recovery import NullspaceBasis, SumOfSquares, _right_svd
+from .recovery import NullspaceBasis, SumOfSquares
 
 # segment stops once an update moves f by less than this (relative).
 _SEGMENT_REL_TOL = 1e-3
@@ -108,10 +110,18 @@ def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift
                         (np.fft.fftshift(g0), np.fft.fftshift(g1)))
 
 
+def _gram_spectrum(lift: ToeplitzLift) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the lift's Gram M^H M, descending and clamped at 0 (the
+    squared singular values of M), and the matching unit eigenvectors as
+    columns (its right singular vectors)."""
+    m = lift.materialize()
+    lam, v = np.linalg.eigh(m.conj().T @ m)
+    return np.maximum(lam[::-1], 0.0), v[:, ::-1]
+
+
 def trailing_energy(lift: ToeplitzLift, rank: int) -> float:
     """Sum of squared singular values beyond `rank`."""
-    s = np.linalg.svd(lift.materialize(), compute_uv=False)
-    return float(np.sum(s[rank:] ** 2))
+    return float(np.sum(_gram_spectrum(lift)[0][rank:]))
 
 
 @dataclass
@@ -136,9 +146,9 @@ def segment(h: GrayImage, rank: int, lam: float,
             max_iters: int = 15) -> SegmentResult:
     """Piecewise-constant approximation of `h` plus its edge map.
 
-    One loop from f = h: each pass evaluates f (an SVD of its lifted
-    gradient spectra gives the objective and the edge weight map, the
-    sum-of-squares of the trailing right singular filters), then stops if
+    One loop from f = h: each pass evaluates f (the Gram eigendecomposition
+    of its lifted gradient spectra gives the objective and the edge weight
+    map, the sum-of-squares of the trailing eigenvectors), then stops if
     the last update moved f by less than _SEGMENT_REL_TOL or max_iters
     updates were made, else updates f by a sparse direct solve of the
     quadratic that penalizes gradient energy weighted by that map (the
@@ -167,11 +177,11 @@ def segment(h: GrayImage, rank: int, lam: float,
     iterations = 0
     while True:
         lift = build_lift(GrayImage(np.clip(f, 0.0, 1.0)), filter_support)
-        s, vh = _right_svd(lift.materialize())
+        s2, v = _gram_spectrum(lift)
         objective = float(np.linalg.norm(f - h.pixels) ** 2
-                          + lam * np.sum(s[rank:] ** 2))
+                          + lam * np.sum(s2[rank:]))
         history.append(objective)
-        basis = NullspaceBasis(filter_support, np.conj(vh[rank:]), s)
+        basis = NullspaceBasis(filter_support, v[:, rank:].T, np.sqrt(s2))
         weights = np.maximum(SumOfSquares(basis).evaluate_grid((hh, ww)), 0.0)
         if objective < best[0]:
             best = (objective, f.copy(), weights)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from curveband import PointSet, TrigPolynomial, evaluate, evaluate_on_grid
-from curveband.curve_model import _ZERO_NUDGE
+from curveband.curve_model import _ZERO_NUDGE, _convolve_full
 from curveband.errors import ContractViolation, NumericalFailure
 
 
@@ -189,3 +189,42 @@ def irls_weights_reference(k, sigma, gamma):
     w = np.maximum(w, 0.0)  # K is PSD; clamp floating-point leakage
     p = (u * (w + gamma) ** -0.5) @ u.T
     return p, -(k * p) / (sigma * sigma)
+
+
+def lift_spectrum_by_svd(lift):
+    """Singular values of the materialized lift (descending, zero-padded to
+    its column count) and all of its right singular vectors, as rows of vh,
+    from a dense SVD; the reference for the Gram eigendecomposition in
+    `curveband.segment` and `curveband.segmentation.trailing_energy`."""
+    m = lift.materialize()
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    s_full = np.zeros(m.shape[1])
+    s_full[:s.size] = s
+    return s_full, vh
+
+
+def edge_weights_by_svd(lift, rank, shape):
+    """The segmentation edge weight map: the sum of |psi|^2 over the trailing
+    right singular filters psi of the lift beyond `rank`, each evaluated
+    directly at the grid points (i/n1, j/n2)."""
+    support = lift.filter_support
+    _, vh = lift_spectrum_by_svd(lift)
+    n1, n2 = shape
+    yy, xx = np.meshgrid(np.arange(n1) / n1, np.arange(n2) / n2,
+                         indexing="ij")
+    grid = np.stack([yy.ravel(), xx.ravel()])
+    phases = np.exp(2j * np.pi * (support.indices() @ grid))
+    values = np.conj(vh[rank:]) @ phases
+    return np.sum(np.abs(values) ** 2, axis=0).reshape(n1, n2)
+
+
+def sum_of_squares_by_rows(basis):
+    """Coefficient grid of the sum-of-squares of a null-space basis, one
+    full autocorrelation per basis row, summed and made hermitian; the
+    reference for the projector build of `curveband.SumOfSquares`."""
+    k1, k2 = basis.support.shape
+    acc = np.zeros((2 * k1 - 1, 2 * k2 - 1), dtype=complex)
+    for row in basis.vectors:
+        g = row.reshape(k1, k2)
+        acc += _convolve_full(g, np.conj(g[::-1, ::-1]))
+    return 0.5 * (acc + np.conj(acc[::-1, ::-1]))

@@ -222,6 +222,20 @@ class TestSegment:
         bogus.write_bytes(b"P5\n# x")
         assert run(["segment", bogus, "--rank", 5]) == 3
 
+    @pytest.mark.parametrize("header, pixel, message", [
+        pytest.param(b"P5\n10 10\n255\n", 0, "at least 16", id="10x10"),
+        pytest.param(b"P5\n20 20\n100\n", 200, "[0, 1]",
+                     id="above-maxval"),
+    ])
+    def test_image_rejected_by_grayimage_exits_3(self, tmp_path, capsys,
+                                                 header, pixel, message):
+        bogus = tmp_path / "r.pgm"
+        n = int(header.split()[1])
+        bogus.write_bytes(header + bytes([pixel]) * (n * n))
+        assert run(["segment", bogus, "--rank", 5]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "r.pgm" in err
+
 
 class TestEval:
     def test_curves_metric(self, tmp_path):

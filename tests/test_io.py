@@ -110,6 +110,21 @@ class TestPgm:
         with pytest.raises(DataError):
             cio.load_pgm(path)
 
+    # a well-formed file whose image GrayImage rejects is a data error too
+    @pytest.mark.parametrize("header, pixel, match", [
+        pytest.param(b"P5\n10 10\n255\n", 0, "at least 16", id="10x10"),
+        pytest.param(b"P5\n20 20\n100\n", 200, r"\[0, 1\]",
+                     id="above-maxval"),
+    ])
+    def test_rejected_image_is_data_error(self, tmp_path, header, pixel,
+                                          match):
+        path = tmp_path / "r.pgm"
+        n = int(header.split()[1])
+        path.write_bytes(header + bytes([pixel]) * (n * n))
+        with pytest.raises(DataError, match=match) as info:
+            cio.load_pgm(path)
+        assert "r.pgm" in str(info.value)
+
 
 class TestIrlsConfigFile:
     def test_roundtrip(self, tmp_path):

@@ -11,8 +11,9 @@ from curveband import (AmbiguousSupport, ContractViolation, FrequencySupport,
                        rank_bound, recover_curve, sample_curve, shift_set)
 from curveband.experiments import (curve_with_zero_set, overcomplete_trial,
                                    union_curve)
-from curveband.recovery import rasterized_rank_tol
-from oracles import count_common_zeros, refine_to_zero_set
+from curveband.recovery import NullspaceBasis, rasterized_rank_tol
+from oracles import (count_common_zeros, refine_to_zero_set,
+                     sum_of_squares_by_rows)
 
 
 def line_pair_points(n=12, seed=0):
@@ -200,8 +201,30 @@ class TestSumOfSquares:
             assert np.abs(poly_vals.imag).max() <= 1e-12 * vals.max()
             assert np.abs(poly_vals.real - vals).max() <= 1e-8
 
+    # odd, even and 2x2 supports; one vector, a 9x9 segmentation-sized
+    # trailing set, and the whole space
+    @pytest.mark.parametrize("shape, q", [
+        ((5, 5), 1), ((5, 5), 25), ((9, 9), 51), ((8, 6), 1), ((8, 6), 48),
+        ((2, 2), 1), ((2, 2), 4),
+    ])
+    def test_projector_build_matches_per_row_build(self, shape, q):
+        n = shape[0] * shape[1]
+        rng = np.random.default_rng(n + q)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rows = np.linalg.qr(a)[0][:, :q].T
+        basis = NullspaceBasis(FrequencySupport(*shape), rows, np.zeros(n))
+        expected = sum_of_squares_by_rows(basis).ravel()
+        coeffs = SumOfSquares(basis).polynomial.coeffs
+        scale = np.abs(expected).max()
+        assert np.abs(coeffs - expected).max() <= 1e-13 * scale
+        # a unitary rotation of the rows spans the same space
+        u = np.linalg.qr(rng.standard_normal((q, q))
+                         + 1j * rng.standard_normal((q, q)))[0]
+        rotated = NullspaceBasis(basis.support, u @ rows, basis.singular_values)
+        coeffs_rotated = SumOfSquares(rotated).polynomial.coeffs
+        assert np.abs(coeffs_rotated - coeffs).max() <= 1e-13 * scale
+
     def test_empty_basis_rejected(self):
-        from curveband.recovery import NullspaceBasis
         empty = NullspaceBasis(FrequencySupport(3, 3),
                                np.zeros((0, 9), dtype=complex), np.zeros(9))
         with pytest.raises(ContractViolation):

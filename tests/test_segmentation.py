@@ -9,6 +9,7 @@ from curveband.experiments import (circle_polyline, curve_phantom,
 from curveband.recovery import rank_bound
 from curveband.segmentation import (build_lift, gradient_spectrum,
                                     trailing_energy)
+from oracles import edge_weights_by_svd, lift_spectrum_by_svd
 
 
 def materialize_by_oracle(lift):
@@ -196,6 +197,51 @@ class TestSegment:
         assert result.converged is converged
         np.testing.assert_allclose(result.objective_history, history,
                                    rtol=1e-12, atol=0)
+
+    # the same record for a segment workload op, multi_disk_phantom(64) with
+    # a 9x9 filter, rank 45 and lam 1e-3, recorded from the implementation
+    # that took the spectrum from an SVD of the materialized lift
+    def test_pinned_iteration_record_at_workload_size(self):
+        result = segment(multi_disk_phantom(64), rank=45, lam=1e-3,
+                         filter_support=FrequencySupport(9, 9), max_iters=6)
+        assert result.iterations == 6
+        assert result.converged is False
+        np.testing.assert_allclose(
+            result.objective_history,
+            [18.967505929819634, 9.629346185797399, 5.981921335094736,
+             5.460449818169937, 5.434119003014283, 5.425951028003725,
+             5.423174686896596], rtol=1e-12, atol=0)
+
+    # the Gram eigendecomposition against a dense SVD of the lift: the
+    # criterion-9 disk, the workload's multi-disk ranks and a wide lift
+    @pytest.mark.parametrize("image, k, rank", [
+        pytest.param(lambda: disk_phantom(32), 7, 20, id="disk32-7x7"),
+        pytest.param(lambda: multi_disk_phantom(64), 9, 15, id="multi64-r15"),
+        pytest.param(lambda: multi_disk_phantom(64), 9, 30, id="multi64-r30"),
+        pytest.param(lambda: multi_disk_phantom(64), 9, 45, id="multi64-r45"),
+        pytest.param(lambda: disk_phantom(16), 13, 5, id="wide16-13x13"),
+    ])
+    def test_gram_spectrum_matches_svd_oracle(self, image, k, rank):
+        img = image()
+        support = FrequencySupport(k, k)
+        lift = build_lift(img, support)
+        s, _ = lift_spectrum_by_svd(lift)
+        expected = float(np.sum(s[rank:] ** 2))
+        assert abs(trailing_energy(lift, rank) - expected) <= 1e-10 * expected
+        weights = edge_weights_by_svd(lift, rank, img.pixels.shape)
+        result = segment(img, rank=rank, lam=1.0, filter_support=support,
+                         max_iters=0)
+        np.testing.assert_allclose(result.edge_map.pixels,
+                                   weights / weights.max(), rtol=0, atol=1e-9)
+
+    def test_segment_calls_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("segment called numpy.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        result = segment(disk_phantom(64, radius=0.3), rank=30, lam=1e-5,
+                         filter_support=FrequencySupport(9, 9), max_iters=2)
+        assert result.iterations == 2
 
     def test_invalid_rank_rejected(self):
         img = disk_phantom(32)
