@@ -7,7 +7,8 @@ of the two gradient spectra with all candidate filters yields a block
 Toeplitz operator whose trailing singular values measure edge complexity;
 segmentation penalizes them while staying close to the input image. Both
 the squared singular values and the right singular vectors of the lift M
-come from an eigendecomposition of its small Gram M^H M, never an SVD of M.
+come from an eigendecomposition of its Gram M^H M, summed per window row
+so M is never formed; image updates are SPD symmetric-mode sparse LU solves.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import blas
+from scipy.sparse.linalg import splu
 
 from .curve_model import FrequencySupport
 from .errors import ContractViolation
@@ -80,25 +82,19 @@ class ToeplitzLift:
     spectra: tuple[np.ndarray, np.ndarray]
 
     @property
-    def valid_shape(self) -> tuple[int, int]:
-        h, w = self.spectra[0].shape
-        return (h - self.filter_support.k1 + 1,
-                w - self.filter_support.k2 + 1)
-
-    @property
     def shape(self) -> tuple[int, int]:
-        v = self.valid_shape
-        return (2 * v[0] * v[1], len(self.filter_support))
+        vh, vw, g1, g2 = self.windows()[0].shape
+        return (2 * vh * vw, g1 * g2)
+
+    def windows(self) -> list[np.ndarray]:
+        """Per-channel (vh, vw, g1, g2) views; window (i, j) is row (i, j)."""
+        g1, g2 = self.filter_support.shape
+        return [sliding_window_view(s, (g1, g2))[:, :, ::-1, ::-1]
+                for s in self.spectra]
 
     def materialize(self) -> np.ndarray:
         """Dense matrix with columns in support enumeration order."""
-        g1, g2 = self.filter_support.shape
-        blocks = []
-        for s in self.spectra:
-            win = sliding_window_view(s, (g1, g2))
-            flat = win.reshape(-1, g1 * g2)
-            blocks.append(flat[:, ::-1])  # both filter axes flipped
-        return np.concatenate(blocks, axis=0)
+        return np.stack(self.windows()).reshape(self.shape)
 
 
 def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift:
@@ -113,9 +109,15 @@ def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift
 def _gram_spectrum(lift: ToeplitzLift) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the lift's Gram M^H M, descending and clamped at 0 (the
     squared singular values of M), and the matching unit eigenvectors as
-    columns (its right singular vectors)."""
-    m = lift.materialize()
-    lam, v = np.linalg.eigh(m.conj().T @ m)
+    columns (its right singular vectors). M is never formed: BLAS zherk adds
+    one window row at a time into the lower triangle of conj(M^H M)."""
+    k = len(lift.filter_support)
+    gram = np.zeros((k, k), dtype=complex, order="F")
+    for win in lift.windows():
+        for row in win:
+            gram = blas.zherk(1.0, row.reshape(-1, k).T, beta=1.0, c=gram,
+                              lower=1, overwrite_c=1)
+    lam, v = np.linalg.eigh(gram.conj())  # eigh reads the lower triangle
     return np.maximum(lam[::-1], 0.0), v[:, ::-1]
 
 
@@ -134,11 +136,10 @@ class SegmentResult:
 
 
 def _difference_operators(h: int, w: int) -> tuple[sp.spmatrix, sp.spmatrix]:
-    shift_h = sp.eye(h, format="csr")[list(range(1, h)) + [0], :]
-    shift_w = sp.eye(w, format="csr")[list(range(1, w)) + [0], :]
-    d0 = sp.kron(shift_h, sp.eye(w)) - sp.eye(h * w)
-    d1 = sp.kron(sp.eye(h), shift_w) - sp.eye(h * w)
-    return d0.tocsr(), d1.tocsr()
+    def diff(n):  # periodic forward difference x[i + 1 mod n] - x[i]
+        return sp.diags([-1.0, 1.0, 1.0], [0, 1, 1 - n], shape=(n, n))
+    return (sp.kron(diff(h), sp.eye(w), format="csr"),
+            sp.kron(sp.eye(h), diff(w), format="csr"))
 
 
 def segment(h: GrayImage, rank: int, lam: float,
@@ -146,12 +147,13 @@ def segment(h: GrayImage, rank: int, lam: float,
             max_iters: int = 15) -> SegmentResult:
     """Piecewise-constant approximation of `h` plus its edge map.
 
-    One loop from f = h: each pass evaluates f (the Gram eigendecomposition
-    of its lifted gradient spectra gives the objective and the edge weight
-    map, the sum-of-squares of the trailing eigenvectors), then stops if
-    the last update moved f by less than _SEGMENT_REL_TOL or max_iters
-    updates were made, else updates f by a sparse direct solve of the
-    quadratic that penalizes gradient energy weighted by that map (the
+    One loop from f = h: each pass evaluates f (the eigendecomposition of
+    the Gram of its lifted gradient spectra, summed by window row without
+    forming the lift, gives the objective and the edge weight map, the
+    sum-of-squares of the trailing eigenvectors), then stops if the last
+    update moved f by less than _SEGMENT_REL_TOL or max_iters updates were
+    made, else updates f by a symmetric-mode sparse LU solve of the SPD
+    system that penalizes gradient energy weighted by that map (the
     circular-convolution form of the trailing-energy penalty). Returns the
     best evaluated iterate by objective, flagged if not converged;
     `iterations` counts updates. Rejects a lam that is not positive and
@@ -161,10 +163,9 @@ def segment(h: GrayImage, rank: int, lam: float,
         raise ContractViolation(f"lam must be positive and finite, got {lam}")
     if max_iters < 0:
         raise ContractViolation(f"max_iters must be >= 0, got {max_iters}")
-    lift0 = build_lift(h, filter_support)
-    if not 0 <= rank < min(lift0.shape):
-        raise ContractViolation(
-            f"rank must lie in [0, {min(lift0.shape)}) for this lift")
+    top = min(build_lift(h, filter_support).shape)
+    if not 0 <= rank < top:
+        raise ContractViolation(f"rank must lie in [0, {top}) for this lift")
     hh, ww = h.pixels.shape
     d0, d1 = _difference_operators(hh, ww)
     h_flat = h.pixels.ravel()
@@ -191,7 +192,10 @@ def segment(h: GrayImage, rank: int, lam: float,
         s_diag = sp.diags(weights.ravel())
         system = (sp.eye(hh * ww)
                   + (lam * scale) * (d0.T @ s_diag @ d0 + d1.T @ s_diag @ d1))
-        f_new = spsolve(system.tocsc(), h_flat).reshape(hh, ww)
+        # SPD (weights >= 0, lam * scale > 0): diagonal pivots are safe
+        f_new = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+                     ).solve(h_flat).reshape(hh, ww)
         step = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1e-30)
         f = f_new
         converged = bool(step < _SEGMENT_REL_TOL)

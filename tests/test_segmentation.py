@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from curveband.experiments import (circle_polyline, curve_phantom,
                                    curve_with_zero_set, disk_phantom,
                                    edge_contours, multi_disk_phantom)
 from curveband.recovery import rank_bound
-from curveband.segmentation import (build_lift, gradient_spectrum,
-                                    trailing_energy)
+from curveband.segmentation import (ToeplitzLift, _gram_spectrum, build_lift,
+                                    gradient_spectrum, trailing_energy)
 from oracles import edge_weights_by_svd, lift_spectrum_by_svd
 
 
@@ -20,7 +22,7 @@ def materialize_by_oracle(lift):
     g1, g2 = support.shape
     lo1, _ = support.axis_range(0)
     lo2, _ = support.axis_range(1)
-    v1, v2 = lift.valid_shape
+    v1, v2 = s0.shape[0] - g1 + 1, s0.shape[1] - g2 + 1
     cols = []
     for k in support.indices():
         block = []
@@ -84,7 +86,7 @@ class TestToeplitzLift:
         c = np.zeros(9)
         c[np.flatnonzero(~support.indices().any(axis=1)).item()] = 1.0
         out = lift.materialize() @ c
-        v1, v2 = lift.valid_shape
+        v1, v2 = (n - 2 for n in lift.spectra[0].shape)
         crops = [s[1:1 + v1, 1:1 + v2].ravel() for s in lift.spectra]
         assert np.abs(out - np.concatenate(crops)).max() <= 1e-12
 
@@ -104,6 +106,40 @@ class TestToeplitzLift:
         assert np.abs(direct - oracle).max() <= 1e-10
         c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         assert np.abs(direct @ c - oracle @ c).max() <= 1e-10
+
+    def test_matches_oracle_on_non_square_lift(self):
+        rng = np.random.default_rng(4)
+        img = GrayImage(rng.uniform(0, 1, (24, 40)))
+        lift = build_lift(img, FrequencySupport(7, 5))
+        assert np.array_equal(lift.materialize(), materialize_by_oracle(lift))
+
+    # the window-row Gram against M^H M of the materialized lift: non-square
+    # images and filters, an even filter, and a wide lift with 4 window rows
+    @pytest.mark.parametrize("shape, k", [
+        ((24, 40), (7, 5)), ((40, 24), (4, 9)), ((32, 32), (8, 6)),
+        ((16, 16), (13, 13)),
+    ])
+    def test_gram_spectrum_matches_materialized_gram(self, shape, k):
+        rng = np.random.default_rng(5)
+        lift = build_lift(GrayImage(rng.uniform(0, 1, shape)),
+                          FrequencySupport(*k))
+        m = lift.materialize()
+        gram = m.conj().T @ m
+        lam, v = _gram_spectrum(lift)
+        assert np.all(np.diff(lam) <= 0)
+        rebuilt = (v * lam) @ v.conj().T
+        assert np.abs(rebuilt - gram).max() <= 1e-13 * np.abs(gram).max()
+
+    def test_trailing_energy_memory_stays_below_the_lift(self):
+        # the 128 px / 15x15 lift is 25992 x 225 complex, 89 MiB
+        tracemalloc.start()
+        try:
+            trailing_energy(build_lift(disk_phantom(128),
+                                       FrequencySupport(15, 15)), 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestSegment:
@@ -242,6 +278,17 @@ class TestSegment:
         result = segment(disk_phantom(64, radius=0.3), rank=30, lam=1e-5,
                          filter_support=FrequencySupport(9, 9), max_iters=2)
         assert result.iterations == 2
+
+    def test_segment_never_materializes_the_lift(self, monkeypatch):
+        def no_materialize(self):
+            raise AssertionError("ToeplitzLift.materialize called")
+
+        monkeypatch.setattr(ToeplitzLift, "materialize", no_materialize)
+        result = segment(disk_phantom(64, radius=0.3), rank=30, lam=1e-5,
+                         filter_support=FrequencySupport(9, 9), max_iters=2)
+        assert result.iterations == 2
+        lift = build_lift(disk_phantom(64), FrequencySupport(9, 9))
+        assert trailing_energy(lift, 30) > 0
 
     def test_invalid_rank_rejected(self):
         img = disk_phantom(32)
