@@ -16,7 +16,7 @@ from .lifting import (FeatureMatrix, KernelMatrix, dirichlet_gram,
 from .recovery import (NullspaceBasis, SumOfSquares, chamfer_distance,
                        estimate_coefficients, hermitian_align,
                        nullspace_basis, rank_bound, rasterized_rank_tol,
-                       recover_curve, shift_set)
+                       recover_curve)
 from .segmentation import (GrayImage, SegmentResult, ToeplitzLift, build_lift,
                            gradient_spectrum, segment)
 

@@ -71,10 +71,6 @@ class FrequencySupport:
                            indexing="ij")
         return np.stack([a.ravel(), b.ravel()], axis=1)
 
-    def fits_inside(self, other: "FrequencySupport") -> bool:
-        """Componentwise: does every shift-0 placement of self lie in other?"""
-        return self.k1 <= other.k1 and self.k2 <= other.k2
-
 
 @dataclass
 class TrigPolynomial:
@@ -101,9 +97,6 @@ class TrigPolynomial:
     def coeff_grid(self) -> np.ndarray:
         """Coefficients as a (k1, k2) grid."""
         return self.coeffs.reshape(self.support.shape)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 @dataclass
@@ -172,14 +165,6 @@ class Polyline:
     def total_length(self) -> float:
         return float(self.segment_arrays()[2].sum())
 
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        """(x1_min, x1_max, x2_min, x2_max) over all vertices."""
-        v = self.vertex_array()
-        if v.shape[0] == 0:
-            raise ContractViolation("bounding box of an empty polyline")
-        return (float(v[:, 0].min()), float(v[:, 0].max()),
-                float(v[:, 1].min()), float(v[:, 1].max()))
-
 
 def wrap_delta(d: np.ndarray) -> np.ndarray:
     """Map coordinate differences to the minimum-image representative in
@@ -222,7 +207,7 @@ def multiply(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
     is not centered, so the result could not be represented on a
     FrequencySupport without shifting the spectrum.
     """
-    if a.norm() == 0.0 or b.norm() == 0.0:
+    if not (a.coeffs.any() and b.coeffs.any()):
         raise ContractViolation("multiply requires nonzero polynomials")
     for axis in (0, 1):
         ka = (a.support.k1, a.support.k2)[axis]
@@ -257,18 +242,9 @@ def random_curve(support: FrequencySupport, seed) -> TrigPolynomial:
     if support.k1 % 2 == 0 or support.k2 % 2 == 0:
         raise ContractViolation("random_curve requires odd support sizes")
     rng = np.random.default_rng(seed)
-    grid = np.zeros(support.shape, dtype=complex)
-    c1 = support.k1 // 2
-    c2 = support.k2 // 2
-    for k in support.indices():
-        a, b = int(k[0]), int(k[1])
-        if a == 0 and b == 0:
-            grid[c1, c2] = rng.standard_normal()
-        elif a > 0 or (a == 0 and b > 0):
-            z = rng.standard_normal() + 1j * rng.standard_normal()
-            grid[c1 + a, c2 + b] = z
-            grid[c1 - a, c2 - b] = np.conj(z)
-    coeffs = grid.ravel()
+    z = rng.standard_normal(1 + 2 * (len(support) // 2))
+    after = z[1::2] + 1j * z[2::2]  # the half-grid after the centre, row-major
+    coeffs = np.concatenate([np.conj(after[::-1]), z[:1], after])
     return TrigPolynomial(support, coeffs / np.linalg.norm(coeffs),
                           hermitian=True)
 

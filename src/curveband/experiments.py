@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from .curve_model import (FrequencySupport, PointSet, Polyline,
                           TrigPolynomial, contour_periodic_grid,
-                          evaluate_on_grid, extract_zero_level_set, multiply,
+                          extract_zero_level_set, multiply,
                           project_to_zero_set, random_curve, sample_curve)
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
 from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
@@ -50,16 +50,11 @@ def curve_with_zero_set(support: FrequencySupport, seed, grid_res: int = 512
         f"no curve with a non-empty zero set in {_MAX_CURVE_ATTEMPTS} attempts")
 
 
-def half_region(curve: Polyline, side: str = "left"
-                ) -> tuple[float, float, float, float]:
-    """Axis-aligned rectangle covering one half of the curve's bounding box."""
-    x1min, x1max, x2min, x2max = curve.bounding_box()
-    mid = 0.5 * (x1min + x1max)
-    if side == "left":
-        return (x1min, mid, 0.0, 1.0)
-    if side == "right":
-        return (mid, x1max, 0.0, 1.0)
-    raise ContractViolation(f"unknown side {side!r}")
+def half_region(curve: Polyline) -> tuple[float, float, float, float]:
+    """Full-height strip over the left half of the curve's first-axis extent."""
+    x1 = curve.vertex_array()[:, 0]
+    lo, hi = float(x1.min()), float(x1.max())
+    return (lo, 0.5 * (lo + hi), 0.0, 1.0)
 
 
 def _recovery_error(pts: PointSet, support: FrequencySupport,
@@ -85,11 +80,13 @@ def known_support_trial(support: FrequencySupport, n_samples: int, seed,
                         ) -> float:
     """One recovery with known support; returns the curve error (inf = failed).
 
-    `restrict` limits sampling to the left/right half of the curve's
-    bounding box.
+    `restrict="left"` limits sampling to the left half of the curve's
+    first-axis extent; any other value but None is rejected before any work.
     """
+    if restrict not in (None, "left"):
+        raise ContractViolation(f"unknown restrict {restrict!r}")
     _, truth = curve_with_zero_set(support, seed, grid_res)
-    region = half_region(truth, restrict) if restrict else None
+    region = half_region(truth) if restrict else None
     pts = sample_curve(truth, n_samples, seed=child_seed(seed, 1), region=region)
     return _recovery_error(pts, support, truth, grid_res)
 
@@ -245,17 +242,6 @@ def multi_disk_phantom(size: int = 64) -> GrayImage:
     for (cy, cx), r, a in disks:
         img = np.where((yy - cy) ** 2 + (xx - cx) ** 2 < r ** 2, a, img)
     return GrayImage(img)
-
-
-def curve_phantom(poly: TrigPolynomial, size: int = 64) -> GrayImage:
-    """Indicator of {psi > 0} sampled at pixel centers: a piecewise-constant
-    image whose edge set is exactly a band-limited curve."""
-    # pixel centers: a half-pixel shift, c_k times exp(j pi (k1 + k2) / size)
-    k = poly.support.indices()
-    shifted = TrigPolynomial(
-        poly.support, poly.coeffs * np.exp(1j * np.pi * k.sum(axis=1) / size))
-    vals = evaluate_on_grid(shifted, size).real
-    return GrayImage((vals > 0).astype(float))
 
 
 def edge_contours(edge_map: GrayImage) -> Polyline:

@@ -3,6 +3,7 @@ IRLS config files, and the CSV reports emitted by the CLI."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -130,7 +131,7 @@ def save_polyline_svg(curve: Polyline, path,
 
 def save_pgm(img: GrayImage, path) -> None:
     data = np.clip(np.round(img.pixels * 255.0), 0, 255).astype(np.uint8)
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+    header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + data.tobytes())
 
 
@@ -176,17 +177,9 @@ def load_pgm(path) -> GrayImage:
 
 
 # ---------------------------------------------------------------------------
-# IRLS config: one `key = value` per line, (#) comments allowed
-
-_CONFIG_KEYS = {
-    "lambda": "lam",
-    "lam": "lam",
-    "sigma": "sigma",
-    "gamma0": "gamma0",
-    "eta": "eta",
-    "max_iters": "max_iters",
-    "rel_tol": "rel_tol",
-}
+# IRLS config: one `key = value` per line, (#) comments allowed. The keys
+# are the IrlsConfig fields, each parsed by the type of its default, and
+# `lambda` for `lam`.
 
 
 def load_irls_config(path) -> IrlsConfig:
@@ -194,6 +187,7 @@ def load_irls_config(path) -> IrlsConfig:
         text = Path(path).read_text()
     except FileNotFoundError:
         raise DataError(f"config file not found: {path}")
+    parsers = {f.name: type(f.default) for f in dataclasses.fields(IrlsConfig)}
     kwargs = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -202,11 +196,11 @@ def load_irls_config(path) -> IrlsConfig:
         if "=" not in stripped:
             raise DataError(f"config {path}, line {ln}: expected `key = value`")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        name = "lam" if key == "lambda" else key
+        if name not in parsers:
             raise DataError(f"config {path}, line {ln}: unknown key `{key}`")
-        field = _CONFIG_KEYS[key]
         try:
-            kwargs[field] = int(value) if field == "max_iters" else float(value)
+            kwargs[name] = parsers[name](value)
         except ValueError:
             raise DataError(
                 f"config {path}, line {ln}: bad value `{value}` for `{key}`")

@@ -5,8 +5,8 @@ right singular vector of the transposed feature matrix. With the support
 over-estimated, the feature matrix has a multi-dimensional null space; every
 null vector factors through the true curve, and the sum-of-squares of the
 null-space polynomials vanishes exactly on it. This module implements both
-routes plus the combinatorics (shift sets, rank bounds) and the curve-error
-metric used to score recoveries.
+routes plus the rank bound (a shift count) and the curve-error metric used
+to score recoveries.
 """
 
 from __future__ import annotations
@@ -85,18 +85,21 @@ class NullspaceBasis:
         return float(above), float(below)
 
 
-def _feature_svd(pts: PointSet, support: FrequencySupport
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _feature_svd(pts: PointSet, support: FrequencySupport, rank_tol: float
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Singular values of the transposed feature matrix m (descending,
-    zero-padded to |support|) and all of its right singular vectors. A wide
-    m needs the full SVD for that; the thin SVD of a tall m returns all."""
+    zero-padded to |support|), all of its right singular vectors, and the
+    rank cut rank_tol * sigma_max. A wide m needs the full SVD for that; the
+    thin SVD of a tall m returns all. Rejects a rank_tol outside (0, 1)."""
+    if not 0 < rank_tol < 1:
+        raise ContractViolation(f"rank_tol must lie in (0, 1), got {rank_tol}")
     if pts.n_points < 1:
         raise ContractViolation("the feature-matrix SVD needs at least 1 point")
     m = feature_matrix(pts, support).data.T
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     s_full = np.zeros(m.shape[1])
     s_full[:s.size] = s
-    return s_full, vh
+    return s_full, vh, rank_tol * s_full[0]
 
 
 def estimate_coefficients(pts: PointSet, support: FrequencySupport,
@@ -110,8 +113,8 @@ def estimate_coefficients(pts: PointSet, support: FrequencySupport,
     positive. Raises AmbiguousSupport when a second singular value also
     falls below rank_tol * sigma_max.
     """
-    s_full, vh = _feature_svd(pts, support)
-    if len(support) >= 2 and s_full[-2] < rank_tol * s_full[0]:
+    s_full, vh, cut = _feature_svd(pts, support, rank_tol)
+    if len(support) >= 2 and s_full[-2] < cut:
         raise AmbiguousSupport(
             "null space has dimension > 1 at tolerance "
             f"{rank_tol:g}; use nullspace_basis for over-estimated supports")
@@ -131,32 +134,20 @@ def _phase_normalize(c: np.ndarray) -> np.ndarray:
     return c * (np.conj(pivot) / np.abs(pivot))
 
 
-def shift_set(outer: FrequencySupport, inner: FrequencySupport) -> np.ndarray:
-    """All integer shifts l such that inner translated by l stays in outer.
-
-    Shape (count, 2); for centered rectangles the count is
-    (l1-k1+1)(l2-k2+1).
-    """
-    if not inner.fits_inside(outer):
-        raise ContractViolation("inner support must fit inside outer support")
-    lo = [outer.axis_range(d)[0] - inner.axis_range(d)[0] for d in (0, 1)]
-    hi = [outer.axis_range(d)[1] - inner.axis_range(d)[1] for d in (0, 1)]
-    a, b = np.meshgrid(np.arange(lo[0], hi[0] + 1),
-                       np.arange(lo[1], hi[1] + 1), indexing="ij")
-    return np.stack([a.ravel(), b.ravel()], axis=1)
-
-
 def rank_bound(outer: FrequencySupport, inner: FrequencySupport) -> int:
-    """Upper bound |outer| - #shifts on the feature-matrix rank when the
-    points lie on a curve with the inner support."""
-    return len(outer) - shift_set(outer, inner).shape[0]
+    """Upper bound |outer| - (K1-k1+1)(K2-k2+1) on the feature-matrix rank
+    when the points lie on a curve with the inner support: one null vector
+    per shift of the inner rectangle that stays inside the outer one."""
+    if inner.k1 > outer.k1 or inner.k2 > outer.k2:
+        raise ContractViolation("inner support must fit inside outer support")
+    return len(outer) - (outer.k1 - inner.k1 + 1) * (outer.k2 - inner.k2 + 1)
 
 
 def nullspace_basis(pts: PointSet, support: FrequencySupport,
                     rank_tol: float = ANALYTIC_RANK_TOL) -> NullspaceBasis:
     """Orthonormal numerical null space of the transposed feature matrix."""
-    s_full, vh = _feature_svd(pts, support)
-    rank = int(np.count_nonzero(s_full > rank_tol * s_full[0]))
+    s_full, vh, cut = _feature_svd(pts, support, rank_tol)
+    rank = int(np.count_nonzero(s_full > cut))
     return NullspaceBasis(support, np.conj(vh[rank:]), s_full)
 
 

@@ -47,14 +47,6 @@ class GrayImage:
             raise ContractViolation("pixels must lie in [0, 1]")
         self.pixels = np.clip(p, 0.0, 1.0)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 def gradient_spectrum(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """DFTs of the two periodic finite-difference gradient channels.
@@ -99,7 +91,8 @@ class ToeplitzLift:
 
 def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift:
     """Gradient spectra of the image, centered and wrapped in a lift."""
-    if (filter_support.k1 > img.height or filter_support.k2 > img.width):
+    rows, cols = img.pixels.shape
+    if filter_support.k1 > rows or filter_support.k2 > cols:
         raise ContractViolation("filter support larger than the image")
     g0, g1 = gradient_spectrum(img)
     return ToeplitzLift(filter_support,
@@ -163,7 +156,8 @@ def segment(h: GrayImage, rank: int, lam: float,
         raise ContractViolation(f"lam must be positive and finite, got {lam}")
     if max_iters < 0:
         raise ContractViolation(f"max_iters must be >= 0, got {max_iters}")
-    top = min(build_lift(h, filter_support).shape)
+    lift = build_lift(h, filter_support)
+    top = min(lift.shape)
     if not 0 <= rank < top:
         raise ContractViolation(f"rank must lie in [0, {top}) for this lift")
     hh, ww = h.pixels.shape
@@ -177,7 +171,6 @@ def segment(h: GrayImage, rank: int, lam: float,
     converged = False
     iterations = 0
     while True:
-        lift = build_lift(GrayImage(np.clip(f, 0.0, 1.0)), filter_support)
         s2, v = _gram_spectrum(lift)
         objective = float(np.linalg.norm(f - h.pixels) ** 2
                           + lam * np.sum(s2[rank:]))
@@ -199,6 +192,7 @@ def segment(h: GrayImage, rank: int, lam: float,
         step = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1e-30)
         f = f_new
         converged = bool(step < _SEGMENT_REL_TOL)
+        lift = build_lift(GrayImage(np.clip(f, 0.0, 1.0)), filter_support)
 
     _, f_best, edge_raw = best
     peak = edge_raw.max()

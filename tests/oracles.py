@@ -2,9 +2,57 @@
 
 import numpy as np
 
-from curveband import PointSet, TrigPolynomial, evaluate, evaluate_on_grid
+from curveband import (GrayImage, PointSet, TrigPolynomial, evaluate,
+                       evaluate_on_grid)
 from curveband.curve_model import _ZERO_NUDGE, _convolve_full
 from curveband.errors import ContractViolation, NumericalFailure
+
+
+def shift_set_reference(outer, inner):
+    """All integer shifts l such that inner translated by l stays in outer,
+    shape (count, 2); the shift list that `curveband.rank_bound` counts in
+    closed form."""
+    if inner.k1 > outer.k1 or inner.k2 > outer.k2:
+        raise ContractViolation("inner support must fit inside outer support")
+    lo = [outer.axis_range(d)[0] - inner.axis_range(d)[0] for d in (0, 1)]
+    hi = [outer.axis_range(d)[1] - inner.axis_range(d)[1] for d in (0, 1)]
+    a, b = np.meshgrid(np.arange(lo[0], hi[0] + 1),
+                       np.arange(lo[1], hi[1] + 1), indexing="ij")
+    return np.stack([a.ravel(), b.ravel()], axis=1)
+
+
+def random_curve_reference(support, seed):
+    """Random hermitian unit-norm polynomial drawn one support index at a
+    time in enumeration order; the reference for `curveband.random_curve`,
+    which takes the same normals in one draw."""
+    if support.k1 % 2 == 0 or support.k2 % 2 == 0:
+        raise ContractViolation("random_curve requires odd support sizes")
+    rng = np.random.default_rng(seed)
+    grid = np.zeros(support.shape, dtype=complex)
+    c1 = support.k1 // 2
+    c2 = support.k2 // 2
+    for k in support.indices():
+        a, b = int(k[0]), int(k[1])
+        if a == 0 and b == 0:
+            grid[c1, c2] = rng.standard_normal()
+        elif a > 0 or (a == 0 and b > 0):
+            z = rng.standard_normal() + 1j * rng.standard_normal()
+            grid[c1 + a, c2 + b] = z
+            grid[c1 - a, c2 - b] = np.conj(z)
+    coeffs = grid.ravel()
+    return TrigPolynomial(support, coeffs / np.linalg.norm(coeffs),
+                          hermitian=True)
+
+
+def curve_phantom(poly, size=64):
+    """Indicator of {psi > 0} sampled at pixel centers: a piecewise-constant
+    image whose edge set is exactly a band-limited curve."""
+    # pixel centers: a half-pixel shift, c_k times exp(j pi (k1 + k2) / size)
+    k = poly.support.indices()
+    shifted = TrigPolynomial(
+        poly.support, poly.coeffs * np.exp(1j * np.pi * k.sum(axis=1) / size))
+    vals = evaluate_on_grid(shifted, size).real
+    return GrayImage((vals > 0).astype(float))
 
 
 def derivative_coeffs(poly, axis):

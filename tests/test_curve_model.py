@@ -14,9 +14,11 @@ from curveband import (ContractViolation, FrequencySupport, NoSamplesAvailable,
                        project_to_zero_set, random_curve, sample_curve)
 from curveband.curve_model import (_convolve_full, contour_periodic_grid,
                                    wrap_delta)
-from curveband.experiments import (child_seed, disk_phantom, multi_disk_phantom,
+from curveband.experiments import (child_seed, disk_phantom,
+                                   known_support_trial, multi_disk_phantom,
                                    union_curve)
-from oracles import contour_periodic_grid_reference, refine_to_zero_set
+from oracles import (contour_periodic_grid_reference, random_curve_reference,
+                     refine_to_zero_set)
 
 
 def naive_evaluate(poly, x):
@@ -316,6 +318,10 @@ class TestSampleCurve:
         with pytest.raises(ContractViolation):
             sample_curve(Polyline([]), 5, seed=0)
 
+    def test_known_support_trial_takes_only_the_left_half(self):
+        with pytest.raises(ContractViolation):
+            known_support_trial(FrequencySupport(3, 3), 10, 0, restrict="right")
+
 
 class TestProjectToZeroSet:
     @pytest.fixture(scope="class")
@@ -374,7 +380,7 @@ class TestRandomCurve:
 
     def test_unit_norm(self):
         poly = random_curve(FrequencySupport(7, 7), 3)
-        assert abs(poly.norm() - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(poly.coeffs) - 1.0) <= 1e-12
 
     def test_deterministic_per_seed(self):
         a = random_curve(FrequencySupport(5, 5), 99)
@@ -386,6 +392,14 @@ class TestRandomCurve:
     def test_even_support_rejected(self):
         with pytest.raises(ContractViolation):
             random_curve(FrequencySupport(4, 3), 0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (3, 5),
+                                       (11, 11)])
+    @pytest.mark.parametrize("seed", [0, 7, [3, 1], [12, 0, 5]])
+    def test_one_draw_matches_per_index_loop(self, shape, seed):
+        support = FrequencySupport(*shape)
+        assert np.array_equal(random_curve(support, seed).coeffs,
+                              random_curve_reference(support, seed).coeffs)
 
     def test_seeded_5x5_has_nonempty_zero_set(self):
         from curveband.experiments import curve_with_zero_set

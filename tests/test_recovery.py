@@ -8,12 +8,12 @@ from curveband import (AmbiguousSupport, ContractViolation, FrequencySupport,
                        TrigPolynomial, chamfer_distance, estimate_coefficients,
                        evaluate, evaluate_on_grid, extract_zero_level_set,
                        hermitian_align, multiply, nullspace_basis, random_curve,
-                       rank_bound, recover_curve, sample_curve, shift_set)
+                       rank_bound, recover_curve, sample_curve)
 from curveband.experiments import (curve_with_zero_set, overcomplete_trial,
                                    union_curve)
 from curveband.recovery import NullspaceBasis, rasterized_rank_tol
 from oracles import (count_common_zeros, refine_to_zero_set,
-                     sum_of_squares_by_rows)
+                     shift_set_reference, sum_of_squares_by_rows)
 
 
 def line_pair_points(n=12, seed=0):
@@ -64,20 +64,18 @@ class TestEstimateCoefficients:
 class TestShiftSet:
     def test_equal_supports_single_shift(self):
         s = FrequencySupport(5, 5)
-        shifts = shift_set(s, s)
-        assert shifts.shape == (1, 2)
-        assert tuple(shifts[0]) == (0, 0)
+        assert rank_bound(s, s) == len(s) - 1
+        assert shift_set_reference(s, s).tolist() == [[0, 0]]
 
     @pytest.mark.parametrize("outer,inner,count", [
         ((11, 11), (5, 5), 49),
         ((5, 5), (3, 3), 9),
         ((7, 5), (3, 3), 15),
+        ((4, 4), (2, 3), 6),
     ])
     def test_counts_match_brute_enumeration(self, outer, inner, count):
         big = FrequencySupport(*outer)
         small = FrequencySupport(*inner)
-        shifts = shift_set(big, small)
-        assert shifts.shape[0] == count
         # brute force: try every shift in a generous window
         small_idx = small.indices()
         inside = set(map(tuple, big.indices()))
@@ -87,11 +85,14 @@ class TestShiftSet:
                 moved = small_idx + np.array([l1, l2])
                 if all((int(a), int(b)) in inside for a, b in moved):
                     found.append((l1, l2))
-        assert sorted(map(tuple, shifts)) == sorted(found)
+        assert len(found) == count
+        assert rank_bound(big, small) == len(big) - count
+        assert sorted(map(tuple, shift_set_reference(big, small))) == found
 
     def test_inner_must_fit(self):
-        with pytest.raises(ContractViolation):
-            shift_set(FrequencySupport(3, 3), FrequencySupport(5, 3))
+        for outer, inner in (((3, 3), (5, 3)), ((3, 3), (3, 5))):
+            with pytest.raises(ContractViolation):
+                rank_bound(FrequencySupport(*outer), FrequencySupport(*inner))
 
 
 class TestRankBound:
@@ -281,6 +282,15 @@ class TestRecoverCurve:
         scattered = PointSet(2, np.random.default_rng(0).uniform(0, 1, (2, 10)))
         with pytest.raises(ContractViolation):  # sum-of-squares path
             recover_curve(scattered, FrequencySupport(7, 7), grid_res=8)
+
+    @pytest.mark.parametrize("rank_tol", [np.nan, 0.0, -1.0, 1.0, np.inf])
+    def test_rank_tol_outside_unit_interval_rejected(self, rank_tol):
+        pts = line_pair_points(16, 9)
+        for call in (nullspace_basis, estimate_coefficients):
+            with pytest.raises(ContractViolation, match="rank_tol"):
+                call(pts, FrequencySupport(3, 1), rank_tol)
+        with pytest.raises(ContractViolation, match="rank_tol"):
+            recover_curve(pts, FrequencySupport(5, 5), 256, rank_tol)
 
     def test_too_few_samples_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
