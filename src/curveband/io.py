@@ -14,6 +14,23 @@ from .denoise import DenoiseTrace, IrlsConfig
 from .errors import ContractViolation, DataError
 from .segmentation import GrayImage
 
+
+def _read(path, kind: str, binary: bool = False):
+    """The text (or bytes) of an input file; any failure to read or decode it
+    is a DataError that names the file."""
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text()
+    except FileNotFoundError:
+        raise DataError(f"{kind} file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {kind} file {path}: {exc}")
+
+
+def _format_rows(row_fmt: str, table: np.ndarray) -> str:
+    """Every row of a 2-D table through one %-format, in one C-level call."""
+    return (row_fmt * len(table)) % tuple(table.ravel().tolist())
+
+
 # ---------------------------------------------------------------------------
 # coefficient JSON
 
@@ -29,14 +46,13 @@ def save_coefficients(poly: TrigPolynomial, path) -> None:
 
 
 def load_coefficients(path) -> TrigPolynomial:
+    text = _read(path, "coefficient")
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(text)
         support = FrequencySupport(int(payload["k1"]), int(payload["k2"]))
         coeffs = np.array([complex(re, im) for re, im in payload["coeffs"]])
         return TrigPolynomial(support, coeffs,
                               hermitian=bool(payload["hermitian"]))
-    except FileNotFoundError:
-        raise DataError(f"coefficient file not found: {path}")
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed coefficient file {path}: {exc}")
 
@@ -46,14 +62,14 @@ def load_coefficients(path) -> TrigPolynomial:
 
 
 def save_points(pts: PointSet, path) -> None:
-    np.savetxt(path, pts.points.T, delimiter=",", fmt="%.17g")
+    row_fmt = ",".join(["%.17g"] * pts.dim) + "\n"
+    Path(path).write_text(_format_rows(row_fmt, pts.points.T))
 
 
 def load_points(path, dim: int | None = None) -> PointSet:
+    lines = _read(path, "point").splitlines()
     try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    except FileNotFoundError:
-        raise DataError(f"point file not found: {path}")
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise DataError(f"malformed point file {path}: {exc}")
     if rows.size == 0:
@@ -71,18 +87,13 @@ def load_points(path, dim: int | None = None) -> PointSet:
 
 
 def save_polyline_csv(curve: Polyline, path) -> None:
-    lines = []
-    for cid, comp in enumerate(curve.components):
-        for v in comp:
-            lines.append(f"{cid},{v[0]:.17g},{v[1]:.17g}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    Path(path).write_text("".join(
+        _format_rows(f"{cid},%.17g,%.17g\n", comp)
+        for cid, comp in enumerate(curve.components)))
 
 
 def load_polyline_csv(path) -> Polyline:
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise DataError(f"polyline file not found: {path}")
+    text = _read(path, "polyline")
     groups: dict[int, list] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -108,20 +119,20 @@ def _svg_paths(curve: Polyline) -> list[str]:
         for run in np.split(v, np.flatnonzero(seam) + 1):
             if len(run) < 2:
                 continue
-            d = "M " + " L ".join(f"{p[0]:.6f} {p[1]:.6f}" for p in run)
-            paths.append(d)
+            paths.append("M " + _format_rows("%.6f %.6f L ", run)[:-len(" L ")])
     return paths
 
 
 def save_polyline_svg(curve: Polyline, path,
                       points: PointSet | None = None) -> None:
-    body = [f'<path d="{d}" fill="none" stroke="#c22" '
-            'stroke-width="0.003"/>' for d in _svg_paths(curve)]
+    rows = [f'<path d="{d}" fill="none" stroke="#c22" '
+            'stroke-width="0.003"/>\n' for d in _svg_paths(curve)]
     if points is not None:
-        body += [f'<circle cx="{x:.6f}" cy="{y:.6f}" r="0.005" fill="#26c"/>'
-                 for x, y in points.points.T]
+        rows.append(_format_rows(
+            '<circle cx="%.6f" cy="%.6f" r="0.005" fill="#26c"/>\n',
+            points.points.T))
     svg = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">\n'
-           + "\n".join(body) + "\n</svg>\n")
+           + ("".join(rows) or "\n") + "</svg>\n")  # empty: one blank line
     Path(path).write_text(svg)
 
 
@@ -136,10 +147,7 @@ def save_pgm(img: GrayImage, path) -> None:
 
 
 def load_pgm(path) -> GrayImage:
-    try:
-        raw = Path(path).read_bytes()
-    except FileNotFoundError:
-        raise DataError(f"image file not found: {path}")
+    raw = _read(path, "image", binary=True)
     fields = []
     pos = 0
     while len(fields) < 4:
@@ -183,10 +191,7 @@ def load_pgm(path) -> GrayImage:
 
 
 def load_irls_config(path) -> IrlsConfig:
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}")
+    text = _read(path, "config")
     parsers = {f.name: type(f.default) for f in dataclasses.fields(IrlsConfig)}
     kwargs = {}
     for ln, line in enumerate(text.splitlines(), start=1):

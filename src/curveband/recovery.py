@@ -76,10 +76,14 @@ class NullspaceBasis:
         Returns (s[rank-1] / cut, cut / s[rank]) with cut = rank_tol *
         s[0]: the smallest kept singular value over the cut, and the cut
         over the largest dropped one. Both are at least 1; a missing or zero
-        singular value gives inf.
+        singular value gives inf. Rejects a rank_tol outside (0, 1) or one
+        that cuts this spectrum at another rank.
         """
         s = self.singular_values
         cut = rank_tol * s[0]
+        if not 0 < rank_tol < 1 or np.count_nonzero(s > cut) != self.rank:
+            raise ContractViolation(f"rank_tol {rank_tol} does not cut this "
+                                    f"basis at rank {self.rank}")
         above = s[self.rank - 1] / cut if self.rank > 0 else np.inf
         below = cut / s[self.rank] if self.q > 0 and s[self.rank] > 0 else np.inf
         return float(above), float(below)

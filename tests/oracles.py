@@ -1,5 +1,7 @@
 """Independent reference implementations shared by the test modules."""
 
+from pathlib import Path
+
 import numpy as np
 
 from curveband import (GrayImage, PointSet, TrigPolynomial, evaluate,
@@ -276,3 +278,41 @@ def sum_of_squares_by_rows(basis):
         g = row.reshape(k1, k2)
         acc += _convolve_full(g, np.conj(g[::-1, ::-1]))
     return 0.5 * (acc + np.conj(acc[::-1, ::-1]))
+
+
+# The per-vertex text writers that `curveband.io` replaced with one %-format
+# call per block; kept verbatim as the byte-for-byte reference.
+
+
+def save_polyline_csv_reference(curve, path):
+    lines = []
+    for cid, comp in enumerate(curve.components):
+        for v in comp:
+            lines.append(f"{cid},{v[0]:.17g},{v[1]:.17g}")
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def svg_paths_reference(curve):
+    """Path strings; components are split where they cross the domain seam."""
+    paths = []
+    for v in curve.components:
+        if v.shape[0] >= 2:
+            v = np.vstack([v, v[:1]])
+        seam = np.any(np.abs(np.diff(v, axis=0)) > 0.5, axis=1)  # seam crossing
+        for run in np.split(v, np.flatnonzero(seam) + 1):
+            if len(run) < 2:
+                continue
+            d = "M " + " L ".join(f"{p[0]:.6f} {p[1]:.6f}" for p in run)
+            paths.append(d)
+    return paths
+
+
+def save_polyline_svg_reference(curve, path, points=None):
+    body = [f'<path d="{d}" fill="none" stroke="#c22" '
+            'stroke-width="0.003"/>' for d in svg_paths_reference(curve)]
+    if points is not None:
+        body += [f'<circle cx="{x:.6f}" cy="{y:.6f}" r="0.005" fill="#26c"/>'
+                 for x, y in points.points.T]
+    svg = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">\n'
+           + "\n".join(body) + "\n</svg>\n")
+    Path(path).write_text(svg)

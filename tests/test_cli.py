@@ -1,9 +1,11 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from curveband import io as cio
 from curveband import sample_curve
-from curveband.cli import main
+from curveband.cli import build_parser, main
 from curveband.experiments import (child_seed, disk_phantom,
                                    noisy_curve_samples, union_curve)
 
@@ -268,3 +270,69 @@ class TestEval:
     def test_usage_error_exit_code(self, tmp_path):
         assert run(["synth", "--support", "nonsense",
                     "--out-dir", tmp_path]) == 2
+
+
+def subcommands():
+    """The CLI's subparsers by command name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def file_arguments():
+    """(command, dest, extra argv) for every input file argument of the CLI:
+    each positional, plus --config and --truth; one case per choice of an
+    option with choices (eval --kind)."""
+    cases = []
+    for command, parser in subcommands().items():
+        variants = [[]]
+        for action in parser._actions:
+            if action.choices and action.option_strings:
+                variants = [[action.option_strings[0], c]
+                            for c in action.choices]
+        for action in parser._actions:
+            if (not action.option_strings
+                    or {"--config", "--truth"} & set(action.option_strings)):
+                cases += [pytest.param(command, action.dest, extra,
+                                       id="-".join([command, action.dest,
+                                                    *extra[1:]]))
+                          for extra in variants]
+    return cases
+
+
+class TestUnreadableInputs:
+    # a valid input for the file arguments not under test, and the required
+    # options, per command
+    REQUIRED = {"segment": ["--rank", "3"]}
+
+    @staticmethod
+    def valid_input(command, tmp_path):
+        path = tmp_path / f"valid-{command}"
+        if command == "segment":
+            cio.save_pgm(disk_phantom(16), path)
+        elif command == "eval":
+            path.write_text("0,0.1,0.2\n0,0.3,0.4\n0,0.2,0.6\n")
+        else:
+            cio.save_points(noisy_curve_samples(0, 30, 0.01)[1], path)
+        return path
+
+    @pytest.mark.parametrize("bad_kind", ["directory", "non-utf8"])
+    @pytest.mark.parametrize("command,dest,extra", file_arguments())
+    def test_unreadable_file_exits_3(self, tmp_path, capsys, command, dest,
+                                     extra, bad_kind):
+        bad = tmp_path / "bad-input"
+        if bad_kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe\x00\x80 0,1\n")
+        parser = subcommands()[command]
+        argv = [command, *extra, *self.REQUIRED.get(command, []),
+                "--out-dir", tmp_path / "out"]
+        for action in parser._actions:
+            if not action.option_strings:
+                argv.append(bad if action.dest == dest
+                            else self.valid_input(command, tmp_path))
+            elif action.dest == dest:
+                argv += [action.option_strings[0], bad]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(bad) in err

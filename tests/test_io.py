@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from curveband import DataError, FrequencySupport, GrayImage, PointSet, random_curve
+from curveband import (DataError, FrequencySupport, GrayImage, PointSet,
+                       Polyline, random_curve)
 from curveband import io as cio
 from curveband.denoise import DenoiseTrace, IrlsConfig
 from curveband.experiments import curve_with_zero_set, disk_phantom
+from oracles import (save_polyline_csv_reference,
+                     save_polyline_svg_reference, svg_paths_reference)
 
 
 class TestCoefficientJson:
@@ -72,6 +75,112 @@ class TestPolylineFiles:
         path.write_text("0,0.1,0.2\n0,oops,0.3\n")
         with pytest.raises(DataError, match="line 2"):
             cio.load_polyline_csv(path)
+
+
+@pytest.mark.parametrize("load", [
+    cio.load_points, cio.load_polyline_csv, cio.load_pgm,
+    cio.load_coefficients, cio.load_irls_config,
+], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", ["directory", "non-utf8"])
+def test_unreadable_input_is_data_error_naming_file(tmp_path, load, bad):
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00 0,1\n")
+    with pytest.raises(DataError) as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+# values on the %.17g / %.6f rounding edges
+EDGE_VALUES = [-0.0, 1e-300, 0.1, 1 - 2**-53, 5e-7]
+
+
+def writer_polylines():
+    """Polylines the block writers must format byte for byte as the
+    per-vertex reference writers do."""
+    _, curve = curve_with_zero_set(FrequencySupport(3, 3), 5, 128)
+    single = np.array([[0.3, 0.4]])
+    # crosses the seam on axis 0 (0.95 -> 0.02), then on axis 1 (0.03 -> 0.97)
+    seam = np.array([[0.95, 0.5], [0.02, 0.5], [0.03, 0.03], [0.04, 0.97],
+                     [0.5, 0.6], [0.97, 0.55]])
+    edge = np.array([EDGE_VALUES, EDGE_VALUES[::-1]]).T
+    return {
+        "components": Polyline(curve.components + [single, edge]),
+        "empty": Polyline([]),
+        "seam": Polyline([seam]),
+        "edge-values": Polyline([edge, -edge]),
+    }
+
+
+class TestBlockWriters:
+    @pytest.mark.parametrize("name", list(writer_polylines()))
+    def test_polyline_csv_matches_reference(self, tmp_path, name):
+        curve = writer_polylines()[name]
+        cio.save_polyline_csv(curve, tmp_path / "new.csv")
+        save_polyline_csv_reference(curve, tmp_path / "ref.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("name", list(writer_polylines()))
+    @pytest.mark.parametrize("points", [
+        None,
+        PointSet.empty(2),
+        PointSet(2, np.array([EDGE_VALUES, EDGE_VALUES[::-1]])),
+        PointSet(2, np.random.default_rng(3).uniform(0, 1, (2, 40))),
+    ], ids=["no-points", "empty-points", "edge-points", "random-points"])
+    def test_polyline_svg_matches_reference(self, tmp_path, name, points):
+        curve = writer_polylines()[name]
+        assert cio._svg_paths(curve) == svg_paths_reference(curve)
+        cio.save_polyline_svg(curve, tmp_path / "new.svg", points=points)
+        save_polyline_svg_reference(curve, tmp_path / "ref.svg",
+                                    points=points)
+        assert ((tmp_path / "new.svg").read_bytes()
+                == (tmp_path / "ref.svg").read_bytes())
+
+    def test_seam_splits_runs_on_both_axes(self):
+        # two drawn runs; the lone first vertex before the axis-0 crossing
+        # is dropped
+        paths = cio._svg_paths(writer_polylines()["seam"])
+        assert paths == ["M 0.020000 0.500000 L 0.030000 0.030000",
+                         "M 0.040000 0.970000 L 0.500000 0.600000 "
+                         "L 0.970000 0.550000 L 0.950000 0.500000"]
+
+    @pytest.mark.parametrize("pts", [
+        PointSet(2, np.random.default_rng(0).uniform(-1, 1, (2, 25))),
+        PointSet(3, np.random.default_rng(1).uniform(-1, 1, (3, 25))),
+        PointSet(2, np.array([EDGE_VALUES, EDGE_VALUES[::-1]])),
+        PointSet.empty(2),
+        PointSet.empty(3),
+    ], ids=["dim2", "dim3", "edge-values", "empty-dim2", "empty-dim3"])
+    def test_points_match_savetxt(self, tmp_path, pts):
+        cio.save_points(pts, tmp_path / "new.csv")
+        np.savetxt(tmp_path / "ref.csv", pts.points.T, fmt="%.17g",
+                   delimiter=",")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_points_roundtrip_bit_identical(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+        values = rng.standard_normal((dim, 30)) * 10.0 ** rng.integers(
+            -300, 300, (dim, 30))
+        values[:, :len(EDGE_VALUES)] = EDGE_VALUES
+        pts = PointSet(dim, values)
+        cio.save_points(pts, tmp_path / "p.csv")
+        back = cio.load_points(tmp_path / "p.csv", dim=dim)
+        assert back.points.tobytes() == pts.points.tobytes()
+
+    def test_polyline_roundtrip_bit_identical(self, tmp_path):
+        curve = writer_polylines()["components"]
+        edge = writer_polylines()["edge-values"]
+        curve = Polyline(curve.components + edge.components)
+        cio.save_polyline_csv(curve, tmp_path / "c.csv")
+        back = cio.load_polyline_csv(tmp_path / "c.csv")
+        assert len(back.components) == len(curve.components)
+        for a, b in zip(back.components, curve.components):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestPgm:

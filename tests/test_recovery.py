@@ -147,6 +147,18 @@ class TestNullspaceBasis:
         above, below = full.rank_margins(1e-6)
         assert full.q == 0 and np.isfinite(above) and below == np.inf
 
+    @pytest.mark.parametrize("tol", [1e-6, np.nan, 0.0, 1.0])
+    def test_rank_margins_reject_a_tolerance_other_than_the_cut(self, tol):
+        # cut at 1e-3 (rank 72); at 1e-6 the margins were (5142, 0.0057), and
+        # at nan (nan, nan), against the docstring's "both at least 1"
+        _, truth, _, _ = union_curve(1, 256)
+        pts = sample_curve(truth, 230, seed=5)
+        basis = nullspace_basis(pts, FrequencySupport(11, 11), 1e-3)
+        assert basis.rank == 72
+        assert np.allclose(basis.rank_margins(1e-3), (5.14, 5.67), rtol=1e-3)
+        with pytest.raises(ContractViolation):
+            basis.rank_margins(tol)
+
     def test_overcomplete_study_rank_cut_has_margin(self):
         # Curve 6 is the ill-conditioned criterion-3 curve: its smallest
         # kept singular value sits closest to the cut.
