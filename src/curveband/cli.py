@@ -2,8 +2,10 @@
 
     curveband <synth|recover|phase-transition|denoise|segment|eval> [flags]
 
-Every command is deterministic given its flags and --seed. Exit codes:
-0 success, 2 usage error, 3 data error, 4 numerical failure.
+Every command is deterministic given its flags (synth and phase-transition
+draw from --seed). Exit codes: 0 success, 2 usage error, 3 data error (an
+unreadable, malformed or empty input, or an output directory or file that
+cannot be written), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -71,14 +73,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    outer = _parse_support(args.gamma)
+    bound_cols = {}
+    if args.inner:
+        inner = _parse_support(args.inner)
+        bound_cols = {"lambda": f"{inner.k1}x{inner.k2}",
+                      "bound": rank_bound(outer, inner)}
+    tol = rasterized_rank_tol(args.grid_res)  # rejects a grid under 16
     out = _out_dir(args)
     pts = io.load_points(args.points, dim=2)
-    outer = _parse_support(args.gamma)
-    if args.rank_tol is not None and not 0 < args.rank_tol < np.inf:
-        raise ContractViolation(
-            f"--rank-tol must be positive and finite, got {args.rank_tol}")
-    default_tol = rasterized_rank_tol(args.grid_res)  # rejects a grid under 16
-    tol = default_tol if args.rank_tol is None else args.rank_tol
     t0 = time.perf_counter()
     basis = nullspace_basis(pts, outer, tol)
     curve = recover_curve(pts, outer, args.grid_res, tol)
@@ -86,11 +89,7 @@ def cmd_recover(args) -> int:
     io.save_polyline_svg(curve, out / "recovered.svg", points=pts)
     io.save_polyline_csv(curve, out / "recovered.csv")
     row = {"gamma": f"{outer.k1}x{outer.k2}", "N": pts.n_points,
-           "measured_rank": basis.rank}
-    if args.inner:
-        inner = _parse_support(args.inner)
-        row["lambda"] = f"{inner.k1}x{inner.k2}"
-        row["bound"] = rank_bound(outer, inner)
+           "measured_rank": basis.rank, **bound_cols}
     io.save_rank_report([row], out / "rank_report.csv")
     print(f"recover: N={pts.n_points}, rank={basis.rank}, "
           f"null_dim={basis.q}, {elapsed:.2f}s -> {out}")
@@ -174,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="curveband",
         description="Band-limited level-set curve experiments")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
     common.add_argument(
         "--threads", type=int, default=1,
@@ -186,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common],
                        help="random curve -> coefficients + contour files")
     p.add_argument("--support", default="3x3")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-res", type=int, default=512)
     p.set_defaults(func=cmd_synth)
 
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", default=None,
                    help="true support (if known) for the rank-bound column")
     p.add_argument("--grid-res", type=int, default=512)
-    p.add_argument("--rank-tol", type=float, default=None)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("phase-transition", parents=[common],
@@ -205,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-range", default="3,5,7")
     p.add_argument("--n-range", default="5:230:15")
     p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-res", type=int, default=256)
     p.set_defaults(func=cmd_phase_transition)
 
@@ -238,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ContractViolation as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, NoSamplesAvailable) as exc:
+    except (DataError, NoSamplesAvailable, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalFailure, AmbiguousSupport, np.linalg.LinAlgError) as exc:

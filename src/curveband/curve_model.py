@@ -21,8 +21,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, NoSamplesAvailable, NumericalFailure
 
-DEFAULT_GRID_RES = 512
-
 # Values exactly 0 on the sampling grid are nudged onto the negative side so
 # every sign change falls strictly inside a grid edge.
 _ZERO_NUDGE = -1e-300
@@ -253,8 +251,7 @@ def random_curve(support: FrequencySupport, seed) -> TrigPolynomial:
 # zero-set rasterization (marching squares on the periodic grid)
 
 
-def extract_zero_level_set(poly: TrigPolynomial,
-                           grid_res: int = DEFAULT_GRID_RES) -> Polyline:
+def extract_zero_level_set(poly: TrigPolynomial, grid_res: int) -> Polyline:
     """Marching-squares contour of Re(psi) on a periodic grid over [0,1)^2.
 
     Vertices are linear interpolations along grid-cell edges, so each
@@ -354,7 +351,7 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
 # sampling points from a rasterized curve
 
 
-def sample_curve(curve: Polyline, n: int, seed=None,
+def sample_curve(curve: Polyline, n: int, seed,
                  region: tuple[float, float, float, float] | None = None
                  ) -> PointSet:
     """Draw `n` points on the polyline, uniformly with respect to arc length.

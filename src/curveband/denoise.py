@@ -163,7 +163,7 @@ def solve_quadratic(y, laplacian: np.ndarray, lam: float) -> np.ndarray:
         raise NumericalFailure(f"quadratic update is singular: {exc}")
 
 
-def klr_denoise(noisy: PointSet, cfg: IrlsConfig | None = None
+def klr_denoise(noisy: PointSet, cfg: IrlsConfig
                 ) -> tuple[PointSet, DenoiseTrace]:
     """Denoise a point cloud by kernel low-rank IRLS.
 
@@ -174,7 +174,6 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig | None = None
     """
     if noisy.n_points < 2:
         raise ContractViolation("denoising needs at least 2 points")
-    cfg = cfg or IrlsConfig()
     y = noisy.points
     x = y.copy()
     gamma = cfg.gamma0

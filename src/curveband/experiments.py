@@ -136,10 +136,10 @@ def union_curve(seed, grid_res: int = 512
     return product, extract_zero_level_set(product, grid_res), c1, c2
 
 
-def union_split_trial(seed, n_first: int, n_second: int,
-                      grid_res: int = 256) -> float:
-    """Recover a two-component union from a per-component sample split;
-    returns the curve error (inf = failed)."""
+def union_split_trial(seed, n_first: int, n_second: int) -> float:
+    """Recover a two-component union from a per-component sample split, on
+    a 256 grid; returns the curve error (inf = failed)."""
+    grid_res = 256
     product, truth, c1, c2 = union_curve(seed, grid_res)
     parts = []
     if n_first:
@@ -163,7 +163,7 @@ def offcurve_probes(curve: Polyline, n: int, seed) -> PointSet:
     return PointSet(2, np.array(kept).T)
 
 
-def overcomplete_trial(seed, outer: FrequencySupport | None = None,
+def overcomplete_trial(seed, outer: FrequencySupport,
                        n_samples: int = 220, grid_res: int = 512) -> dict:
     """Null-space study on a 5x5 union curve with an over-estimated support.
 
@@ -179,7 +179,6 @@ def overcomplete_trial(seed, outer: FrequencySupport | None = None,
     sum-of-squares recovery, and the on/off-curve separation statistics of
     the sum-of-squares values.
     """
-    outer = outer or FrequencySupport(11, 11)
     product, truth, _, _ = union_curve(seed, grid_res)
     pts = project_to_zero_set(
         product, sample_curve(truth, n_samples, seed=child_seed(seed, 1)))
@@ -199,23 +198,23 @@ def overcomplete_trial(seed, outer: FrequencySupport | None = None,
     return result
 
 
-def noisy_curve_samples(seed, n_samples: int = 400, noise_std: float = 0.01,
-                        support: FrequencySupport | None = None,
-                        grid_res: int = 512) -> tuple[PointSet, PointSet]:
-    """(clean, noisy) samples of a random curve with Gaussian perturbations."""
-    support = support or FrequencySupport(3, 3)
-    _, curve = curve_with_zero_set(support, child_seed(seed, 5), grid_res)
+def noisy_curve_samples(seed, n_samples: int = 400, noise_std: float = 0.01
+                        ) -> tuple[PointSet, PointSet]:
+    """(clean, noisy) samples of a random 3x3 curve with Gaussian
+    perturbations."""
+    _, curve = curve_with_zero_set(FrequencySupport(3, 3), child_seed(seed, 5))
     clean = sample_curve(curve, n_samples, seed=child_seed(seed, 6))
     rng = np.random.default_rng(child_seed(seed, 7))
     noisy = clean.points + noise_std * rng.standard_normal(clean.points.shape)
     return clean, PointSet(2, noisy)
 
 
-def denoise_trial(seed, n_samples: int = 400, noise_std: float = 0.01,
-                  cfg: IrlsConfig | None = None) -> tuple[float, float]:
-    """(input SNR, output SNR) of one kernel low-rank denoising run."""
+def denoise_trial(seed, n_samples: int = 400, noise_std: float = 0.01
+                  ) -> tuple[float, float]:
+    """(input SNR, output SNR) of one kernel low-rank denoising run with the
+    default IrlsConfig."""
     clean, noisy = noisy_curve_samples(seed, n_samples, noise_std)
-    denoised, _ = klr_denoise(noisy, cfg)
+    denoised, _ = klr_denoise(noisy, IrlsConfig())
     return (point_cloud_snr(clean, noisy), point_cloud_snr(clean, denoised))
 
 

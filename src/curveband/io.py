@@ -68,12 +68,12 @@ def save_points(pts: PointSet, path) -> None:
 
 def load_points(path, dim: int | None = None) -> PointSet:
     lines = _read(path, "point").splitlines()
+    if not any(line.split("#")[0].strip() for line in lines):
+        raise DataError(f"point file {path} holds no points")
     try:
         rows = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise DataError(f"malformed point file {path}: {exc}")
-    if rows.size == 0:
-        return PointSet.empty(dim or 2)
     if dim is not None and rows.shape[1] != dim:
         raise DataError(
             f"point file {path} has dimension {rows.shape[1]}, expected {dim}")
@@ -106,6 +106,8 @@ def load_polyline_csv(path) -> Polyline:
             groups.setdefault(int(cid), []).append(vertex)
         except ValueError as exc:
             raise DataError(f"malformed polyline file {path}, line {ln}: {exc}")
+    if not groups:
+        raise DataError(f"polyline file {path} holds no vertices")
     return Polyline([np.array(groups[cid]) for cid in sorted(groups)])
 
 

@@ -41,8 +41,8 @@ ANALYTIC_RANK_TOL = 1e-6
 _HERMITIAN_DEFECT_TOL = 0.05
 
 
-def rasterized_rank_tol(grid_res: int = 512) -> float:
-    """Default rank tolerance for samples read off a grid_res rasterization.
+def rasterized_rank_tol(grid_res: int) -> float:
+    """Rank tolerance for samples read off a grid_res rasterization.
     Rejects grid_res < 16, the smallest grid extract_zero_level_set takes."""
     if grid_res < 16:
         raise ContractViolation(f"grid_res must be at least 16, got {grid_res}")
@@ -107,35 +107,21 @@ def _feature_svd(pts: PointSet, support: FrequencySupport, rank_tol: float
 
 
 def estimate_coefficients(pts: PointSet, support: FrequencySupport,
-                          rank_tol: float = ANALYTIC_RANK_TOL
-                          ) -> TrigPolynomial:
+                          rank_tol: float) -> TrigPolynomial:
     """Coefficients of the curve through the points, support known.
 
     Returns the unit-norm minimizer of sum_i |psi(x_i)|^2, i.e. the right
     singular vector of the transposed feature matrix with smallest singular
-    value, phase-normalized so the largest-magnitude coefficient is real
-    positive. Raises AmbiguousSupport when a second singular value also
-    falls below rank_tol * sigma_max.
+    value, up to a global phase (hermitian_align fixes it). Raises
+    AmbiguousSupport when a second singular value also falls below
+    rank_tol * sigma_max.
     """
     s_full, vh, cut = _feature_svd(pts, support, rank_tol)
     if len(support) >= 2 and s_full[-2] < cut:
         raise AmbiguousSupport(
             "null space has dimension > 1 at tolerance "
             f"{rank_tol:g}; use nullspace_basis for over-estimated supports")
-    c = np.conj(vh[-1])
-    return TrigPolynomial(support, _phase_normalize(c))
-
-
-def _phase_normalize(c: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its largest-magnitude entry is real positive.
-
-    Magnitude ties (exact for conjugate-mirrored coefficients) are broken by
-    the lowest index, with a relative tie band so floating-point noise cannot
-    flip the pivot between runs.
-    """
-    mags = np.abs(c)
-    pivot = c[np.flatnonzero(mags >= (1.0 - 1e-6) * mags.max())[0]]
-    return c * (np.conj(pivot) / np.abs(pivot))
+    return TrigPolynomial(support, np.conj(vh[-1]))
 
 
 def rank_bound(outer: FrequencySupport, inner: FrequencySupport) -> int:
@@ -148,7 +134,7 @@ def rank_bound(outer: FrequencySupport, inner: FrequencySupport) -> int:
 
 
 def nullspace_basis(pts: PointSet, support: FrequencySupport,
-                    rank_tol: float = ANALYTIC_RANK_TOL) -> NullspaceBasis:
+                    rank_tol: float) -> NullspaceBasis:
     """Orthonormal numerical null space of the transposed feature matrix."""
     s_full, vh, cut = _feature_svd(pts, support, rank_tol)
     rank = int(np.count_nonzero(s_full > cut))
@@ -219,25 +205,25 @@ def hermitian_align(poly: TrigPolynomial) -> TrigPolynomial | None:
     return TrigPolynomial(poly.support, sym.ravel(), hermitian=True)
 
 
-def recover_curve(pts: PointSet, support: FrequencySupport,
-                  grid_res: int = 512,
-                  rank_tol: float | None = None) -> Polyline:
+def recover_curve(pts: PointSet, support: FrequencySupport, grid_res: int,
+                  rank_tol: float) -> Polyline:
     """Recover a curve from samples with a (possibly over-estimated) support.
 
-    Runs the null-space decomposition; with a single null vector the real
-    representative is contoured directly, otherwise the sum-of-squares
-    polynomial is contoured at an automatically calibrated level: 3x the
-    median over the input samples, floored at the smallest level the
-    contouring grid can actually resolve (estimated from gamma at the grid
-    corners adjacent to the samples). Rejects grid_res < 16 before any work
-    and logs a warning when N < |support| - 1 (underdetermined null space).
+    Runs the null-space decomposition at rank_tol; with a single null
+    vector the real representative is contoured directly, otherwise the
+    sum-of-squares polynomial is contoured at an automatically calibrated
+    level: 3x the median over the input samples, floored at the smallest
+    level the contouring grid can actually resolve (estimated from gamma at
+    the grid corners adjacent to the samples). Rejects grid_res < 16 before
+    any work and logs a warning when N < |support| - 1 (underdetermined
+    null space).
     """
-    default_tol = rasterized_rank_tol(grid_res)  # rejects grid_res < 16
+    if grid_res < 16:
+        raise ContractViolation(f"grid_res must be at least 16, got {grid_res}")
     if pts.n_points < len(support) - 1:
         _log.warning("%d samples < |support| - 1 = %d: underdetermined null "
                      "space", pts.n_points, len(support) - 1)
-    basis = nullspace_basis(pts, support,
-                            default_tol if rank_tol is None else rank_tol)
+    basis = nullspace_basis(pts, support, rank_tol)
     if basis.q == 0:
         raise NumericalFailure(
             "no null-space vector at tolerance; the support may be too small "

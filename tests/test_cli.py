@@ -93,20 +93,23 @@ class TestRecover:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         for grid in (8, 0, -5):
-            for extra in ([], ["--rank-tol", 1e-3]):
-                capsys.readouterr()
-                assert run(["recover", pts_path, "--gamma", "11x11",
-                            "--grid-res", grid, "--out-dir", tmp_path / "rec",
-                            *extra]) == 2, (grid, extra)
-                assert "grid_res" in capsys.readouterr().err, (grid, extra)
+            capsys.readouterr()
+            assert run(["recover", pts_path, "--gamma", "11x11",
+                        "--grid-res", grid, "--out-dir", tmp_path / "rec"]
+                       ) == 2, grid
+            assert "grid_res" in capsys.readouterr().err, grid
 
-    def test_non_positive_rank_tol_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("inner", ["bogus", "7x7"])
+    def test_bad_inner_exits_2_before_any_output(self, tmp_path, capsys,
+                                                 inner):
+        # "bogus" does not parse; 7x7 does not fit inside --gamma 5x5
         pts_path = tmp_path / "pts.csv"
         pts_path.write_text("0.25,0.1\n0.75,0.4\n0.25,0.7\n")
-        assert run(["recover", pts_path, "--gamma", "3x3", "--rank-tol", 0,
-                    "--grid-res", 64, "--out-dir", tmp_path / "rec"]) == 2
-        assert "--rank-tol" in capsys.readouterr().err
-        assert not (tmp_path / "rec" / "rank_report.csv").exists()
+        out = tmp_path / "rec"
+        assert run(["recover", pts_path, "--gamma", "5x5", "--inner", inner,
+                    "--grid-res", 64, "--out-dir", out]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestPhaseTransition:
@@ -270,6 +273,54 @@ class TestEval:
     def test_usage_error_exit_code(self, tmp_path):
         assert run(["synth", "--support", "nonsense",
                     "--out-dir", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "pts.csv", "--rank-tol", "1e-3"],
+    ["recover", "pts.csv", "--seed", "1"],
+    ["denoise", "pts.csv", "--seed", "1"],
+    ["segment", "img.pgm", "--rank", "3", "--seed", "1"],
+    ["eval", "a.csv", "b.csv", "--seed", "1"],
+], ids=["recover-rank-tol", "recover-seed", "denoise-seed", "segment-seed",
+        "eval-seed"])
+def test_option_the_command_does_not_take_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv + ["--out-dir", tmp_path])
+    assert info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestUnusableOutDir:
+    def test_synth_out_dir_is_a_file_exits_3(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        assert run(["synth", "--out-dir", target]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(target) in err
+
+    def test_eval_out_dir_under_a_file_exits_3(self, tmp_path, capsys):
+        curve = tmp_path / "a.csv"
+        curve.write_text("0,0.1,0.2\n0,0.3,0.4\n0,0.2,0.6\n")
+        target = tmp_path / "taken" / "sub"
+        target.parent.write_text("not a directory\n")
+        assert run(["eval", curve, curve, "--out-dir", target]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(target) in err
+
+
+@pytest.mark.parametrize("command", [
+    ["recover"], ["denoise"], ["eval", "--kind", "points"],
+    ["eval", "--kind", "curves"],
+], ids=["recover", "denoise", "eval-points", "eval-curves"])
+def test_empty_input_exits_3(tmp_path, capsys, command):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    files = [empty, empty] if command[0] == "eval" else [empty]
+    out = tmp_path / "out"
+    assert run([*command, *files, "--out-dir", out]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(empty) in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def subcommands():

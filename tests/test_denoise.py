@@ -200,7 +200,7 @@ class TestKlrDenoise:
 
     def test_surrogate_cost_descends_within_iterations(self):
         _, noisy = noisy_curve_samples(1, 300, 0.01)
-        _, trace = klr_denoise(noisy)
+        _, trace = klr_denoise(noisy, IrlsConfig())
         costs = np.array(trace.costs)
         before = np.array(trace.costs_before)
         frac = np.mean(costs <= before + 1e-12)
@@ -224,10 +224,10 @@ class TestKlrDenoise:
     @pytest.mark.parametrize("std", [0.005, 0.01, 0.02])
     def test_matches_eigh_reference_end_to_end(self, monkeypatch, std):
         clean, noisy = noisy_curve_samples(8, 300, std)
-        out, trace = klr_denoise(noisy)
+        out, trace = klr_denoise(noisy, IrlsConfig())
         monkeypatch.setattr("curveband.denoise.irls_weights",
                             irls_weights_reference)
-        ref, ref_trace = klr_denoise(noisy)
+        ref, ref_trace = klr_denoise(noisy, IrlsConfig())
         assert trace.iterations == ref_trace.iterations
         assert np.abs(out.points - ref.points).max() <= 1e-8
         assert abs(point_cloud_snr(clean, out)
@@ -236,7 +236,7 @@ class TestKlrDenoise:
     def test_no_full_size_eigendecomposition(self, eigh_sizes):
         # the O(N^3) eigh of the N x N kernel must not come back
         _, noisy = noisy_curve_samples(9, 300, 0.01)
-        _, trace = klr_denoise(noisy)
+        _, trace = klr_denoise(noisy, IrlsConfig())
         assert len(eigh_sizes) == len(trace.iterations)
         assert max(eigh_sizes) < 300
 
@@ -273,12 +273,12 @@ class TestKlrDenoise:
                           0.5 + 0.1 * np.cos(2 * t)])
         noisy = PointSet(3, helix + 0.01 * rng.standard_normal(helix.shape))
         truth = PointSet(3, helix)
-        out, _ = klr_denoise(noisy)
+        out, _ = klr_denoise(noisy, IrlsConfig())
         assert point_cloud_snr(truth, out) > point_cloud_snr(truth, noisy)
 
     def test_needs_two_points(self):
         with pytest.raises(ContractViolation):
-            klr_denoise(PointSet(2, np.zeros((2, 1))))
+            klr_denoise(PointSet(2, np.zeros((2, 1))), IrlsConfig())
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation):

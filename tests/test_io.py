@@ -293,3 +293,17 @@ class TestReports:
         assert text.startswith("<svg")
         assert text.count("<rect") == 6
         assert text.count("<polyline") == 2
+
+
+@pytest.mark.parametrize("load, text", [
+    pytest.param(cio.load_points, "", id="points-empty"),
+    pytest.param(cio.load_points, "# comment only\n", id="points-comment"),
+    pytest.param(cio.load_polyline_csv, "", id="polyline-empty"),
+    pytest.param(cio.load_polyline_csv, "\n  \n", id="polyline-blank"),
+])
+def test_input_without_data_is_data_error_naming_file(tmp_path, load, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load(path)
+    assert str(path) in str(info.value)

@@ -1,16 +1,20 @@
-"""Every public name of the library has a caller outside the unit tests.
+"""Every public name and every defaulted parameter of the library has a
+caller outside the unit tests.
 
 A public top-level function or class, or a public method or property, in
 src/curveband/*.py must be referenced somewhere other than its own
 definition: in the library itself, in the benchmark scripts
 (perfbench/*.py) or in the acceptance tests. A name that only unit tests
-call is dead weight that the tests keep alive.
+call is dead weight that the tests keep alive. Likewise, every defaulted
+parameter of a public function or method must be set by some call in those
+files.
 
 References are found by name in the syntax trees: a loaded name, an
 attribute, or a string constant spelling a (dotted) identifier, since the
 benchmark tracer names what it patches in strings. Imports and docstrings
 do not count. Matching is by name alone, so a method that shares its name
-with an unrelated attribute (say `shape`) always passes.
+with an unrelated attribute (say `shape`) always passes; calls are matched
+the same way.
 """
 
 import ast
@@ -60,3 +64,51 @@ def test_every_public_name_has_a_caller_outside_unit_tests():
     assert orphans == [], (
         "referenced only by their own definition or by unit tests; inline "
         "them, move them to the tests, or make them private")
+
+
+def _calls_by_name(paths) -> dict:
+    """Every call of a named function or method in the files, by name."""
+    calls = {}
+    for path in paths:
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                calls.setdefault(name, []).append(sub)
+    return calls
+
+
+def _unset_defaults(node: ast.FunctionDef, is_method: bool,
+                    calls: list) -> list[str]:
+    """The defaulted parameters of a definition that none of the calls
+    binds: by keyword, by position (after self or cls for a method), or
+    through `*`/`**`, which may bind any of them."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):] + [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        if d is not None]
+    if is_method and not any(getattr(d, "id", None) == "staticmethod"
+                             for d in node.decorator_list):
+        positional = positional[1:]
+    bound = set()
+    for call in calls:
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            return []
+        bound |= set(positional[:len(call.args)])
+        bound |= {k.arg for k in call.keywords}
+    return [p for p in defaulted if p not in bound]
+
+
+def test_every_default_parameter_is_set_outside_unit_tests():
+    # A default that no caller overrides is a constant posing as a knob.
+    calls = _calls_by_name(CALLERS)
+    unset = [f"{label}({p})" for label, node in _public_definitions()
+             if isinstance(node, ast.FunctionDef)
+             for p in _unset_defaults(node, label.count(".") == 2,
+                                      calls.get(node.name, []))]
+    assert unset == [], (
+        "defaulted parameters that no call outside the unit tests sets; "
+        "make them constants or drop them")
