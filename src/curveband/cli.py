@@ -23,7 +23,7 @@ from .denoise import IrlsConfig, klr_denoise, point_cloud_mse, point_cloud_snr
 from .errors import (AmbiguousSupport, ContractViolation, DataError,
                      NoSamplesAvailable, NumericalFailure)
 from .recovery import (chamfer_distance, nullspace_basis, rank_bound,
-                       rasterized_rank_tol, recover_curve)
+                       recover_curve)
 from .segmentation import segment
 
 EXIT_USAGE = 2
@@ -54,16 +54,17 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _out_dir(args) -> Path:
+    """Create the output directory; called after every check and input read."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     support = _parse_support(args.support)
     poly = random_curve(support, args.seed)
     curve = extract_zero_level_set(poly, args.grid_res)
+    out = _out_dir(args)
     io.save_coefficients(poly, out / "coeffs.json")
     io.save_polyline_svg(curve, out / "curve.svg")
     io.save_polyline_csv(curve, out / "curve.csv")
@@ -79,13 +80,12 @@ def cmd_recover(args) -> int:
         inner = _parse_support(args.inner)
         bound_cols = {"lambda": f"{inner.k1}x{inner.k2}",
                       "bound": rank_bound(outer, inner)}
-    tol = rasterized_rank_tol(args.grid_res)  # rejects a grid under 16
-    out = _out_dir(args)
     pts = io.load_points(args.points, dim=2)
     t0 = time.perf_counter()
-    basis = nullspace_basis(pts, outer, tol)
-    curve = recover_curve(pts, outer, args.grid_res, tol)
+    basis = nullspace_basis(pts, outer, args.grid_res)
+    curve = recover_curve(pts, outer, args.grid_res)
     elapsed = time.perf_counter() - t0
+    out = _out_dir(args)
     io.save_polyline_svg(curve, out / "recovered.svg", points=pts)
     io.save_polyline_csv(curve, out / "recovered.csv")
     row = {"gamma": f"{outer.k1}x{outer.k2}", "N": pts.n_points,
@@ -97,12 +97,12 @@ def cmd_recover(args) -> int:
 
 
 def cmd_phase_transition(args) -> int:
-    out = _out_dir(args)
     k_values = _parse_int_list(args.k_range)
     n_values = _parse_int_list(args.n_range)
     freq = experiments.phase_transition(
         k_values, n_values, args.trials, args.seed,
         grid_res=args.grid_res, threads=args.threads)
+    out = _out_dir(args)
     io.save_phase_csv(freq, k_values, n_values, out / "phase_transition.csv")
     io.save_heatmap_svg(freq, k_values, n_values, out / "phase_transition.svg")
     print(f"phase-transition: {len(k_values)}x{len(n_values)} cells, "
@@ -111,15 +111,18 @@ def cmd_phase_transition(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    out = _out_dir(args)
     noisy = io.load_points(args.points)
+    if noisy.n_points < 2:
+        raise DataError(f"point file {args.points} holds one point; "
+                        "denoising needs at least 2")
     cfg = io.load_irls_config(args.config) if args.config else IrlsConfig()
+    truth = io.load_points(args.truth, dim=noisy.dim) if args.truth else None
     denoised, trace = klr_denoise(noisy, cfg)
+    out = _out_dir(args)
     io.save_points(denoised, out / "denoised.csv")
     io.save_trace_csv(trace, out / "trace.csv")
     lines = ["metric,value", f"iterations,{trace.iterations[-1]}"]
-    if args.truth:
-        truth = io.load_points(args.truth, dim=noisy.dim)
+    if truth is not None:
         snr_in = point_cloud_snr(truth, noisy)
         snr_out = point_cloud_snr(truth, denoised)
         lines += [f"snr_in_db,{snr_in:.17g}", f"snr_out_db,{snr_out:.17g}",
@@ -134,11 +137,11 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    out = _out_dir(args)
     image = io.load_pgm(args.image)
     support = _parse_support(args.filter)
     result = segment(image, args.rank, args.lam, support,
                      max_iters=args.max_iters)
+    out = _out_dir(args)
     io.save_pgm(result.f_star, out / "fstar.pgm")
     io.save_pgm(result.edge_map, out / "edges.pgm")
     contours = experiments.edge_contours(result.edge_map)
@@ -150,7 +153,6 @@ def cmd_segment(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _out_dir(args)
     if args.kind == "curves":
         a = io.load_polyline_csv(args.file_a)
         b = io.load_polyline_csv(args.file_b)
@@ -164,7 +166,7 @@ def cmd_eval(args) -> int:
         snr = point_cloud_snr(a, b)
         lines = ["metric,value", f"mse,{mse:.17g}", f"snr_db,{snr:.17g}"]
         print(f"eval: MSE {mse:.6g}, SNR {snr:.4g} dB")
-    (out / "eval.csv").write_text("\n".join(lines) + "\n")
+    (_out_dir(args) / "eval.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 

@@ -6,10 +6,11 @@ A curve is the zero level set of a trigonometric polynomial
 
 with coefficients c_k supported on a small centered rectangle of integer
 frequencies. This module holds the coefficient-grid representation and the
-geometric plumbing around it: evaluation, products (curve unions),
-rasterization of the zero set on a periodic grid, arc-length sampling of the
-rasterized curve, and Newton projection of samples onto the analytic zero
-set.
+geometric plumbing around it: evaluation on a periodic grid, products
+(curve unions), rasterization of the zero set on that grid, and arc-length
+sampling of the rasterized curve. Samples read off the rasterization lie
+within a grid cell of the zero set; the rank decisions in `recovery` take
+that error into account.
 """
 
 from __future__ import annotations
@@ -19,18 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ContractViolation, NoSamplesAvailable, NumericalFailure
+from .errors import ContractViolation, NoSamplesAvailable
 
 # Values exactly 0 on the sampling grid are nudged onto the negative side so
 # every sign change falls strictly inside a grid edge.
 _ZERO_NUDGE = -1e-300
-
-# Newton projection onto the zero set: a fixed step count (rasterized
-# samples of the criterion-3 curves at grid 512 need at most five) and the
-# residual, relative to the coefficient l1 norm, below which a projected
-# point counts as on the curve (the rounding floor is near 1e-15).
-_PROJECTION_STEPS = 8
-_PROJECTION_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -172,15 +166,6 @@ def wrap_delta(d: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # evaluation and products
-
-
-def evaluate(poly: TrigPolynomial, pts: PointSet) -> np.ndarray:
-    """Evaluate psi at each point; returns a complex array of length N."""
-    if pts.dim != 2:
-        raise ContractViolation(f"curve evaluation needs dim 2, got {pts.dim}")
-    k = poly.support.indices()              # (|support|, 2)
-    phase = k @ pts.points                  # (|support|, N)
-    return poly.coeffs @ np.exp(2j * np.pi * phase)
 
 
 def evaluate_on_grid(poly: TrigPolynomial, grid_res) -> np.ndarray:
@@ -385,40 +370,3 @@ def sample_curve(curve: Polyline, n: int, seed,
     frac = offset / lengths[idx]
     pts = (starts[idx] + frac[:, None] * deltas[idx]) % 1.0
     return PointSet(2, pts.T)
-
-
-def project_to_zero_set(poly: TrigPolynomial, pts: PointSet) -> PointSet:
-    """Newton-project points onto the analytic zero set {psi = 0}.
-
-    Takes _PROJECTION_STEPS minimum-norm Newton steps
-    x <- x - psi(x) grad psi(x) / |grad psi(x)|^2, wrapped back into
-    [0,1)^2. Samples read off a rasterized curve start within a grid cell
-    of the zero set and reach the rounding floor in about four steps; the
-    remaining steps move them by rounding noise only.
-
-    Requires a hermitian (real-valued) polynomial. Raises NumericalFailure
-    when, after the last step, some |psi(x)| is not below
-    _PROJECTION_RESIDUAL_TOL times the l1 norm of the coefficients (an upper
-    bound on |psi| over the square), so points are never returned off the
-    curve without notice.
-    """
-    if not poly.hermitian:
-        raise ContractViolation("zero-set projection needs a hermitian "
-                                "(real-valued) polynomial")
-    if pts.dim != 2:
-        raise ContractViolation(f"zero-set projection needs dim 2, got {pts.dim}")
-    k = poly.support.indices()
-    grad_coeffs = (2j * np.pi) * k.T * poly.coeffs          # (2, |support|)
-    x = pts.points.copy()
-    for _ in range(_PROJECTION_STEPS):
-        basis = np.exp(2j * np.pi * (k @ x))
-        val = (poly.coeffs @ basis).real
-        g = (grad_coeffs @ basis).real
-        x = (x - g * (val / np.maximum(np.sum(g * g, axis=0), 1e-30))) % 1.0
-    residual = np.abs(evaluate(poly, PointSet(2, x)))
-    tol = _PROJECTION_RESIDUAL_TOL * float(np.abs(poly.coeffs).sum())
-    if residual.size and residual.max() >= tol:
-        raise NumericalFailure(
-            f"zero-set projection left max |psi| = {residual.max():.1e}, "
-            f"not below {tol:.1e}, after {_PROJECTION_STEPS} Newton steps")
-    return PointSet(2, x)

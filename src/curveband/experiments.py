@@ -15,13 +15,12 @@ from scipy.spatial import cKDTree
 
 from .curve_model import (FrequencySupport, PointSet, Polyline,
                           TrigPolynomial, contour_periodic_grid,
-                          extract_zero_level_set, multiply,
-                          project_to_zero_set, random_curve, sample_curve)
+                          extract_zero_level_set, multiply, random_curve,
+                          sample_curve)
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
 from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
-from .recovery import (ANALYTIC_RANK_TOL, SumOfSquares, chamfer_distance,
-                       estimate_coefficients, hermitian_align,
-                       nullspace_basis, rasterized_rank_tol, recover_curve)
+from .recovery import (SumOfSquares, chamfer_distance, estimate_coefficients,
+                       hermitian_align, nullspace_basis, recover_curve)
 from .segmentation import GrayImage
 
 # Random polynomials drawn per curve before giving up on a non-empty zero set.
@@ -63,7 +62,7 @@ def _recovery_error(pts: PointSet, support: FrequencySupport,
     (inf = failed: ambiguous or rejected estimate, no real-valued alignment,
     or an empty curve on either side)."""
     try:
-        est = estimate_coefficients(pts, support, rasterized_rank_tol(grid_res))
+        est = estimate_coefficients(pts, support, grid_res)
     except (AmbiguousSupport, ContractViolation):
         return np.inf
     aligned = hermitian_align(est)
@@ -167,30 +166,26 @@ def overcomplete_trial(seed, outer: FrequencySupport,
                        n_samples: int = 220, grid_res: int = 512) -> dict:
     """Null-space study on a 5x5 union curve with an over-estimated support.
 
-    The samples are drawn from the grid_res rasterization of the curve and
-    then Newton-projected onto the analytic zero set of the product
-    polynomial, so they lie on the curve the rank theorem is about; the
-    rank is decided at ANALYTIC_RANK_TOL. Rasterized samples carry a
-    relative singular-value floor near 4e-5 that ill-conditioned curves
-    reach, which no rank cut separates from the true spectrum.
+    The samples are drawn from the grid_res rasterization of the curve, as
+    `curveband recover` reads them, and take the same rank decision: the
+    smallest annihilating rectangle (recovery.nullspace_basis).
 
-    Returns the measured rank and null-space dimension, the two rank-cut
-    margins (s[rank-1]/cut and cut/s[rank]), the curve error of the
+    Returns the measured rank and null-space dimension, the two margins of
+    that decision (NullspaceBasis.margins), the curve error of the
     sum-of-squares recovery, and the on/off-curve separation statistics of
     the sum-of-squares values.
     """
-    product, truth, _, _ = union_curve(seed, grid_res)
-    pts = project_to_zero_set(
-        product, sample_curve(truth, n_samples, seed=child_seed(seed, 1)))
-    basis = nullspace_basis(pts, outer, ANALYTIC_RANK_TOL)
-    margin_above, margin_below = basis.rank_margins(ANALYTIC_RANK_TOL)
+    _, truth, _, _ = union_curve(seed, grid_res)
+    pts = sample_curve(truth, n_samples, seed=child_seed(seed, 1))
+    basis = nullspace_basis(pts, outer, grid_res)
+    margin_above, margin_below = basis.margins
     result = {"q": basis.q, "rank": basis.rank, "margin_above": margin_above,
               "margin_below": margin_below, "chamfer": np.inf}
-    recovered = recover_curve(pts, outer, grid_res, ANALYTIC_RANK_TOL)
+    recovered = recover_curve(pts, outer, grid_res)
     if not recovered.is_empty:
         result["chamfer"] = chamfer_distance(recovered, truth)
     if basis.q >= 1:
-        sos = SumOfSquares(basis)
+        sos = SumOfSquares(basis.support, basis.vectors)
         on_vals = sos(pts)
         off_vals = sos(offcurve_probes(truth, 2000, child_seed(seed, 3)))
         result["on_p95"] = float(np.quantile(on_vals, 0.95))

@@ -2,15 +2,18 @@
 
 With the frequency support known, the coefficient vector is the smallest
 right singular vector of the transposed feature matrix. With the support
-over-estimated, the feature matrix has a multi-dimensional null space; every
-null vector factors through the true curve, and the sum-of-squares of the
-null-space polynomials vanishes exactly on it. This module implements both
-routes plus the rank bound (a shift count) and the curve-error metric used
-to score recoveries.
+over-estimated, the feature matrix has a multi-dimensional null space,
+spanned by the shifts of the curve's minimal polynomial, and the
+sum-of-squares of the null-space polynomials vanishes exactly on the curve.
+Its rank is decided from the smallest rectangle whose feature matrix
+annihilates the samples, and is then the shift count `rank_bound`. This
+module implements both routes plus that count and the curve-error metric
+used to score recoveries.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -25,28 +28,29 @@ from .lifting import feature_matrix
 
 _log = logging.getLogger(__name__)
 
-# Singular values below tol * sigma_max count as null directions. Analytic
-# (exact) samples sit at machine noise; rasterized samples sit at the
-# marching-squares interpolation error, which scales like 1/grid_res^2 but
-# is thresholded conservatively at the 1e-3 scale of a 512 grid. That
-# rasterization floor is near 4e-5 (relative) for 5x5 union curves on an
-# 11x11 support at grid 512, and an ill-conditioned curve has true singular
-# values below 1e-4 that sink into it, so no cut on rasterized samples
-# separates them. Exact rank decisions need on-curve samples
-# (curve_model.project_to_zero_set) ranked at ANALYTIC_RANK_TOL.
-ANALYTIC_RANK_TOL = 1e-6
+# Relative singular-value cuts (s / s_max) for samples read off a grid_res
+# rasterization, stated at grid 512. The samples sit off the zero set by the
+# marching-squares interpolation error, which scales like grid_res^-2.
+# - The known-support cut scales by 512 / grid_res, a conservative bound.
+# - The rank cut scales by (512 / grid_res)^2. On 5x5 union curves with an
+#   11x11 support (220 samples), the curve's own rectangle reads at most
+#   1.2e-5 at grid 512 (4.6e-5 at 256) and every smaller one at least
+#   2.45e-3, so 1.5e-4 leaves 12x or more on both sides. The 11x11 spectrum
+#   alone has no such gap: s72 / s73 is 5.6e-5 / 4.3e-5 on the worst curve.
+_KNOWN_SUPPORT_CUT = 1e-3
+_RANK_CUT = 1.5e-4
 
 # hermitian_align rejects a vector whose asymmetry |c[-k] - conj(c[k])|,
 # after phase alignment, exceeds this fraction of its largest coefficient.
 _HERMITIAN_DEFECT_TOL = 0.05
 
 
-def rasterized_rank_tol(grid_res: int) -> float:
-    """Rank tolerance for samples read off a grid_res rasterization.
-    Rejects grid_res < 16, the smallest grid extract_zero_level_set takes."""
+def _grid_scale(grid_res: int) -> float:
+    """512 / grid_res. Rejects grid_res < 16, the smallest grid
+    extract_zero_level_set takes."""
     if grid_res < 16:
         raise ContractViolation(f"grid_res must be at least 16, got {grid_res}")
-    return 1e-3 * (512.0 / grid_res)
+    return 512.0 / grid_res
 
 
 @dataclass
@@ -54,13 +58,18 @@ class NullspaceBasis:
     """Orthonormal basis of the numerical null space of a feature matrix.
 
     `vectors` has shape (Q, |support|): row i holds the coefficients of one
-    annihilating polynomial. `singular_values` is the full spectrum
-    (descending, zero-padded to |support|) behind the rank decision.
+    annihilating polynomial. `cut` is the relative singular-value cut the
+    rank was decided at, and `margins` = (above, below) how far that
+    decision is from flipping (inf when nothing bounds it). Decided by a
+    rectangle: the smallest s / s_max that must stay above the cut over it,
+    and the cut over the rectangle's s_min / s_max. Decided by the spectrum:
+    s[rank-1] / s_max over the cut, and the cut over s[rank] / s_max.
     """
 
     support: FrequencySupport
     vectors: np.ndarray
-    singular_values: np.ndarray
+    cut: float
+    margins: tuple[float, float]
 
     @property
     def q(self) -> int:
@@ -70,57 +79,37 @@ class NullspaceBasis:
     def rank(self) -> int:
         return len(self.support) - self.q
 
-    def rank_margins(self, rank_tol: float) -> tuple[float, float]:
-        """How far the rank decision at rank_tol is from flipping.
 
-        Returns (s[rank-1] / cut, cut / s[rank]) with cut = rank_tol *
-        s[0]: the smallest kept singular value over the cut, and the cut
-        over the largest dropped one. Both are at least 1; a missing or zero
-        singular value gives inf. Rejects a rank_tol outside (0, 1) or one
-        that cuts this spectrum at another rank.
-        """
-        s = self.singular_values
-        cut = rank_tol * s[0]
-        if not 0 < rank_tol < 1 or np.count_nonzero(s > cut) != self.rank:
-            raise ContractViolation(f"rank_tol {rank_tol} does not cut this "
-                                    f"basis at rank {self.rank}")
-        above = s[self.rank - 1] / cut if self.rank > 0 else np.inf
-        below = cut / s[self.rank] if self.q > 0 and s[self.rank] > 0 else np.inf
-        return float(above), float(below)
-
-
-def _feature_svd(pts: PointSet, support: FrequencySupport, rank_tol: float
-                 ) -> tuple[np.ndarray, np.ndarray, float]:
+def _feature_svd(pts: PointSet, support: FrequencySupport
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of the transposed feature matrix m (descending,
-    zero-padded to |support|), all of its right singular vectors, and the
-    rank cut rank_tol * sigma_max. A wide m needs the full SVD for that; the
-    thin SVD of a tall m returns all. Rejects a rank_tol outside (0, 1)."""
-    if not 0 < rank_tol < 1:
-        raise ContractViolation(f"rank_tol must lie in (0, 1), got {rank_tol}")
+    zero-padded to |support|) and all of its right singular vectors. A wide
+    m needs the full SVD for that; the thin SVD of a tall m returns all."""
     if pts.n_points < 1:
         raise ContractViolation("the feature-matrix SVD needs at least 1 point")
     m = feature_matrix(pts, support).data.T
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     s_full = np.zeros(m.shape[1])
     s_full[:s.size] = s
-    return s_full, vh, rank_tol * s_full[0]
+    return s_full, vh
 
 
 def estimate_coefficients(pts: PointSet, support: FrequencySupport,
-                          rank_tol: float) -> TrigPolynomial:
+                          grid_res: int) -> TrigPolynomial:
     """Coefficients of the curve through the points, support known.
 
     Returns the unit-norm minimizer of sum_i |psi(x_i)|^2, i.e. the right
     singular vector of the transposed feature matrix with smallest singular
-    value, up to a global phase (hermitian_align fixes it). Raises
-    AmbiguousSupport when a second singular value also falls below
-    rank_tol * sigma_max.
+    value, up to a global phase (hermitian_align fixes it). The samples are
+    read off a grid_res rasterization. Raises AmbiguousSupport when a second
+    singular value also falls below the known-support cut times sigma_max.
     """
-    s_full, vh, cut = _feature_svd(pts, support, rank_tol)
-    if len(support) >= 2 and s_full[-2] < cut:
+    tol = _KNOWN_SUPPORT_CUT * _grid_scale(grid_res)
+    s_full, vh = _feature_svd(pts, support)
+    if len(support) >= 2 and s_full[-2] < tol * s_full[0]:
         raise AmbiguousSupport(
-            "null space has dimension > 1 at tolerance "
-            f"{rank_tol:g}; use nullspace_basis for over-estimated supports")
+            f"null space has dimension > 1 at tolerance {tol:g}; use "
+            "nullspace_basis for over-estimated supports")
     return TrigPolynomial(support, np.conj(vh[-1]))
 
 
@@ -133,36 +122,96 @@ def rank_bound(outer: FrequencySupport, inner: FrequencySupport) -> int:
     return len(outer) - (outer.k1 - inner.k1 + 1) * (outer.k2 - inner.k2 + 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _rectangles_by_area(k1: int, k2: int
+                        ) -> list[tuple[int, list[FrequencySupport],
+                                        np.ndarray]]:
+    """(area, rectangles, index stack) per area >= 2 of the rectangles in a
+    k1 x k2 support. Row r of the stack indexes rectangle r in the corner:
+    moving it by l scales each sample's row by exp(2j pi l.x), a unitary
+    diagonal that leaves its singular values unchanged."""
+    shapes: dict[int, list[tuple[int, int]]] = {}
+    for a1 in range(1, k1 + 1):
+        for a2 in range(1, k2 + 1):
+            if a1 * a2 >= 2:
+                shapes.setdefault(a1 * a2, []).append((a1, a2))
+    return [(area, [FrequencySupport(*s) for s in group],
+             np.array([(np.arange(a1)[:, None] * k2 + np.arange(a2)).ravel()
+                       for a1, a2 in group]))
+            for area, group in sorted(shapes.items())]
+
+
+def _minimal_rectangle(gram: np.ndarray, support: FrequencySupport,
+                       n_points: int, cut: float
+                       ) -> tuple[FrequencySupport, tuple[float, float]] | None:
+    """(rectangle, margins) for the smallest rectangle, in area order up to
+    n_points, whose feature matrix has a 1-D null space at the cut: its
+    smallest s / s_max is below the cut and its second is not. Each spectrum
+    is read off a principal sub-block of gram = m^H m, one eigvalsh call per
+    area. Every rectangle of an area is visited, since the nearest miss need
+    not nest in the answer. None when no rectangle decides."""
+    closest = np.inf  # smallest s_min / s_max over the smaller areas
+    for area, rects, idx in _rectangles_by_area(*support.shape):
+        if area > n_points:
+            break
+        lam = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        ratio = np.sqrt(np.maximum(lam[:, :2], 0.0) / lam[:, -1:])
+        decides = (ratio[:, 0] < cut) & (ratio[:, 1] >= cut)
+        if decides.any():
+            j = np.flatnonzero(decides)[np.argmin(ratio[decides, 0])]
+            s_min, s_next = ratio[j]
+            below = cut / s_min if s_min > 0 else np.inf
+            return rects[j], (float(min(closest, s_next) / cut), float(below))
+        closest = min(closest, ratio[:, 0].min())
+    return None
+
+
 def nullspace_basis(pts: PointSet, support: FrequencySupport,
-                    rank_tol: float) -> NullspaceBasis:
-    """Orthonormal numerical null space of the transposed feature matrix."""
-    s_full, vh, cut = _feature_svd(pts, support, rank_tol)
-    rank = int(np.count_nonzero(s_full > cut))
-    return NullspaceBasis(support, np.conj(vh[rank:]), s_full)
+                    grid_res: int) -> NullspaceBasis:
+    """Orthonormal numerical null space of the transposed feature matrix of
+    samples read off a grid_res rasterization. Its rank is rank_bound of the
+    smallest annihilating rectangle (at most N), or, when no rectangle
+    decides, the count of singular values above the cut times sigma_max."""
+    cut = _RANK_CUT * _grid_scale(grid_res) ** 2
+    s_full, vh = _feature_svd(pts, support)
+    gram = (np.conj(vh.T) * s_full ** 2) @ vh
+    found = _minimal_rectangle(gram, support, pts.n_points, cut)
+    if found is not None:
+        rect, margins = found
+        rank = min(rank_bound(support, rect), pts.n_points)
+    else:
+        rel = s_full / s_full[0]
+        rank = int(np.count_nonzero(rel > cut))
+        above = rel[rank - 1] / cut if rank else np.inf
+        below = cut / rel[rank] if rank < rel.size and rel[rank] else np.inf
+        margins = (float(above), float(below))
+    return NullspaceBasis(support, np.conj(vh[rank:]), cut, margins)
 
 
 class SumOfSquares:
-    """gamma(x) = sum_i |mu_i(x)|^2 over a null-space basis.
+    """gamma(x) = sum_i |mu_i(x)|^2 over the rows mu_i of a null-space basis.
 
-    Nonnegative everywhere and vanishing only on the common zero set of the
-    basis polynomials. Also materialized as a hermitian trig polynomial on
-    the doubled support, which is what grid evaluation and contouring use:
-    with V the (q, |support|) basis rows, the coefficient at lag d sums the
+    `rows` has shape (q, |support|), q >= 1, one coefficient vector per
+    row. gamma is nonnegative everywhere and vanishes only on the common
+    zero set of the row polynomials. It is also materialized as a hermitian
+    trig polynomial on the doubled support, which is what grid evaluation
+    and contouring use: with V the rows, the coefficient at lag d sums the
     null-space projector P = V^T conj(V) over every index pair a - b = d
-    (the summed autocorrelations of the basis grids). P, and so gamma, is
+    (the summed autocorrelations of the row grids). P, and so gamma, is
     unchanged by any unitary rotation of the rows.
     """
 
-    def __init__(self, basis: NullspaceBasis):
-        if basis.q < 1:
+    def __init__(self, support: FrequencySupport, rows: np.ndarray):
+        if rows.shape[0] < 1:
             raise ContractViolation("sum of squares needs a non-empty basis")
-        self.basis = basis
-        k1, k2 = basis.support.shape
+        self.support = support
+        self.rows = rows
+        k1, k2 = support.shape
         n1, n2 = 2 * k1 - 1, 2 * k2 - 1
         i1, i2 = np.divmod(np.arange(k1 * k2), k2)
         lag = ((i1[:, None] - i1 + k1 - 1) * n2
                + (i2[:, None] - i2 + k2 - 1)).ravel()
-        p = (basis.vectors.T @ np.conj(basis.vectors)).ravel()
+        p = (rows.T @ np.conj(rows)).ravel()
         acc = (np.bincount(lag, p.real, n1 * n2)
                + 1j * np.bincount(lag, p.imag, n1 * n2)).reshape(n1, n2)
         acc = 0.5 * (acc + np.conj(acc[::-1, ::-1]))
@@ -172,8 +221,7 @@ class SumOfSquares:
 
     def __call__(self, pts: PointSet) -> np.ndarray:
         """Evaluate gamma at the points; real nonnegative, length N."""
-        phi = feature_matrix(pts, self.basis.support).data
-        v = self.basis.vectors @ phi
+        v = self.rows @ feature_matrix(pts, self.support).data
         return np.maximum(np.abs(v) ** 2, 0.0).sum(axis=0)
 
     def evaluate_grid(self, grid_res) -> np.ndarray:
@@ -205,25 +253,23 @@ def hermitian_align(poly: TrigPolynomial) -> TrigPolynomial | None:
     return TrigPolynomial(poly.support, sym.ravel(), hermitian=True)
 
 
-def recover_curve(pts: PointSet, support: FrequencySupport, grid_res: int,
-                  rank_tol: float) -> Polyline:
+def recover_curve(pts: PointSet, support: FrequencySupport,
+                  grid_res: int) -> Polyline:
     """Recover a curve from samples with a (possibly over-estimated) support.
 
-    Runs the null-space decomposition at rank_tol; with a single null
-    vector the real representative is contoured directly, otherwise the
-    sum-of-squares polynomial is contoured at an automatically calibrated
-    level: 3x the median over the input samples, floored at the smallest
-    level the contouring grid can actually resolve (estimated from gamma at
-    the grid corners adjacent to the samples). Rejects grid_res < 16 before
-    any work and logs a warning when N < |support| - 1 (underdetermined
-    null space).
+    Runs the null-space decomposition of samples read off a grid_res
+    rasterization; with a single null vector the real representative is
+    contoured directly, otherwise the sum-of-squares polynomial is contoured
+    at an automatically calibrated level: 3x the median over the input
+    samples, floored at the smallest level the contouring grid can actually
+    resolve (estimated from gamma at the grid corners adjacent to the
+    samples). Rejects grid_res < 16 before any work and logs a warning when
+    N < |support| - 1 (underdetermined null space).
     """
-    if grid_res < 16:
-        raise ContractViolation(f"grid_res must be at least 16, got {grid_res}")
+    basis = nullspace_basis(pts, support, grid_res)
     if pts.n_points < len(support) - 1:
         _log.warning("%d samples < |support| - 1 = %d: underdetermined null "
                      "space", pts.n_points, len(support) - 1)
-    basis = nullspace_basis(pts, support, rank_tol)
     if basis.q == 0:
         raise NumericalFailure(
             "no null-space vector at tolerance; the support may be too small "
@@ -233,7 +279,7 @@ def recover_curve(pts: PointSet, support: FrequencySupport, grid_res: int,
             TrigPolynomial(basis.support, basis.vectors[0]))
         if aligned is not None:
             return extract_zero_level_set(aligned, grid_res)
-    sos = SumOfSquares(basis)
+    sos = SumOfSquares(basis.support, basis.vectors)
     level = 3.0 * float(np.median(sos(pts)))
     grid = sos.evaluate_grid(grid_res)
     level = max(level, _resolvable_level(grid, pts))

@@ -23,7 +23,7 @@ from scipy.sparse.linalg import splu
 
 from .curve_model import FrequencySupport
 from .errors import ContractViolation
-from .recovery import NullspaceBasis, SumOfSquares
+from .recovery import SumOfSquares
 
 # segment stops once an update moves f by less than this (relative).
 _SEGMENT_REL_TOL = 1e-3
@@ -175,8 +175,8 @@ def segment(h: GrayImage, rank: int, lam: float,
         objective = float(np.linalg.norm(f - h.pixels) ** 2
                           + lam * np.sum(s2[rank:]))
         history.append(objective)
-        basis = NullspaceBasis(filter_support, v[:, rank:].T, np.sqrt(s2))
-        weights = np.maximum(SumOfSquares(basis).evaluate_grid((hh, ww)), 0.0)
+        sos = SumOfSquares(filter_support, v[:, rank:].T)
+        weights = np.maximum(sos.evaluate_grid((hh, ww)), 0.0)
         if objective < best[0]:
             best = (objective, f.copy(), weights)
         if converged or iterations >= max_iters:

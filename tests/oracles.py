@@ -4,10 +4,20 @@ from pathlib import Path
 
 import numpy as np
 
-from curveband import (GrayImage, PointSet, TrigPolynomial, evaluate,
-                       evaluate_on_grid)
+from curveband import (FrequencySupport, GrayImage, PointSet, TrigPolynomial,
+                       evaluate_on_grid, feature_matrix)
 from curveband.curve_model import _ZERO_NUDGE, _convolve_full
 from curveband.errors import ContractViolation, NumericalFailure
+
+
+def evaluate(poly, pts):
+    """psi at each point, by the direct sum over the support; a complex array
+    of length N."""
+    if pts.dim != 2:
+        raise ContractViolation(f"curve evaluation needs dim 2, got {pts.dim}")
+    k = poly.support.indices()              # (|support|, 2)
+    phase = k @ pts.points                  # (|support|, N)
+    return poly.coeffs @ np.exp(2j * np.pi * phase)
 
 
 def shift_set_reference(outer, inner):
@@ -74,6 +84,29 @@ def refine_to_zero_set(poly, pts, iters=6):
         g = np.stack([evaluate(dx1, p).real, evaluate(dx2, p).real])
         x = (x - g * (val / np.maximum(np.sum(g * g, axis=0), 1e-30))) % 1.0
     return PointSet(2, x)
+
+
+def minimal_rectangle_by_svd(pts, support, cut):
+    """The rectangle that decides the over-complete rank, and the margins of
+    that decision, by one SVD of each rectangle's own (centred) feature
+    matrix, visited shape by shape in area order; the reference for the
+    Gram sub-block search in `curveband.nullspace_basis`. Returns
+    (None, None) when no rectangle decides."""
+    closest = np.inf
+    for area in range(2, min(len(support), pts.n_points) + 1):
+        ratios = []
+        for a1 in range(1, support.k1 + 1):
+            if area % a1 == 0 and area // a1 <= support.k2:
+                rect = FrequencySupport(a1, area // a1)
+                s = np.linalg.svd(feature_matrix(pts, rect).data.T,
+                                  compute_uv=False)
+                ratios.append((s[-1] / s[0], s[-2] / s[0], rect))
+        found = [r for r in ratios if r[0] < cut <= r[1]]
+        if found:
+            s_min, s_next, rect = min(found, key=lambda r: r[0])
+            return rect, (min(closest, s_next) / cut, cut / s_min)
+        closest = min([closest] + [r[0] for r in ratios])
+    return None, None
 
 
 def count_common_zeros(pa, pb, grid=128, bound_hint=64):
@@ -268,13 +301,13 @@ def edge_weights_by_svd(lift, rank, shape):
     return np.sum(np.abs(values) ** 2, axis=0).reshape(n1, n2)
 
 
-def sum_of_squares_by_rows(basis):
-    """Coefficient grid of the sum-of-squares of a null-space basis, one
-    full autocorrelation per basis row, summed and made hermitian; the
-    reference for the projector build of `curveband.SumOfSquares`."""
-    k1, k2 = basis.support.shape
+def sum_of_squares_by_rows(support, rows):
+    """Coefficient grid of the sum-of-squares of null-space basis rows, one
+    full autocorrelation per row, summed and made hermitian; the reference
+    for the projector build of `curveband.SumOfSquares`."""
+    k1, k2 = support.shape
     acc = np.zeros((2 * k1 - 1, 2 * k2 - 1), dtype=complex)
-    for row in basis.vectors:
+    for row in rows:
         g = row.reshape(k1, k2)
         acc += _convolve_full(g, np.conj(g[::-1, ::-1]))
     return 0.5 * (acc + np.conj(acc[::-1, ::-1]))

@@ -99,6 +99,19 @@ class TestRecover:
                        ) == 2, grid
             assert "grid_res" in capsys.readouterr().err, grid
 
+    def test_ill_conditioned_union_curve_reports_rank_72(self, tmp_path):
+        # criterion-3 curve 6: the 11x11 spectrum alone reads rank 68 here
+        _, truth, _, _ = union_curve(6, 512)
+        pts_path = tmp_path / "union6.csv"
+        cio.save_points(sample_curve(truth, 220, seed=child_seed(6, 1)),
+                        pts_path)
+        out = tmp_path / "rec"
+        assert run(["recover", pts_path, "--gamma", "11x11", "--inner", "5x5",
+                    "--grid-res", 512, "--out-dir", out]) == 0
+        header, row = (out / "rank_report.csv").read_text().split()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["measured_rank"] == cells["bound"] == "72"
+
     @pytest.mark.parametrize("inner", ["bogus", "7x7"])
     def test_bad_inner_exits_2_before_any_output(self, tmp_path, capsys,
                                                  inner):
@@ -191,6 +204,15 @@ class TestDenoise:
                     "--out-dir", out]) == 0
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert len(trace) - 1 == 4
+
+    def test_one_point_file_exits_3(self, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("0.25,0.5\n")
+        out = tmp_path / "dn"
+        assert run(["denoise", one, "--out-dir", out]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(one) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["gamma0 = inf", "eta = 1"],
                              ids=["gamma0-inf", "eta-1"])
@@ -387,3 +409,24 @@ class TestUnreadableInputs:
         assert run(argv) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and str(bad) in err
+
+
+# A command line each command rejects after parsing: a bad option value for
+# the commands without an input file, a missing input file for the others.
+REJECTED = {"synth": (["--support", "nonsense"], 2),
+            "phase-transition": (["--k-range", "x"], 2)}
+
+
+@pytest.mark.parametrize("command", sorted(subcommands()))
+def test_rejected_command_leaves_no_out_dir(tmp_path, command):
+    parser = subcommands()[command]
+    inputs = [a for a in parser._actions if not a.option_strings]
+    if inputs:
+        argv = ([tmp_path / "missing" for _ in inputs]
+                + TestUnreadableInputs.REQUIRED.get(command, []))
+        expected = 3
+    else:
+        argv, expected = REJECTED[command]
+    out = tmp_path / "out"
+    assert run([command, *argv, "--out-dir", out]) == expected
+    assert not out.exists()

@@ -9,16 +9,15 @@ from scipy.signal import convolve2d
 
 import curveband
 from curveband import (ContractViolation, FrequencySupport, NoSamplesAvailable,
-                       NumericalFailure, PointSet, TrigPolynomial, evaluate,
-                       evaluate_on_grid, extract_zero_level_set, multiply,
-                       project_to_zero_set, random_curve, sample_curve)
+                       PointSet, TrigPolynomial, evaluate_on_grid,
+                       extract_zero_level_set, multiply, random_curve,
+                       sample_curve)
 from curveband.curve_model import (_convolve_full, contour_periodic_grid,
                                    wrap_delta)
-from curveband.experiments import (child_seed, disk_phantom,
-                                   known_support_trial, multi_disk_phantom,
-                                   union_curve)
-from oracles import (contour_periodic_grid_reference, random_curve_reference,
-                     refine_to_zero_set)
+from curveband.experiments import (disk_phantom, known_support_trial,
+                                   multi_disk_phantom, union_curve)
+from oracles import (contour_periodic_grid_reference, evaluate,
+                     random_curve_reference)
 
 
 def naive_evaluate(poly, x):
@@ -321,52 +320,6 @@ class TestSampleCurve:
     def test_known_support_trial_takes_only_the_left_half(self):
         with pytest.raises(ContractViolation):
             known_support_trial(FrequencySupport(3, 3), 10, 0, restrict="right")
-
-
-class TestProjectToZeroSet:
-    @pytest.fixture(scope="class")
-    def union6(self):
-        # the criterion-3 curve whose rasterized samples misjudge the rank
-        product, truth, _, _ = union_curve(6, 512)
-        return product, sample_curve(truth, 220, seed=child_seed(6, 1))
-
-    def test_residual_at_machine_precision(self, union6):
-        product, raw = union6
-        assert np.abs(evaluate(product, raw)).max() > 1e-8
-        pts = project_to_zero_set(product, raw)
-        assert np.abs(evaluate(product, pts)).max() <= 1e-12
-
-    def test_matches_oracle_refinement(self, union6):
-        product, raw = union6
-        ours = project_to_zero_set(product, raw).points
-        ref = refine_to_zero_set(product, raw).points
-        assert np.abs((ours - ref + 0.5) % 1.0 - 0.5).max() <= 1e-12
-
-    def test_moves_points_less_than_a_grid_cell(self, union6):
-        product, raw = union6
-        pts = project_to_zero_set(product, raw)
-        assert np.abs((pts.points - raw.points + 0.5) % 1.0 - 0.5).max() < 1 / 512
-
-    def test_non_hermitian_rejected(self, union6):
-        product, raw = union6
-        complex_poly = TrigPolynomial(product.support, product.coeffs)
-        with pytest.raises(ContractViolation):
-            project_to_zero_set(complex_poly, raw)
-
-    def test_unconverged_points_raise(self, union6):
-        # Lifting the DC term above the coefficient l1 norm leaves a
-        # polynomial with no zero set, so Newton cannot converge.
-        product, raw = union6
-        c = product.coeffs.copy()
-        dc = np.flatnonzero(~product.support.indices().any(axis=1)).item()
-        c[dc] += 2 * np.abs(c).sum()
-        no_zeros = TrigPolynomial(product.support, c, hermitian=True)
-        with pytest.raises(NumericalFailure):
-            project_to_zero_set(no_zeros, raw)
-
-    def test_empty_point_set(self, union6):
-        product, _ = union6
-        assert project_to_zero_set(product, PointSet.empty(2)).n_points == 0
 
 
 class TestRandomCurve:

@@ -6,15 +6,14 @@ import pytest
 from curveband import (AmbiguousSupport, ContractViolation, FrequencySupport,
                        PointSet, Polyline, SumOfSquares,
                        TrigPolynomial, chamfer_distance, estimate_coefficients,
-                       evaluate, evaluate_on_grid, extract_zero_level_set,
-                       hermitian_align, multiply, nullspace_basis, random_curve,
+                       evaluate_on_grid, extract_zero_level_set,
+                       hermitian_align, nullspace_basis, random_curve,
                        rank_bound, recover_curve, sample_curve)
-from curveband.experiments import (curve_with_zero_set, overcomplete_trial,
-                                   union_curve)
-from curveband.recovery import (ANALYTIC_RANK_TOL, NullspaceBasis,
-                                rasterized_rank_tol)
-from oracles import (count_common_zeros, refine_to_zero_set,
-                     shift_set_reference, sum_of_squares_by_rows)
+from curveband.experiments import (child_seed, curve_with_zero_set,
+                                   overcomplete_trial, union_curve)
+from oracles import (count_common_zeros, evaluate, minimal_rectangle_by_svd,
+                     refine_to_zero_set, shift_set_reference,
+                     sum_of_squares_by_rows)
 
 
 def line_pair_points(n=12, seed=0):
@@ -27,8 +26,7 @@ def line_pair_points(n=12, seed=0):
 class TestEstimateCoefficients:
     def test_analytic_line_pair(self):
         support = FrequencySupport(3, 1)
-        est = estimate_coefficients(line_pair_points(), support,
-                                    ANALYTIC_RANK_TOL)
+        est = estimate_coefficients(line_pair_points(), support, 512)
         c = np.array([0.5, 0.0, 0.5])
         corr = abs(np.vdot(c, est.coeffs)) / np.linalg.norm(c)
         assert corr >= 1.0 - 1e-10
@@ -40,28 +38,26 @@ class TestEstimateCoefficients:
         poly, curve = curve_with_zero_set(FrequencySupport(3, 3), 2, 256)
         pts = refine_to_zero_set(poly, sample_curve(curve, 40, seed=0))
         support = FrequencySupport(3, 3)
-        base = estimate_coefficients(pts, support, ANALYTIC_RANK_TOL).coeffs
+        base = estimate_coefficients(pts, support, 256).coeffs
         rng = np.random.default_rng(1)
         perm = rng.permutation(40)
         shuffled = PointSet(2, pts.points[:, perm])
         dup = PointSet(2, np.concatenate([pts.points, pts.points[:, :15]],
                                          axis=1))
         for variant in (shuffled, dup):
-            c = estimate_coefficients(variant, support,
-                                      ANALYTIC_RANK_TOL).coeffs
+            c = estimate_coefficients(variant, support, 256).coeffs
             phase = np.vdot(c, base)
             assert np.abs(c * phase / abs(phase) - base).max() <= 1e-10
 
     def test_too_few_points_is_ambiguous(self):
         pts = PointSet(2, np.array([[0.2, 0.8], [0.3, 0.6]]))
         with pytest.raises(AmbiguousSupport):
-            estimate_coefficients(pts, FrequencySupport(3, 3),
-                                  ANALYTIC_RANK_TOL)
+            estimate_coefficients(pts, FrequencySupport(3, 3), 512)
 
     def test_empty_point_set_rejected(self):
         with pytest.raises(ContractViolation):
             estimate_coefficients(PointSet.empty(2), FrequencySupport(3, 3),
-                                  ANALYTIC_RANK_TOL)
+                                  512)
 
 
 class TestShiftSet:
@@ -112,28 +108,27 @@ class TestNullspaceBasis:
     def test_line_pair_single_vector_matches_estimate(self):
         support = FrequencySupport(3, 1)
         pts = line_pair_points(16, 3)
-        basis = nullspace_basis(pts, support, ANALYTIC_RANK_TOL)
+        basis = nullspace_basis(pts, support, 512)
         assert basis.q == 1
-        est = estimate_coefficients(pts, support, ANALYTIC_RANK_TOL)
+        est = estimate_coefficients(pts, support, 512)
         corr = abs(np.vdot(basis.vectors[0], est.coeffs))
         assert corr >= 1.0 - 1e-10
 
     def test_vectors_orthonormal(self):
         _, truth, _, _ = union_curve(1, 256)
         pts = sample_curve(truth, 230, seed=5)
-        basis = nullspace_basis(pts, FrequencySupport(11, 11),
-                                rasterized_rank_tol(256))
+        basis = nullspace_basis(pts, FrequencySupport(11, 11), 256)
         gram = basis.vectors @ np.conj(basis.vectors).T
         assert np.abs(gram - np.eye(basis.q)).max() <= 1e-10
 
     def test_refined_samples_give_exact_null_dimension(self):
-        # Newton-refined samples are exact zeros, so the analytic tolerance
+        # Newton-refined samples are exact zeros, so the rank decision
         # recovers the shift-set null dimension and tiny residuals.
         product, truth, _, _ = union_curve(2, 512)
         pts = refine_to_zero_set(product, sample_curve(truth, 230, seed=6))
         assert np.abs(evaluate(product, pts)).max() <= 1e-12
         outer = FrequencySupport(11, 11)
-        basis = nullspace_basis(pts, outer, rank_tol=1e-8)
+        basis = nullspace_basis(pts, outer, 512)
         assert basis.q == 49
         assert basis.rank == rank_bound(outer, product.support)
         from curveband.lifting import feature_matrix
@@ -142,26 +137,51 @@ class TestNullspaceBasis:
 
     def test_rank_margins_of_exact_and_full_rank_bases(self):
         exact = nullspace_basis(line_pair_points(16, 3),
-                                FrequencySupport(3, 1), ANALYTIC_RANK_TOL)
-        above, below = exact.rank_margins(1e-6)
+                                FrequencySupport(3, 1), 512)
+        above, below = exact.margins
         assert exact.q == 1 and above > 1.0 and below > 1e6
         rng = np.random.default_rng(4)
         full = nullspace_basis(PointSet(2, rng.uniform(0, 1, (2, 20))),
-                               FrequencySupport(3, 3), ANALYTIC_RANK_TOL)
-        above, below = full.rank_margins(1e-6)
+                               FrequencySupport(3, 3), 512)
+        above, below = full.margins
         assert full.q == 0 and np.isfinite(above) and below == np.inf
 
-    @pytest.mark.parametrize("tol", [1e-6, np.nan, 0.0, 1.0])
-    def test_rank_margins_reject_a_tolerance_other_than_the_cut(self, tol):
-        # cut at 1e-3 (rank 72); at 1e-6 the margins were (5142, 0.0057), and
-        # at nan (nan, nan), against the docstring's "both at least 1"
-        _, truth, _, _ = union_curve(1, 256)
-        pts = sample_curve(truth, 230, seed=5)
-        basis = nullspace_basis(pts, FrequencySupport(11, 11), 1e-3)
-        assert basis.rank == 72
-        assert np.allclose(basis.rank_margins(1e-3), (5.14, 5.67), rtol=1e-3)
-        with pytest.raises(ContractViolation):
-            basis.rank_margins(tol)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_three_by_seven_curves_take_the_rank_of_their_support(self, seed):
+        # the 11x11 spectrum cut at 1e-3 gave ranks 74, 64, 72 and 70 here
+        _, curve = curve_with_zero_set(FrequencySupport(3, 7), seed, 512)
+        pts = sample_curve(curve, 200, seed=seed)
+        outer = FrequencySupport(11, 11)
+        basis = nullspace_basis(pts, outer, 512)
+        assert basis.rank == rank_bound(outer, FrequencySupport(3, 7)) == 76
+        assert min(basis.margins) >= 10.0
+
+    def test_rank_never_exceeds_the_sample_count(self):
+        # 5x5 decides (bound 72), but 60 samples leave 61 exact null
+        # directions, and the basis keeps all of them
+        _, truth, _, _ = union_curve(0, 512)
+        pts = sample_curve(truth, 60, seed=0)
+        outer = FrequencySupport(11, 11)
+        basis = nullspace_basis(pts, outer, 512)
+        rect, _ = minimal_rectangle_by_svd(pts, outer, basis.cut)
+        assert rect == FrequencySupport(5, 5)
+        assert (basis.rank, basis.q) == (60, 61)
+
+    @pytest.mark.parametrize("inputs", ["union6", "3x7"])
+    def test_rectangle_search_matches_per_rectangle_svd(self, inputs):
+        # the oracle takes one SVD per rectangle, centred rather than in the
+        # corner of the support, instead of sub-blocks of one Gram
+        if inputs == "union6":
+            _, truth, _, _ = union_curve(6, 512)
+            pts = sample_curve(truth, 220, seed=child_seed(6, 1))
+        else:
+            _, truth = curve_with_zero_set(FrequencySupport(3, 7), 1, 512)
+            pts = sample_curve(truth, 200, seed=1)
+        outer = FrequencySupport(11, 11)
+        basis = nullspace_basis(pts, outer, 512)
+        rect, margins = minimal_rectangle_by_svd(pts, outer, basis.cut)
+        assert basis.rank == rank_bound(outer, rect)
+        assert np.allclose(basis.margins, margins, rtol=1e-2)
 
     def test_overcomplete_study_rank_cut_has_margin(self):
         # Curve 6 is the ill-conditioned criterion-3 curve: its smallest
@@ -174,7 +194,7 @@ class TestNullspaceBasis:
 
     def test_degenerate_undersampling_gives_large_null_space(self):
         pts = PointSet(2, np.random.default_rng(0).uniform(0, 1, (2, 10)))
-        basis = nullspace_basis(pts, FrequencySupport(7, 7), ANALYTIC_RANK_TOL)
+        basis = nullspace_basis(pts, FrequencySupport(7, 7), 512)
         assert basis.q >= 49 - 10
 
 
@@ -182,8 +202,8 @@ class TestSumOfSquares:
     def test_nonnegative_everywhere(self):
         _, truth, _, _ = union_curve(3, 256)
         pts = sample_curve(truth, 230, seed=7)
-        sos = SumOfSquares(nullspace_basis(pts, FrequencySupport(11, 11),
-                                           rasterized_rank_tol(256)))
+        basis = nullspace_basis(pts, FrequencySupport(11, 11), 256)
+        sos = SumOfSquares(basis.support, basis.vectors)
         rng = np.random.default_rng(8)
         vals = sos(PointSet(2, rng.uniform(0, 1, size=(2, 10000))))
         assert vals.min() >= 0.0
@@ -191,9 +211,9 @@ class TestSumOfSquares:
     def test_single_vector_reduces_to_squared_modulus(self):
         support = FrequencySupport(3, 1)
         pts = line_pair_points(16, 9)
-        basis = nullspace_basis(pts, support, ANALYTIC_RANK_TOL)
+        basis = nullspace_basis(pts, support, 512)
         assert basis.q == 1
-        sos = SumOfSquares(basis)
+        sos = SumOfSquares(support, basis.vectors)
         probe = PointSet(2, np.random.default_rng(10).uniform(0, 1, (2, 200)))
         direct = np.abs(evaluate(TrigPolynomial(support, basis.vectors[0]),
                                  probe)) ** 2
@@ -206,8 +226,8 @@ class TestSumOfSquares:
         pts = sample_curve(truth, 230, seed=11)
         probe = PointSet(2, np.random.default_rng(12).uniform(0, 1, (2, 64)))
         for shape in ((7, 7), (8, 6)):
-            sos = SumOfSquares(nullspace_basis(pts, FrequencySupport(*shape),
-                                               rasterized_rank_tol(256)))
+            basis = nullspace_basis(pts, FrequencySupport(*shape), 256)
+            sos = SumOfSquares(basis.support, basis.vectors)
             grid_vals = evaluate_on_grid(sos.polynomial, 64).real
             direct = sos(PointSet(2, np.stack([np.arange(64) / 64,
                                                np.zeros(64)])))
@@ -229,23 +249,21 @@ class TestSumOfSquares:
         rng = np.random.default_rng(n + q)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rows = np.linalg.qr(a)[0][:, :q].T
-        basis = NullspaceBasis(FrequencySupport(*shape), rows, np.zeros(n))
-        expected = sum_of_squares_by_rows(basis).ravel()
-        coeffs = SumOfSquares(basis).polynomial.coeffs
+        support = FrequencySupport(*shape)
+        expected = sum_of_squares_by_rows(support, rows).ravel()
+        coeffs = SumOfSquares(support, rows).polynomial.coeffs
         scale = np.abs(expected).max()
         assert np.abs(coeffs - expected).max() <= 1e-13 * scale
         # a unitary rotation of the rows spans the same space
         u = np.linalg.qr(rng.standard_normal((q, q))
                          + 1j * rng.standard_normal((q, q)))[0]
-        rotated = NullspaceBasis(basis.support, u @ rows, basis.singular_values)
-        coeffs_rotated = SumOfSquares(rotated).polynomial.coeffs
+        coeffs_rotated = SumOfSquares(support, u @ rows).polynomial.coeffs
         assert np.abs(coeffs_rotated - coeffs).max() <= 1e-13 * scale
 
     def test_empty_basis_rejected(self):
-        empty = NullspaceBasis(FrequencySupport(3, 3),
-                               np.zeros((0, 9), dtype=complex), np.zeros(9))
         with pytest.raises(ContractViolation):
-            SumOfSquares(empty)
+            SumOfSquares(FrequencySupport(3, 3),
+                         np.zeros((0, 9), dtype=complex))
 
 
 class TestHermitianAlign:
@@ -269,16 +287,14 @@ class TestRecoverCurve:
         grid_res = 256
         _, truth = curve_with_zero_set(FrequencySupport(3, 3), 12, grid_res)
         pts = sample_curve(truth, 36, seed=13)
-        recovered = recover_curve(pts, FrequencySupport(3, 3), grid_res,
-                                  rasterized_rank_tol(grid_res))
+        recovered = recover_curve(pts, FrequencySupport(3, 3), grid_res)
         assert chamfer_distance(recovered, truth) <= 2.0 / grid_res
 
     def test_overestimated_support_regime(self):
         grid_res = 512
         _, truth, _, _ = union_curve(5, grid_res)
         pts = sample_curve(truth, 220, seed=14)
-        recovered = recover_curve(pts, FrequencySupport(11, 11), grid_res,
-                                  rasterized_rank_tol(grid_res))
+        recovered = recover_curve(pts, FrequencySupport(11, 11), grid_res)
         assert chamfer_distance(recovered, truth) <= 4.0 / grid_res
 
     def test_undersampled_variant_usually_succeeds(self):
@@ -287,8 +303,7 @@ class TestRecoverCurve:
         for seed in range(5):
             _, truth, _, _ = union_curve(seed + 100, grid_res)
             pts = sample_curve(truth, 100, seed=15)
-            recovered = recover_curve(pts, FrequencySupport(11, 11), grid_res,
-                                      rasterized_rank_tol(grid_res))
+            recovered = recover_curve(pts, FrequencySupport(11, 11), grid_res)
             if not recovered.is_empty:
                 wins += chamfer_distance(recovered, truth) <= 4.0 / grid_res
         assert wins >= 3
@@ -297,29 +312,26 @@ class TestRecoverCurve:
     def test_small_grid_rejected_on_both_paths(self):
         single = line_pair_points(16, 9)  # one null vector on 3x1
         with pytest.raises(ContractViolation):
-            recover_curve(single, FrequencySupport(3, 1), 8, ANALYTIC_RANK_TOL)
+            recover_curve(single, FrequencySupport(3, 1), 8)
         scattered = PointSet(2, np.random.default_rng(0).uniform(0, 1, (2, 10)))
         with pytest.raises(ContractViolation):  # sum-of-squares path
-            recover_curve(scattered, FrequencySupport(7, 7), 8,
-                          ANALYTIC_RANK_TOL)
+            recover_curve(scattered, FrequencySupport(7, 7), 8)
 
-    @pytest.mark.parametrize("rank_tol", [np.nan, 0.0, -1.0, 1.0, np.inf])
-    def test_rank_tol_outside_unit_interval_rejected(self, rank_tol):
+    @pytest.mark.parametrize("grid_res", [-1, 0, 1, 8, 15])
+    def test_grid_below_16_rejected(self, grid_res):
+        # every cut is derived from grid_res, so each entry point checks it
         pts = line_pair_points(16, 9)
         for call in (nullspace_basis, estimate_coefficients):
-            with pytest.raises(ContractViolation, match="rank_tol"):
-                call(pts, FrequencySupport(3, 1), rank_tol)
-        with pytest.raises(ContractViolation, match="rank_tol"):
-            recover_curve(pts, FrequencySupport(5, 5), 256, rank_tol)
+            with pytest.raises(ContractViolation, match="grid_res"):
+                call(pts, FrequencySupport(3, 1), grid_res)
+        with pytest.raises(ContractViolation, match="grid_res"):
+            recover_curve(pts, FrequencySupport(5, 5), grid_res)
 
     def test_too_few_samples_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
-            tol = rasterized_rank_tol(64)
-            recover_curve(line_pair_points(16, 9), FrequencySupport(3, 1), 64,
-                          tol)
+            recover_curve(line_pair_points(16, 9), FrequencySupport(3, 1), 64)
             assert not caplog.records
-            recover_curve(line_pair_points(2, 3), FrequencySupport(3, 3), 64,
-                          tol)
+            recover_curve(line_pair_points(2, 3), FrequencySupport(3, 3), 64)
         assert len(caplog.records) == 1
         assert "underdetermined" in caplog.records[0].getMessage()
 

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from curveband import (ContractViolation, FrequencySupport, GrayImage,
-                       PointSet, chamfer_distance, evaluate, segment)
+                       PointSet, chamfer_distance, segment)
 from curveband.experiments import (circle_polyline, curve_with_zero_set,
                                    disk_phantom, edge_contours,
                                    multi_disk_phantom)
 from curveband.recovery import rank_bound
 from curveband.segmentation import (ToeplitzLift, _gram_spectrum, build_lift,
                                     gradient_spectrum, trailing_energy)
-from oracles import curve_phantom, edge_weights_by_svd, lift_spectrum_by_svd
+from oracles import (curve_phantom, edge_weights_by_svd, evaluate,
+                     lift_spectrum_by_svd)
 
 
 def materialize_by_oracle(lift):
