@@ -161,7 +161,7 @@ def cmd_eval(args) -> int:
         print(f"eval: chamfer distance {value:.6g}")
     else:
         a = io.load_points(args.file_a)
-        b = io.load_points(args.file_b)
+        b = io.load_points(args.file_b, dim=a.dim)
         mse = point_cloud_mse(a, b)
         snr = point_cloud_snr(a, b)
         lines = ["metric,value", f"mse,{mse:.17g}", f"snr_db,{snr:.17g}"]

@@ -42,8 +42,10 @@ def feature_matrix(pts: PointSet, support: FrequencySupport) -> FeatureMatrix:
     support enumeration order."""
     if pts.dim != 2:
         raise ContractViolation(f"feature lifting needs dim 2, got {pts.dim}")
-    phase = support.indices() @ pts.points
-    return FeatureMatrix(support, np.exp(2j * np.pi * phase))
+    (lo1, hi1), (lo2, hi2) = support.axis_range(0), support.axis_range(1)
+    e1 = np.exp(2j * np.pi * np.outer(np.arange(lo1, hi1 + 1), pts.points[0]))
+    e2 = np.exp(2j * np.pi * np.outer(np.arange(lo2, hi2 + 1), pts.points[1]))
+    return FeatureMatrix(support, (e1[:, None] * e2).reshape(len(support), -1))
 
 
 def _dirichlet_1d(delta: np.ndarray, k: int) -> np.ndarray:

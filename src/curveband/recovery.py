@@ -9,6 +9,11 @@ Its rank is decided from the smallest rectangle whose feature matrix
 annihilates the samples, and is then the shift count `rank_bound`. This
 module implements both routes plus that count and the curve-error metric
 used to score recoveries.
+
+Both take the feature-matrix SVD in real arithmetic: centring the support
+scales each sample row by a unit phase, and pairing each frequency with its
+negative is a unitary change of columns to cos/sin features, so neither
+changes the singular values or the right singular subspaces.
 """
 
 from __future__ import annotations
@@ -84,14 +89,25 @@ def _feature_svd(pts: PointSet, support: FrequencySupport
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of the transposed feature matrix m (descending,
     zero-padded to |support|) and all of its right singular vectors. A wide
-    m needs the full SVD for that; the thin SVD of a tall m returns all."""
+    m needs the full SVD for that; the thin SVD of a tall m returns all.
+    Taken in real arithmetic: m = D r T^H, where D scales row i by the unit
+    phase exp(2j pi c.x_i) of the support's centre c (0 on an odd axis, -1/2
+    on an even one), and the unitary T pairs index i (frequency k - c) with
+    n-1-i (c - k) into sqrt(2) cos and sqrt(2) sin features, and takes the
+    centre of an odd support to the constant. So vh = vr T^H."""
     if pts.n_points < 1:
         raise ContractViolation("the feature-matrix SVD needs at least 1 point")
-    m = feature_matrix(pts, support).data.T
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    s_full = np.zeros(m.shape[1])
-    s_full[:s.size] = s
-    return s_full, vh
+    n, h = len(support), len(support) // 2
+    centre = support.indices().mean(axis=0)
+    m = (feature_matrix(pts, support).data
+         * np.exp(-2j * np.pi * (centre @ pts.points))).T
+    r = np.sqrt(2.0) * np.where(np.arange(n) < n - h, m.real, m.imag)
+    r[:, h:n - h] = 1.0
+    _, s, vr = np.linalg.svd(r, full_matrices=r.shape[0] < n)
+    vh = vr.astype(complex)
+    vh[:, :h] = (vr[:, :h] - 1j * vr[:, ::-1][:, :h]) / np.sqrt(2.0)
+    vh[:, n - h:] = np.conj(vh[:, :h][:, ::-1])
+    return np.pad(s, (0, n - s.size)), vh
 
 
 def estimate_coefficients(pts: PointSet, support: FrequencySupport,
@@ -171,7 +187,8 @@ def nullspace_basis(pts: PointSet, support: FrequencySupport,
     """Orthonormal numerical null space of the transposed feature matrix of
     samples read off a grid_res rasterization. Its rank is rank_bound of the
     smallest annihilating rectangle (at most N), or, when no rectangle
-    decides, the count of singular values above the cut times sigma_max."""
+    decides, the count of singular values above the cut times sigma_max,
+    with a logged warning."""
     cut = _RANK_CUT * _grid_scale(grid_res) ** 2
     s_full, vh = _feature_svd(pts, support)
     gram = (np.conj(vh.T) * s_full ** 2) @ vh
@@ -185,6 +202,9 @@ def nullspace_basis(pts: PointSet, support: FrequencySupport,
         above = rel[rank - 1] / cut if rank else np.inf
         below = cut / rel[rank] if rank < rel.size and rel[rank] else np.inf
         margins = (float(above), float(below))
+        _log.warning("no rectangle decides the rank at cut %g: spectral "
+                     "rank %d, margins %.3g above and %.3g below", cut, rank,
+                     *margins)
     return NullspaceBasis(support, np.conj(vh[rank:]), cut, margins)
 
 

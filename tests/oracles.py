@@ -109,6 +109,21 @@ def minimal_rectangle_by_svd(pts, support, cut):
     return None, None
 
 
+def feature_svd_reference(pts, support):
+    """Singular values of the transposed feature matrix m (descending,
+    zero-padded to |support|) and all of its right singular vectors, by the
+    complex SVD of m; the reference for the real lift of
+    `curveband.recovery._feature_svd`. A wide m needs the full SVD for that;
+    the thin SVD of a tall m returns all."""
+    if pts.n_points < 1:
+        raise ContractViolation("the feature-matrix SVD needs at least 1 point")
+    m = feature_matrix(pts, support).data.T
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    s_full = np.zeros(m.shape[1])
+    s_full[:s.size] = s
+    return s_full, vh
+
+
 def count_common_zeros(pa, pb, grid=128, bound_hint=64):
     """Number of solutions of pa(x) = pb(x) = 0 in the unit square, found by
     dense grid search plus Gauss-Newton refinement. Asserts the count stays

@@ -292,6 +292,17 @@ class TestEval:
                     "--out-dir", tmp_path / "ev"]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_points_of_different_dimension_exit_3(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("0.1,0.2\n0.3,0.4\n")
+        deep = tmp_path / "deep.csv"
+        deep.write_text("0.1,0.2,0.5\n0.3,0.4,0.6\n")
+        assert run(["eval", flat, deep, "--kind", "points",
+                    "--out-dir", tmp_path / "ev"]) == 3
+        err = capsys.readouterr().err
+        assert "deep.csv" in err and "dimension 3" in err
+        assert not (tmp_path / "ev").exists()
+
     def test_usage_error_exit_code(self, tmp_path):
         assert run(["synth", "--support", "nonsense",
                     "--out-dir", tmp_path]) == 2

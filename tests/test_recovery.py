@@ -11,9 +11,10 @@ from curveband import (AmbiguousSupport, ContractViolation, FrequencySupport,
                        rank_bound, recover_curve, sample_curve)
 from curveband.experiments import (child_seed, curve_with_zero_set,
                                    overcomplete_trial, union_curve)
-from oracles import (count_common_zeros, evaluate, minimal_rectangle_by_svd,
-                     refine_to_zero_set, shift_set_reference,
-                     sum_of_squares_by_rows)
+from curveband.recovery import _feature_svd
+from oracles import (count_common_zeros, evaluate, feature_svd_reference,
+                     minimal_rectangle_by_svd, refine_to_zero_set,
+                     shift_set_reference, sum_of_squares_by_rows)
 
 
 def line_pair_points(n=12, seed=0):
@@ -192,10 +193,90 @@ class TestNullspaceBasis:
         assert r["margin_above"] >= 10.0
         assert r["margin_below"] >= 10.0
 
+    def test_fallback_to_the_spectral_count_warns(self, caplog):
+        # criterion-3 curve 6 with noise of about 1 px at 512: on this draw
+        # no rectangle decides, and the rank is the spectral count
+        _, truth, _, _ = union_curve(6, 512)
+        pts = sample_curve(truth, 220, seed=child_seed(6, 1))
+        noise = 0.002 * np.random.default_rng(36).standard_normal((2, 220))
+        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
+            basis = nullspace_basis(PointSet(2, pts.points + noise),
+                                    FrequencySupport(11, 11), 512)
+        assert basis.rank == 106
+        assert [r.getMessage() for r in caplog.records] == [
+            "no rectangle decides the rank at cut 0.00015: spectral rank "
+            "106, margins %.3g above and %.3g below" % basis.margins]
+        assert 1.0 < min(basis.margins) < 1.5
+
     def test_degenerate_undersampling_gives_large_null_space(self):
         pts = PointSet(2, np.random.default_rng(0).uniform(0, 1, (2, 10)))
         basis = nullspace_basis(pts, FrequencySupport(7, 7), 512)
         assert basis.q >= 49 - 10
+
+
+class TestFeatureSvd:
+    """The real lift of the centred support against the complex SVD."""
+
+    SHAPES = [(11, 11), (10, 10), (4, 7), (7, 4), (1, 2)]
+
+    @staticmethod
+    def curve_points(n):
+        _, curve = curve_with_zero_set(FrequencySupport(3, 3), 3, 512)
+        return sample_curve(curve, n, seed=0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("size", ["tall", "wide", "one"])
+    def test_matches_complex_svd(self, shape, size):
+        support = FrequencySupport(*shape)
+        n = {"tall": len(support) + 30, "wide": max(1, len(support) // 2),
+             "one": 1}[size]
+        pts = self.curve_points(n)
+        s, _ = _feature_svd(pts, support)
+        s_ref, vh_ref = feature_svd_reference(pts, support)
+        assert np.abs(s - s_ref).max() <= 1e-12 * s_ref[0]
+        basis = nullspace_basis(pts, support, 512)
+        null_ref = np.conj(vh_ref[basis.rank:])
+        projector = basis.vectors.T @ np.conj(basis.vectors)
+        assert np.abs(projector - null_ref.T @ np.conj(null_ref)).max() <= 1e-10
+        try:
+            c = estimate_coefficients(pts, support, 512).coeffs
+        except AmbiguousSupport:
+            assert s_ref[-2] < 1e-3 * s_ref[0]
+            return
+        c_ref = np.conj(vh_ref[-1])
+        phase = np.vdot(c, c_ref)
+        assert np.abs(c * phase / abs(phase) - c_ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_single_null_direction_matches_complex_svd(self, shape):
+        # a jittered k1 x k2 grid less one node: its feature matrix is near a
+        # scaled DFT with one row gone, so it has one null direction and
+        # estimate_coefficients answers on every support
+        support = FrequencySupport(*shape)
+        rng = np.random.default_rng(len(support))
+        nodes = np.indices(shape).reshape(2, -1)[:, 1:] + 0.5
+        jitter = rng.uniform(-0.1, 0.1, nodes.shape)
+        pts = PointSet(2, (nodes + jitter) / np.array(shape)[:, None])
+        c = estimate_coefficients(pts, support, 512).coeffs
+        c_ref = np.conj(feature_svd_reference(pts, support)[1][-1])
+        phase = np.vdot(c, c_ref)
+        assert np.abs(c * phase / abs(phase) - c_ref).max() <= 1e-10
+
+    def test_takes_one_real_svd_per_call(self, monkeypatch):
+        dtypes = []
+        svd = np.linalg.svd
+
+        def recorder(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorder)
+        pts = self.curve_points(60)
+        nullspace_basis(pts, FrequencySupport(5, 5), 512)
+        assert dtypes == [np.float64]
+        dtypes.clear()
+        estimate_coefficients(pts, FrequencySupport(3, 3), 512)
+        assert dtypes == [np.float64]
 
 
 class TestSumOfSquares:
@@ -332,8 +413,10 @@ class TestRecoverCurve:
             recover_curve(line_pair_points(16, 9), FrequencySupport(3, 1), 64)
             assert not caplog.records
             recover_curve(line_pair_points(2, 3), FrequencySupport(3, 3), 64)
-        assert len(caplog.records) == 1
-        assert "underdetermined" in caplog.records[0].getMessage()
+        # two samples are too few for any rectangle to decide the rank
+        assert len(caplog.records) == 2
+        assert "no rectangle decides" in caplog.records[0].getMessage()
+        assert "underdetermined" in caplog.records[1].getMessage()
 
 
 class TestChamferDistance:
