@@ -14,8 +14,8 @@ from .errors import (AmbiguousSupport, ContractViolation, DataError,
 from .lifting import (FeatureMatrix, KernelMatrix, dirichlet_gram,
                       feature_matrix, gaussian_kernel_matrix)
 from .recovery import (NullspaceBasis, SumOfSquares, chamfer_distance,
-                       estimate_coefficients, hermitian_align,
-                       nullspace_basis, rank_bound, recover_curve)
+                       estimate_coefficients, nullspace_basis, rank_bound,
+                       recover_curve)
 from .segmentation import (GrayImage, SegmentResult, ToeplitzLift, build_lift,
                            gradient_spectrum, segment)
 

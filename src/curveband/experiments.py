@@ -20,7 +20,7 @@ from .curve_model import (FrequencySupport, PointSet, Polyline,
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
 from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
 from .recovery import (SumOfSquares, chamfer_distance, estimate_coefficients,
-                       hermitian_align, nullspace_basis, recover_curve)
+                       nullspace_basis, recover_curve)
 from .segmentation import GrayImage
 
 # Random polynomials drawn per curve before giving up on a non-empty zero set.
@@ -59,16 +59,14 @@ def half_region(curve: Polyline) -> tuple[float, float, float, float]:
 def _recovery_error(pts: PointSet, support: FrequencySupport,
                     truth: Polyline, grid_res: int) -> float:
     """Curve error of the known-support recovery from `pts` against `truth`
-    (inf = failed: ambiguous or rejected estimate, no real-valued alignment,
-    or an empty curve on either side)."""
+    (inf = failed: ambiguous or rejected estimate, a support with an even
+    side, whose estimate is not hermitian, or an empty curve on either
+    side)."""
     try:
         est = estimate_coefficients(pts, support, grid_res)
+        recovered = extract_zero_level_set(est, grid_res)
     except (AmbiguousSupport, ContractViolation):
         return np.inf
-    aligned = hermitian_align(est)
-    if aligned is None:
-        return np.inf
-    recovered = extract_zero_level_set(aligned, grid_res)
     if recovered.is_empty or truth.is_empty:
         return np.inf
     return chamfer_distance(recovered, truth)

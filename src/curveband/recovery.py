@@ -13,7 +13,10 @@ used to score recoveries.
 Both take the feature-matrix SVD in real arithmetic: centring the support
 scales each sample row by a unit phase, and pairing each frequency with its
 negative is a unitary change of columns to cos/sin features, so neither
-changes the singular values or the right singular subspaces.
+changes the singular values or the right singular subspaces. On a support
+with both sides odd the centre is 0, so every right singular vector comes
+back exactly hermitian, c[-k] = conj(c[k]), by construction: it is the
+coefficient vector of a real polynomial and is contoured as it is.
 """
 
 from __future__ import annotations
@@ -45,9 +48,11 @@ _log = logging.getLogger(__name__)
 _KNOWN_SUPPORT_CUT = 1e-3
 _RANK_CUT = 1.5e-4
 
-# hermitian_align rejects a vector whose asymmetry |c[-k] - conj(c[k])|,
-# after phase alignment, exceeds this fraction of its largest coefficient.
-_HERMITIAN_DEFECT_TOL = 0.05
+# A rectangle's rank decision with either margin under this factor rests on
+# one rectangle's spectrum near the cut, as noisy samples give, so it is
+# logged. Clean rasterized samples clear it: both margins are at least 12 on
+# every criterion-3 input.
+_NARROW_MARGIN = 10.0
 
 
 def _grid_scale(grid_res: int) -> float:
@@ -94,7 +99,10 @@ def _feature_svd(pts: PointSet, support: FrequencySupport
     phase exp(2j pi c.x_i) of the support's centre c (0 on an odd axis, -1/2
     on an even one), and the unitary T pairs index i (frequency k - c) with
     n-1-i (c - k) into sqrt(2) cos and sqrt(2) sin features, and takes the
-    centre of an odd support to the constant. So vh = vr T^H."""
+    centre of an odd support to the constant. So vh = vr T^H. On an odd
+    support index n-1-i is frequency -k, so the slice assignments below
+    make every row of vh exactly hermitian, c[-k] = conj(c[k]), and its
+    centre entry real: not up to rounding, since they copy it."""
     if pts.n_points < 1:
         raise ContractViolation("the feature-matrix SVD needs at least 1 point")
     n, h = len(support), len(support) // 2
@@ -116,9 +124,11 @@ def estimate_coefficients(pts: PointSet, support: FrequencySupport,
 
     Returns the unit-norm minimizer of sum_i |psi(x_i)|^2, i.e. the right
     singular vector of the transposed feature matrix with smallest singular
-    value, up to a global phase (hermitian_align fixes it). The samples are
-    read off a grid_res rasterization. Raises AmbiguousSupport when a second
-    singular value also falls below the known-support cut times sigma_max.
+    value: a real polynomial, up to sign, flagged hermitian when both sides
+    of the support are odd (on an even side it is real only after a
+    half-frequency shift, so it stays unflagged). The samples are read off a
+    grid_res rasterization. Raises AmbiguousSupport when a second singular
+    value also falls below the known-support cut times sigma_max.
     """
     tol = _KNOWN_SUPPORT_CUT * _grid_scale(grid_res)
     s_full, vh = _feature_svd(pts, support)
@@ -126,7 +136,8 @@ def estimate_coefficients(pts: PointSet, support: FrequencySupport,
         raise AmbiguousSupport(
             f"null space has dimension > 1 at tolerance {tol:g}; use "
             "nullspace_basis for over-estimated supports")
-    return TrigPolynomial(support, np.conj(vh[-1]))
+    return TrigPolynomial(support, np.conj(vh[-1]),
+                          hermitian=bool(support.k1 % 2 and support.k2 % 2))
 
 
 def rank_bound(outer: FrequencySupport, inner: FrequencySupport) -> int:
@@ -196,6 +207,10 @@ def nullspace_basis(pts: PointSet, support: FrequencySupport,
     if found is not None:
         rect, margins = found
         rank = min(rank_bound(support, rect), pts.n_points)
+        if min(margins) < _NARROW_MARGIN:
+            _log.warning("rectangle %dx%d decides rank %d at cut %g by narrow "
+                         "margins %.3g above and %.3g below", *rect.shape,
+                         rank, cut, *margins)
     else:
         rel = s_full / s_full[0]
         rank = int(np.count_nonzero(rel > cut))
@@ -242,35 +257,11 @@ class SumOfSquares:
     def __call__(self, pts: PointSet) -> np.ndarray:
         """Evaluate gamma at the points; real nonnegative, length N."""
         v = self.rows @ feature_matrix(pts, self.support).data
-        return np.maximum(np.abs(v) ** 2, 0.0).sum(axis=0)
+        return (np.abs(v) ** 2).sum(axis=0)
 
     def evaluate_grid(self, grid_res) -> np.ndarray:
         """gamma on the uniform periodic grid (int or (n1, n2))."""
         return evaluate_on_grid(self.polynomial, grid_res).real
-
-
-def hermitian_align(poly: TrigPolynomial) -> TrigPolynomial | None:
-    """Rotate a coefficient vector by a global phase so it becomes hermitian.
-
-    A vector that equals exp(j a) times a real-valued polynomial's
-    coefficients satisfies sum_k c[k] c[-k] = exp(2j a) |c|^2, which pins the
-    phase. Returns the symmetrized hermitian polynomial, or None when the
-    residual asymmetry exceeds _HERMITIAN_DEFECT_TOL (relative) -- i.e. the
-    vector is not a phase rotation of a real polynomial.
-    """
-    if poly.support.k1 % 2 == 0 or poly.support.k2 % 2 == 0:
-        return None
-    g = poly.coeff_grid()
-    pairing = np.sum(g * g[::-1, ::-1])
-    if np.abs(pairing) < 1e-12:
-        return None
-    aligned = g * np.exp(-0.5j * np.angle(pairing))
-    defect = np.abs(aligned[::-1, ::-1] - np.conj(aligned)).max()
-    scale = np.abs(aligned).max()
-    if scale == 0 or defect > _HERMITIAN_DEFECT_TOL * scale:
-        return None
-    sym = 0.5 * (aligned + np.conj(aligned[::-1, ::-1]))
-    return TrigPolynomial(poly.support, sym.ravel(), hermitian=True)
 
 
 def recover_curve(pts: PointSet, support: FrequencySupport,
@@ -278,8 +269,9 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
     """Recover a curve from samples with a (possibly over-estimated) support.
 
     Runs the null-space decomposition of samples read off a grid_res
-    rasterization; with a single null vector the real representative is
-    contoured directly, otherwise the sum-of-squares polynomial is contoured
+    rasterization; with a single null vector on a support with both sides
+    odd, that vector is a real polynomial and is contoured directly,
+    otherwise the sum-of-squares polynomial is contoured
     at an automatically calibrated level: 3x the median over the input
     samples, floored at the smallest level the contouring grid can actually
     resolve (estimated from gamma at the grid corners adjacent to the
@@ -294,11 +286,10 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
         raise NumericalFailure(
             "no null-space vector at tolerance; the support may be too small "
             "or the samples too noisy")
-    if basis.q == 1:
-        aligned = hermitian_align(
-            TrigPolynomial(basis.support, basis.vectors[0]))
-        if aligned is not None:
-            return extract_zero_level_set(aligned, grid_res)
+    if basis.q == 1 and support.k1 % 2 and support.k2 % 2:
+        return extract_zero_level_set(
+            TrigPolynomial(support, basis.vectors[0], hermitian=True),
+            grid_res)
     sos = SumOfSquares(basis.support, basis.vectors)
     level = 3.0 * float(np.median(sos(pts)))
     grid = sos.evaluate_grid(grid_res)

@@ -166,7 +166,7 @@ def segment(h: GrayImage, rank: int, lam: float,
     scale = hh * ww  # Parseval factor between spectrum and pixel sums
 
     f = h.pixels.copy()
-    best = (np.inf, f, None)
+    best = None  # (objective, f, weights); the first iterate always seeds it
     history = []
     converged = False
     iterations = 0
@@ -177,7 +177,7 @@ def segment(h: GrayImage, rank: int, lam: float,
         history.append(objective)
         sos = SumOfSquares(filter_support, v[:, rank:].T)
         weights = np.maximum(sos.evaluate_grid((hh, ww)), 0.0)
-        if objective < best[0]:
+        if best is None or objective < best[0]:
             best = (objective, f.copy(), weights)
         if converged or iterations >= max_iters:
             break

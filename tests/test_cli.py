@@ -239,6 +239,18 @@ class TestSegment:
         for name in ("fstar.pgm", "edges.pgm", "edges.svg"):
             assert (out / name).exists()
 
+    def test_non_finite_objective_writes_outputs(self, tmp_path):
+        # with no update, the only objective overflows to inf
+        img_path = tmp_path / "disk64.pgm"
+        cio.save_pgm(disk_phantom(64), img_path)
+        out = tmp_path / "seg"
+        with np.errstate(over="ignore"):
+            assert run(["segment", img_path, "--rank", 30, "--lambda", 1e308,
+                        "--filter", "9x9", "--max-iters", 0,
+                        "--out-dir", out]) == 0
+        for name in ("fstar.pgm", "edges.pgm", "edges.svg"):
+            assert (out / name).exists()
+
     def test_non_pgm_input_exits_3(self, tmp_path):
         bogus = tmp_path / "x.pgm"
         bogus.write_bytes(b"not an image")

@@ -7,14 +7,16 @@ from curveband import (AmbiguousSupport, ContractViolation, FrequencySupport,
                        PointSet, Polyline, SumOfSquares,
                        TrigPolynomial, chamfer_distance, estimate_coefficients,
                        evaluate_on_grid, extract_zero_level_set,
-                       hermitian_align, nullspace_basis, random_curve,
-                       rank_bound, recover_curve, sample_curve)
-from curveband.experiments import (child_seed, curve_with_zero_set,
-                                   overcomplete_trial, union_curve)
+                       nullspace_basis, random_curve, rank_bound,
+                       recover_curve, sample_curve)
+from curveband.experiments import (_recovery_error, child_seed,
+                                   curve_with_zero_set, overcomplete_trial,
+                                   union_curve)
 from curveband.recovery import _feature_svd
 from oracles import (count_common_zeros, evaluate, feature_svd_reference,
-                     minimal_rectangle_by_svd, refine_to_zero_set,
-                     shift_set_reference, sum_of_squares_by_rows)
+                     hermitian_align_reference, minimal_rectangle_by_svd,
+                     refine_to_zero_set, shift_set_reference,
+                     sum_of_squares_by_rows)
 
 
 def line_pair_points(n=12, seed=0):
@@ -208,6 +210,30 @@ class TestNullspaceBasis:
             "106, margins %.3g above and %.3g below" % basis.margins]
         assert 1.0 < min(basis.margins) < 1.5
 
+    def test_narrow_rectangle_decision_warns(self, caplog):
+        # on this draw of the same noise an 11x8 rectangle decides, with a
+        # smaller one read below the cut: a margin under 1
+        _, truth, _, _ = union_curve(6, 512)
+        pts = sample_curve(truth, 220, seed=child_seed(6, 1))
+        noise = 0.002 * np.random.default_rng(19).standard_normal((2, 220))
+        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
+            basis = nullspace_basis(PointSet(2, pts.points + noise),
+                                    FrequencySupport(11, 11), 512)
+        assert basis.rank == 117
+        assert min(basis.margins) < 1.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "rectangle 11x8 decides rank 117 at cut 0.00015 by narrow "
+            "margins %.3g above and %.3g below" % basis.margins]
+
+    def test_clean_rectangle_decision_is_silent(self, caplog):
+        _, truth, _, _ = union_curve(6, 512)
+        pts = sample_curve(truth, 220, seed=child_seed(6, 1))
+        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
+            basis = nullspace_basis(pts, FrequencySupport(11, 11), 512)
+        assert basis.rank == 72
+        assert min(basis.margins) >= 12.0
+        assert caplog.records == []
+
     def test_degenerate_undersampling_gives_large_null_space(self):
         pts = PointSet(2, np.random.default_rng(0).uniform(0, 1, (2, 10)))
         basis = nullspace_basis(pts, FrequencySupport(7, 7), 512)
@@ -347,20 +373,66 @@ class TestSumOfSquares:
                          np.zeros((0, 9), dtype=complex))
 
 
-class TestHermitianAlign:
-    def test_recovers_real_polynomial_from_rotated_coefficients(self):
-        poly = random_curve(FrequencySupport(5, 5), 30)
-        rotated = TrigPolynomial(poly.support,
-                                 poly.coeffs * np.exp(0.73j))
-        aligned = hermitian_align(rotated)
-        assert aligned is not None
-        sign = np.sign(np.vdot(aligned.coeffs, poly.coeffs).real)
-        assert np.abs(aligned.coeffs - sign * poly.coeffs).max() <= 1e-10
+class TestRealNullVectors:
+    """The real SVD returns exactly hermitian vectors on odd supports, so the
+    phase alignment recovery used to run (hermitian_align_reference) has
+    nothing left to do."""
 
-    def test_rejects_generic_complex_vector(self):
-        rng = np.random.default_rng(31)
-        c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        assert hermitian_align(TrigPolynomial(FrequencySupport(3, 3), c)) is None
+    @staticmethod
+    def phase_sweep_estimates():
+        # known_support_trial's draws: k = 3, 5, 7, seed 0, 4 trials, at
+        # the benchmark sweep's sample counts around the (2k)^2 bound
+        for k in (3, 5, 7):
+            support = FrequencySupport(k, k)
+            for f in (0.25, 0.5, 0.75, 1.25, 1.5, 2.0):
+                n = round(f * (2 * k) ** 2)
+                for t in range(4):
+                    seed = child_seed(0, k, n, t)
+                    _, truth = curve_with_zero_set(support, seed, 256)
+                    pts = sample_curve(truth, n, seed=child_seed(seed, 1))
+                    try:
+                        yield estimate_coefficients(pts, support, 256)
+                    except AmbiguousSupport:
+                        continue
+
+    @staticmethod
+    def criterion3_points(curve):
+        _, truth, _, _ = union_curve(curve, 512)
+        return sample_curve(truth, 220, seed=child_seed(curve, 1))
+
+    def test_alignment_leaves_phase_sweep_estimates_unchanged(self):
+        estimates = list(self.phase_sweep_estimates())
+        assert len(estimates) >= 60
+        for est in estimates:
+            assert est.hermitian
+            assert np.array_equal(hermitian_align_reference(est).coeffs,
+                                  est.coeffs)
+
+    @pytest.mark.parametrize("curve", range(4))
+    def test_alignment_leaves_criterion3_estimates_unchanged(self, curve):
+        est = estimate_coefficients(self.criterion3_points(curve),
+                                    FrequencySupport(5, 5), 512)
+        assert est.hermitian
+        assert np.array_equal(hermitian_align_reference(est).coeffs,
+                              est.coeffs)
+
+    @pytest.mark.parametrize("curve", range(4))
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 7), (11, 11), (9, 11)])
+    def test_nullspace_rows_are_exactly_hermitian(self, curve, shape):
+        basis = nullspace_basis(self.criterion3_points(curve),
+                                FrequencySupport(*shape), 512)
+        assert basis.q >= 1
+        for c in basis.vectors:
+            assert np.array_equal(c[::-1], np.conj(c))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4)])
+    def test_even_axis_estimate_is_not_hermitian(self, shape):
+        support = FrequencySupport(*shape)
+        pts = PointSet(2, np.random.default_rng(40).uniform(0, 1, (2, 40)))
+        assert not estimate_coefficients(pts, support, 256).hermitian
+        # so the known-support trial scores it as a failure
+        _, truth = curve_with_zero_set(FrequencySupport(3, 3), 41, 256)
+        assert _recovery_error(pts, support, truth, 256) == np.inf
 
 
 class TestRecoverCurve:

@@ -318,6 +318,18 @@ class TestSegment:
             segment(disk_phantom(32), rank=5, lam=lam,
                     filter_support=FrequencySupport(5, 5), max_iters=max_iters)
 
+    def test_non_finite_objective_still_returns_an_iterate(self):
+        # lam * trailing energy overflows to inf; the first iterate is kept
+        img = disk_phantom(64)
+        with np.errstate(over="ignore"):
+            result = segment(img, rank=30, lam=1e308,
+                             filter_support=FrequencySupport(9, 9),
+                             max_iters=0)
+        assert result.objective_history[0] == np.inf
+        assert np.array_equal(result.f_star.pixels, img.pixels)
+        assert np.isfinite(result.edge_map.pixels).all()
+        assert result.edge_map.pixels.max() == 1.0
+
     def test_wide_lift_edge_map_uses_every_trailing_filter(self):
         # 16 px with a 13x13 filter: the lift has 2 * 4 * 4 = 32 rows and
         # 169 columns, so its null space alone has dimension >= 137
