@@ -20,7 +20,7 @@ from .curve_model import (FrequencySupport, PointSet, Polyline,
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
 from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
 from .recovery import (SumOfSquares, chamfer_distance, estimate_coefficients,
-                       nullspace_basis, recover_curve)
+                       nullspace_basis)
 from .segmentation import GrayImage
 
 # Random polynomials drawn per curve before giving up on a non-empty zero set.
@@ -169,19 +169,15 @@ def overcomplete_trial(seed, outer: FrequencySupport,
     smallest annihilating rectangle (recovery.nullspace_basis).
 
     Returns the measured rank and null-space dimension, the two margins of
-    that decision (NullspaceBasis.margins), the curve error of the
-    sum-of-squares recovery, and the on/off-curve separation statistics of
-    the sum-of-squares values.
+    that decision (NullspaceBasis.margins), and the on/off-curve separation
+    statistics of the sum-of-squares values.
     """
     _, truth, _, _ = union_curve(seed, grid_res)
     pts = sample_curve(truth, n_samples, seed=child_seed(seed, 1))
     basis = nullspace_basis(pts, outer, grid_res)
     margin_above, margin_below = basis.margins
     result = {"q": basis.q, "rank": basis.rank, "margin_above": margin_above,
-              "margin_below": margin_below, "chamfer": np.inf}
-    recovered = recover_curve(pts, outer, grid_res)
-    if not recovered.is_empty:
-        result["chamfer"] = chamfer_distance(recovered, truth)
+              "margin_below": margin_below}
     if basis.q >= 1:
         sos = SumOfSquares(basis.support, basis.vectors)
         on_vals = sos(pts)

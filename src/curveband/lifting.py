@@ -25,7 +25,6 @@ _DIRICHLET_SERIES_CUTOFF = 1e-9
 class FeatureMatrix:
     """Columns are feature maps of the points, shape (|support|, N)."""
 
-    support: FrequencySupport
     data: np.ndarray
 
 
@@ -45,7 +44,7 @@ def feature_matrix(pts: PointSet, support: FrequencySupport) -> FeatureMatrix:
     (lo1, hi1), (lo2, hi2) = support.axis_range(0), support.axis_range(1)
     e1 = np.exp(2j * np.pi * np.outer(np.arange(lo1, hi1 + 1), pts.points[0]))
     e2 = np.exp(2j * np.pi * np.outer(np.arange(lo2, hi2 + 1), pts.points[1]))
-    return FeatureMatrix(support, (e1[:, None] * e2).reshape(len(support), -1))
+    return FeatureMatrix((e1[:, None] * e2).reshape(len(support), -1))
 
 
 def _dirichlet_1d(delta: np.ndarray, k: int) -> np.ndarray:

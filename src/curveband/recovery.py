@@ -271,12 +271,10 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
     Runs the null-space decomposition of samples read off a grid_res
     rasterization; with a single null vector on a support with both sides
     odd, that vector is a real polynomial and is contoured directly,
-    otherwise the sum-of-squares polynomial is contoured
-    at an automatically calibrated level: 3x the median over the input
-    samples, floored at the smallest level the contouring grid can actually
-    resolve (estimated from gamma at the grid corners adjacent to the
-    samples). Rejects grid_res < 16 before any work and logs a warning when
-    N < |support| - 1 (underdetermined null space).
+    otherwise the sum-of-squares polynomial is contoured at the smallest
+    level the grid resolves around the samples (_resolvable_level). Rejects
+    grid_res < 16 before any work and logs a warning when N < |support| - 1
+    (underdetermined null space).
     """
     basis = nullspace_basis(pts, support, grid_res)
     if pts.n_points < len(support) - 1:
@@ -290,11 +288,8 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
         return extract_zero_level_set(
             TrigPolynomial(support, basis.vectors[0], hermitian=True),
             grid_res)
-    sos = SumOfSquares(basis.support, basis.vectors)
-    level = 3.0 * float(np.median(sos(pts)))
-    grid = sos.evaluate_grid(grid_res)
-    level = max(level, _resolvable_level(grid, pts))
-    return contour_periodic_grid(grid - level)
+    grid = SumOfSquares(basis.support, basis.vectors).evaluate_grid(grid_res)
+    return contour_periodic_grid(grid - _resolvable_level(grid, pts))
 
 
 def _resolvable_level(grid: np.ndarray, pts: PointSet) -> float:
@@ -302,8 +297,8 @@ def _resolvable_level(grid: np.ndarray, pts: PointSet) -> float:
 
     For each sample, takes the largest gamma over the four grid corners of
     the cell containing it; the marching-squares sublevel band is only
-    detected where those corners drop below the level, so the level is
-    floored slightly above a high quantile of these corner maxima.
+    detected where those corners drop below the level, so the level sits
+    slightly above a high quantile of these corner maxima.
     """
     n = grid.shape[0]
     ij = np.floor(pts.points * n).astype(int) % n

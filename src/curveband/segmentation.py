@@ -22,7 +22,7 @@ from scipy.linalg import blas
 from scipy.sparse.linalg import splu
 
 from .curve_model import FrequencySupport
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericalFailure
 from .recovery import SumOfSquares
 
 # segment stops once an update moves f by less than this (relative).
@@ -150,7 +150,8 @@ def segment(h: GrayImage, rank: int, lam: float,
     circular-convolution form of the trailing-energy penalty). Returns the
     best evaluated iterate by objective, flagged if not converged;
     `iterations` counts updates. Rejects a lam that is not positive and
-    finite, or a negative max_iters, before any work.
+    finite, or a negative max_iters, before any work, and raises
+    NumericalFailure when lam is so large that the update system overflows.
     """
     if not 0 < lam < np.inf:
         raise ContractViolation(f"lam must be positive and finite, got {lam}")
@@ -172,8 +173,9 @@ def segment(h: GrayImage, rank: int, lam: float,
     iterations = 0
     while True:
         s2, v = _gram_spectrum(lift)
+        # a Python float product overflows to inf without a warning
         objective = float(np.linalg.norm(f - h.pixels) ** 2
-                          + lam * np.sum(s2[rank:]))
+                          + lam * float(np.sum(s2[rank:])))
         history.append(objective)
         sos = SumOfSquares(filter_support, v[:, rank:].T)
         weights = np.maximum(sos.evaluate_grid((hh, ww)), 0.0)
@@ -183,8 +185,12 @@ def segment(h: GrayImage, rank: int, lam: float,
             break
         iterations += 1
         s_diag = sp.diags(weights.ravel())
-        system = (sp.eye(hh * ww)
-                  + (lam * scale) * (d0.T @ s_diag @ d0 + d1.T @ s_diag @ d1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            system = (sp.eye(hh * ww) + (lam * scale)
+                      * (d0.T @ s_diag @ d0 + d1.T @ s_diag @ d1))
+        if not np.isfinite(system.data).all():
+            raise NumericalFailure(
+                f"lam = {lam:g} (--lambda) overflows the update system")
         # SPD (weights >= 0, lam * scale > 0): diagonal pivots are safe
         f_new = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True}

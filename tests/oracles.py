@@ -4,10 +4,13 @@ from pathlib import Path
 
 import numpy as np
 
-from curveband import (FrequencySupport, GrayImage, PointSet, TrigPolynomial,
-                       evaluate_on_grid, feature_matrix)
-from curveband.curve_model import _ZERO_NUDGE, _convolve_full
+from curveband import (FrequencySupport, GrayImage, PointSet, SumOfSquares,
+                       TrigPolynomial, evaluate_on_grid, extract_zero_level_set,
+                       feature_matrix, nullspace_basis)
+from curveband.curve_model import (_ZERO_NUDGE, _convolve_full,
+                                   contour_periodic_grid)
 from curveband.errors import ContractViolation, NumericalFailure
+from curveband.recovery import _resolvable_level
 
 
 def evaluate(poly, pts):
@@ -122,6 +125,27 @@ def feature_svd_reference(pts, support):
     s_full = np.zeros(m.shape[1])
     s_full[:s.size] = s
     return s_full, vh
+
+
+def recover_curve_reference(pts, support, grid_res):
+    """`curveband.recover_curve` with its former sum-of-squares level:
+    3x the median of gamma over the samples, floored by `_resolvable_level`.
+    The floor always bound, so the median term was dropped; this is the
+    reference that shows the contours did not move."""
+    basis = nullspace_basis(pts, support, grid_res)
+    if basis.q == 0:
+        raise NumericalFailure(
+            "no null-space vector at tolerance; the support may be too small "
+            "or the samples too noisy")
+    if basis.q == 1 and support.k1 % 2 and support.k2 % 2:
+        return extract_zero_level_set(
+            TrigPolynomial(support, basis.vectors[0], hermitian=True),
+            grid_res)
+    sos = SumOfSquares(basis.support, basis.vectors)
+    level = 3.0 * float(np.median(sos(pts)))
+    grid = sos.evaluate_grid(grid_res)
+    level = max(level, _resolvable_level(grid, pts))
+    return contour_periodic_grid(grid - level)
 
 
 # hermitian_align_reference rejects a vector whose asymmetry

@@ -1,8 +1,13 @@
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curveband
 from curveband import io as cio
 from curveband import sample_curve
 from curveband.cli import build_parser, main
@@ -239,17 +244,40 @@ class TestSegment:
         for name in ("fstar.pgm", "edges.pgm", "edges.svg"):
             assert (out / name).exists()
 
+    @staticmethod
+    def run_process(args, cwd):
+        """The CLI in a fresh interpreter, so its warnings reach stderr."""
+        src = str(Path(curveband.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "curveband.cli", *map(str, args)],
+            cwd=cwd, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src})
+
     def test_non_finite_objective_writes_outputs(self, tmp_path):
-        # with no update, the only objective overflows to inf
-        img_path = tmp_path / "disk64.pgm"
-        cio.save_pgm(disk_phantom(64), img_path)
-        out = tmp_path / "seg"
-        with np.errstate(over="ignore"):
-            assert run(["segment", img_path, "--rank", 30, "--lambda", 1e308,
-                        "--filter", "9x9", "--max-iters", 0,
-                        "--out-dir", out]) == 0
+        # with no update, the only objective overflows to inf, silently
+        cio.save_pgm(disk_phantom(64), tmp_path / "disk64.pgm")
+        proc = self.run_process(
+            ["segment", "disk64.pgm", "--rank", 30, "--lambda", "1e308",
+             "--filter", "9x9", "--max-iters", 0, "--out-dir", "seg"],
+            tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
         for name in ("fstar.pgm", "edges.pgm", "edges.svg"):
-            assert (out / name).exists()
+            assert (tmp_path / "seg" / name).exists()
+
+    @pytest.mark.parametrize("lam", ["1e304", "1e308"])
+    def test_overflowing_update_exits_4(self, tmp_path, lam):
+        # lam * 64 * 64 is finite at 1e304, but the weighted stencil is not
+        cio.save_pgm(disk_phantom(64), tmp_path / "disk64.pgm")
+        proc = self.run_process(
+            ["segment", "disk64.pgm", "--rank", 30, "--lambda", lam,
+             "--filter", "9x9", "--max-iters", 2, "--out-dir", "seg"],
+            tmp_path)
+        assert proc.returncode == 4
+        assert "--lambda" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "seg").exists()
 
     def test_non_pgm_input_exits_3(self, tmp_path):
         bogus = tmp_path / "x.pgm"

@@ -15,8 +15,8 @@ from curveband.experiments import (_recovery_error, child_seed,
 from curveband.recovery import _feature_svd
 from oracles import (count_common_zeros, evaluate, feature_svd_reference,
                      hermitian_align_reference, minimal_rectangle_by_svd,
-                     refine_to_zero_set, shift_set_reference,
-                     sum_of_squares_by_rows)
+                     recover_curve_reference, refine_to_zero_set,
+                     shift_set_reference, sum_of_squares_by_rows)
 
 
 def line_pair_points(n=12, seed=0):
@@ -194,6 +194,20 @@ class TestNullspaceBasis:
         assert (r["rank"], r["q"]) == (72, 49)
         assert r["margin_above"] >= 10.0
         assert r["margin_below"] >= 10.0
+
+    def test_overcomplete_study_takes_one_feature_svd(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _feature_svd(*args)
+
+        monkeypatch.setattr("curveband.recovery._feature_svd", counted)
+        r = overcomplete_trial(0, FrequencySupport(11, 11), n_samples=220,
+                               grid_res=512)
+        assert len(calls) == 1
+        assert set(r) == {"q", "rank", "margin_above", "margin_below",
+                          "on_p95", "off_median"}
 
     def test_fallback_to_the_spectral_count_warns(self, caplog):
         # criterion-3 curve 6 with noise of about 1 px at 512: on this draw
@@ -461,6 +475,34 @@ class TestRecoverCurve:
                 wins += chamfer_distance(recovered, truth) <= 4.0 / grid_res
         assert wins >= 3
 
+    @staticmethod
+    def assert_same_polyline(a, b):
+        assert len(a.components) == len(b.components) > 0
+        for ca, cb in zip(a.components, b.components):
+            assert np.array_equal(ca, cb)
+
+    @pytest.mark.parametrize("shape", [(11, 11), (10, 10)])
+    @pytest.mark.parametrize("curve", range(4))
+    def test_level_matches_the_median_rule_on_criterion3(self, curve, shape):
+        # the former level, 3x the median of gamma over the samples, never
+        # rose above the resolvable floor, so dropping it moves no vertex
+        _, truth, _, _ = union_curve(curve, 512)
+        pts = sample_curve(truth, 220, seed=child_seed(curve, 1))
+        support = FrequencySupport(*shape)
+        self.assert_same_polyline(recover_curve(pts, support, 512),
+                                  recover_curve_reference(pts, support, 512))
+
+    def test_level_matches_the_median_rule_on_noisy_samples(self):
+        # of curves 0 and 6 with noise std 0.0005, 0.002 and 0.005 (draws
+        # 0-2), this draw brings the median rule closest to the floor: the
+        # floor is 13.8x three times the median
+        _, truth, _, _ = union_curve(6, 512)
+        pts = sample_curve(truth, 220, seed=child_seed(6, 1))
+        noise = 0.005 * np.random.default_rng(2).standard_normal((2, 220))
+        noisy = PointSet(2, (pts.points + noise) % 1.0)
+        support = FrequencySupport(11, 11)
+        self.assert_same_polyline(recover_curve(noisy, support, 512),
+                                  recover_curve_reference(noisy, support, 512))
 
     def test_small_grid_rejected_on_both_paths(self):
         single = line_pair_points(16, 9)  # one null vector on 3x1
