@@ -121,18 +121,18 @@ def cmd_denoise(args) -> int:
     out = _out_dir(args)
     io.save_points(denoised, out / "denoised.csv")
     io.save_trace_csv(trace, out / "trace.csv")
-    lines = ["metric,value", f"iterations,{trace.iterations[-1]}"]
+    metrics = {"iterations": trace.iterations[-1]}
     if truth is not None:
         snr_in = point_cloud_snr(truth, noisy)
         snr_out = point_cloud_snr(truth, denoised)
-        lines += [f"snr_in_db,{snr_in:.17g}", f"snr_out_db,{snr_out:.17g}",
-                  f"mse_in,{point_cloud_mse(truth, noisy):.17g}",
-                  f"mse_out,{point_cloud_mse(truth, denoised):.17g}"]
+        metrics.update(snr_in_db=snr_in, snr_out_db=snr_out,
+                       mse_in=point_cloud_mse(truth, noisy),
+                       mse_out=point_cloud_mse(truth, denoised))
         print(f"denoise: SNR {snr_in:.2f} dB -> {snr_out:.2f} dB "
               f"({trace.iterations[-1]} iterations)")
     else:
         print(f"denoise: {trace.iterations[-1]} iterations")
-    (out / "snr_report.csv").write_text("\n".join(lines) + "\n")
+    io.save_metrics(metrics, out / "snr_report.csv")
     return 0
 
 
@@ -157,16 +157,16 @@ def cmd_eval(args) -> int:
         a = io.load_polyline_csv(args.file_a)
         b = io.load_polyline_csv(args.file_b)
         value = chamfer_distance(a, b)
-        lines = ["metric,value", f"chamfer,{value:.17g}"]
+        metrics = {"chamfer": value}
         print(f"eval: chamfer distance {value:.6g}")
     else:
         a = io.load_points(args.file_a)
         b = io.load_points(args.file_b, dim=a.dim)
         mse = point_cloud_mse(a, b)
         snr = point_cloud_snr(a, b)
-        lines = ["metric,value", f"mse,{mse:.17g}", f"snr_db,{snr:.17g}"]
+        metrics = {"mse": mse, "snr_db": snr}
         print(f"eval: MSE {mse:.6g}, SNR {snr:.4g} dB")
-    (_out_dir(args) / "eval.csv").write_text("\n".join(lines) + "\n")
+    io.save_metrics(metrics, _out_dir(args) / "eval.csv")
     return 0
 
 

@@ -151,10 +151,10 @@ def graph_laplacian(w: np.ndarray) -> np.ndarray:
 def solve_quadratic(y, laplacian: np.ndarray, lam: float) -> np.ndarray:
     """argmin_X |X - Y|_F^2 + lam * trace(X L X^T), solved in closed form.
 
-    Only the symmetric part of L enters the quadratic form:
-    X = Y (I + lam (L + L^T)/2)^(-1).
+    Y is a (dim, N) array. Only the symmetric part of L enters the quadratic
+    form: X = Y (I + lam (L + L^T)/2)^(-1).
     """
-    y = y.points if isinstance(y, PointSet) else np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     sym = 0.5 * (laplacian + laplacian.T)
     system = np.eye(sym.shape[0]) + lam * sym
     try:

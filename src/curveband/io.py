@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -148,34 +149,25 @@ def save_pgm(img: GrayImage, path) -> None:
     Path(path).write_bytes(header + data.tobytes())
 
 
+# `P5`, then width, height and maxval as unsigned decimals, each after
+# whitespace or `#` comments that run to the end of the line, then one
+# whitespace byte; whitespace and comments may also precede `P5`
+_PGM_SEP = rb"(?:\s|#[^\n]*\n)"
+_PGM_HEADER = re.compile(
+    _PGM_SEP + rb"*P5" + (_PGM_SEP + rb"+(\d+)") * 3 + rb"\s")
+
+
 def load_pgm(path) -> GrayImage:
     raw = _read(path, "image", binary=True)
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        if pos >= len(raw):
-            raise DataError(f"truncated PGM header in {path}")
-        if raw[pos:pos + 1] == b"#":
-            pos = raw.find(b"\n", pos) + 1
-            if pos == 0:
-                raise DataError(f"unterminated PGM header comment in {path}")
-            continue
-        if raw[pos:pos + 1].isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < len(raw) and not raw[end:end + 1].isspace():
-            end += 1
-        fields.append(raw[pos:end])
-        pos = end
-    pos += 1  # single whitespace after maxval
-    if fields[0] != b"P5":
-        raise DataError(f"{path} is not a binary PGM (P5) file")
-    try:
-        width, height, maxval = (int(f) for f in fields[1:])
-    except ValueError:
-        raise DataError(f"malformed PGM header in {path}")
-    if maxval <= 0 or maxval > 255:
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise DataError(
+            f"malformed PGM header in {path}: expected P5, then width, height "
+            "and maxval as unsigned decimals separated by whitespace or "
+            "# comments ended by a newline, then one whitespace byte")
+    width, height, maxval = (int(f) for f in header.groups())
+    pos = header.end()
+    if not 0 < maxval <= 255:
         raise DataError(f"unsupported PGM maxval {maxval} in {path}")
     data = np.frombuffer(raw[pos:pos + width * height], dtype=np.uint8)
     if data.size != width * height:
@@ -221,28 +213,35 @@ def load_irls_config(path) -> IrlsConfig:
 # CSV reports
 
 
-def save_trace_csv(trace: DenoiseTrace, path) -> None:
-    lines = ["iter,cost,gamma,rel_change"]
-    for it, cost, gamma, rel in zip(trace.iterations, trace.costs,
-                                    trace.gammas, trace.rel_changes):
-        lines.append(f"{it},{cost:.17g},{gamma:.17g},{rel:.17g}")
+def _save_report(path, header: str, rows) -> None:
+    """The header line, then one line per row: numbers as %.17g, strings as
+    they are."""
+    lines = [header] + [",".join(c if isinstance(c, str) else "%.17g" % c
+                                 for c in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def save_metrics(metrics: dict, path) -> None:
+    """`metric,value` rows in the dict's order."""
+    _save_report(path, "metric,value", metrics.items())
+
+
+def save_trace_csv(trace: DenoiseTrace, path) -> None:
+    _save_report(path, "iter,cost,gamma,rel_change",
+                 zip(trace.iterations, trace.costs, trace.gammas,
+                     trace.rel_changes))
 
 
 def save_rank_report(rows: list[dict], path) -> None:
-    lines = ["gamma,lambda,N,measured_rank,bound"]
-    for r in rows:
-        lines.append(f"{r['gamma']},{r.get('lambda', '')},{r['N']},"
-                     f"{r['measured_rank']},{r.get('bound', '')}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = ("gamma", "lambda", "N", "measured_rank", "bound")
+    _save_report(path, ",".join(cols),
+                 ([r.get(c, "") for c in cols] for r in rows))
 
 
 def save_phase_csv(freq: np.ndarray, k_values, n_values, path) -> None:
-    lines = ["k,N,frequency"]
-    for i, k in enumerate(k_values):
-        for j, n in enumerate(n_values):
-            lines.append(f"{k},{n},{freq[i, j]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _save_report(path, "k,N,frequency",
+                 ((k, n, freq[i, j]) for i, k in enumerate(k_values)
+                  for j, n in enumerate(n_values)))
 
 
 def save_heatmap_svg(freq: np.ndarray, k_values, n_values, path) -> None:
@@ -252,28 +251,23 @@ def save_heatmap_svg(freq: np.ndarray, k_values, n_values, path) -> None:
     cell = 10.0
     width = len(n_values) * cell
     height = len(k_values) * cell
-    body = []
-    for i in range(len(k_values)):
-        for j in range(len(n_values)):
-            shade = int(round(255 * freq[i, j]))
-            body.append(
-                f'<rect x="{j * cell:.1f}" y="{i * cell:.1f}" '
-                f'width="{cell:.1f}" height="{cell:.1f}" '
-                f'fill="rgb({shade},{shade},{shade})"/>')
+    rows, cols = np.indices(freq.shape)
+    shade = np.rint(255 * freq)
+    cells = np.stack([cols * cell, rows * cell, shade, shade, shade], axis=-1)
+    rects = _format_rows(
+        f'<rect x="%.1f" y="%.1f" width="{cell:.1f}" height="{cell:.1f}" '
+        'fill="rgb(%d,%d,%d)"/>\n', cells.reshape(-1, 5))
     n_arr = np.asarray(n_values, dtype=float)
 
     def guide(values, color):
-        pts = []
-        for i, v in enumerate(values):
-            j = float(np.interp(v, n_arr, np.arange(len(n_arr))))
-            pts.append(f"{(j + 0.5) * cell:.2f},{(i + 0.5) * cell:.2f}")
-        return (f'<polyline points="{" ".join(pts)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>')
+        j = np.interp(values, n_arr, np.arange(len(n_arr)))
+        xy = (np.column_stack([j, np.arange(len(values))]) + 0.5) * cell
+        return (f'<polyline points="{_format_rows("%.2f,%.2f ", xy)[:-1]}" '
+                f'fill="none" stroke="{color}" stroke-width="1.5"/>\n')
 
     ks = np.asarray(k_values, dtype=float)
-    body.append(guide(ks * ks, "#26c"))
-    body.append(guide((2 * ks) ** 2, "#c22"))
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" '
            f'viewBox="0 0 {width:.1f} {height:.1f}">\n'
-           + "\n".join(body) + "\n</svg>\n")
+           + rects + guide(ks * ks, "#26c") + guide((2 * ks) ** 2, "#c22")
+           + "</svg>\n")
     Path(path).write_text(svg)

@@ -419,3 +419,30 @@ def save_polyline_svg_reference(curve, path, points=None):
     svg = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">\n'
            + "\n".join(body) + "\n</svg>\n")
     Path(path).write_text(svg)
+
+
+def save_heatmap_svg_reference(freq, k_values, n_values, path):
+    """The phase-transition heatmap written one cell and one guide vertex at
+    a time."""
+    cell = 10.0
+    body = []
+    for i in range(len(k_values)):
+        for j in range(len(n_values)):
+            shade = int(round(255 * freq[i, j]))
+            body.append(
+                f'<rect x="{j * cell:.1f}" y="{i * cell:.1f}" '
+                f'width="{cell:.1f}" height="{cell:.1f}" '
+                f'fill="rgb({shade},{shade},{shade})"/>')
+    n_arr = np.asarray(n_values, dtype=float)
+    ks = np.asarray(k_values, dtype=float)
+    for values, color in ((ks * ks, "#26c"), ((2 * ks) ** 2, "#c22")):
+        pts = []
+        for i, v in enumerate(values):
+            j = float(np.interp(v, n_arr, np.arange(len(n_arr))))
+            pts.append(f"{(j + 0.5) * cell:.2f},{(i + 0.5) * cell:.2f}")
+        body.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+                    f'stroke="{color}" stroke-width="1.5"/>')
+    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" '
+           f'viewBox="0 0 {len(n_values) * cell:.1f} '
+           f'{len(k_values) * cell:.1f}">\n' + "\n".join(body) + "\n</svg>\n")
+    Path(path).write_text(svg)

@@ -85,6 +85,25 @@ class TestRecover:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_unparsable_point_row_exits_3(self, tmp_path, capsys):
+        pts_path = tmp_path / "pts.csv"
+        pts_path.write_text("0.1,0.2\na,b\n0.3,0.4\n")
+        out = tmp_path / "rec"
+        assert run(["recover", pts_path, "--gamma", "3x3",
+                    "--out-dir", out]) == 3
+        err = capsys.readouterr().err
+        assert "malformed point file" in err and str(pts_path) in err
+        assert not out.exists()
+
+    def test_support_without_null_vector_exits_4(self, tmp_path, capsys):
+        pts_path = tmp_path / "pts.csv"
+        pts_path.write_text("0.25,0.1\n0.75,0.4\n0.25,0.7\n")
+        out = tmp_path / "rec"
+        assert run(["recover", pts_path, "--gamma", "1x1",
+                    "--out-dir", out]) == 4
+        assert "no null-space vector" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_below_16_exits_2(self, tmp_path, capsys, monkeypatch):
         # criterion-3 samples: over-estimated support, sum-of-squares path;
         # every grid under 16 is rejected before the feature-matrix SVD
@@ -171,6 +190,21 @@ class TestPhaseTransition:
                     *flags, "--out-dir", tmp_path]) == 2
         assert not (tmp_path / "phase_transition.csv").exists()
 
+    def test_empty_range_exits_2(self, tmp_path, capsys):
+        assert run(["phase-transition", "--k-range", "3", "--n-range", "20:5",
+                    "--trials", 1, "--out-dir", tmp_path]) == 2
+        assert "non-empty ranges" in capsys.readouterr().err
+        assert not (tmp_path / "phase_transition.csv").exists()
+
+    def test_range_with_step_includes_stop(self, tmp_path):
+        assert run(["phase-transition", "--k-range", "3",
+                    "--n-range", "10:40:15", "--trials", 1,
+                    "--out-dir", tmp_path]) == 0
+        lines = (tmp_path / "phase_transition.csv").read_text().splitlines()
+        assert lines[0] == "k,N,frequency"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["3", "10"], ["3", "25"], ["3", "40"]]
+
     def test_zero_trials_exits_2(self, tmp_path):
         assert run(["phase-transition", "--k-range", "3", "--n-range", "40",
                     "--trials", 0, "--out-dir", tmp_path]) == 2
@@ -219,8 +253,20 @@ class TestDenoise:
         assert "data error" in err and str(one) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["gamma0 = inf", "eta = 1"],
-                             ids=["gamma0-inf", "eta-1"])
+    def test_config_value_of_wrong_type_reports_line(self, tmp_path,
+                                                     sample_points, capsys):
+        _, noisy_path = sample_points
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sigma = abc\n")
+        assert run(["denoise", noisy_path, "--config", cfg,
+                    "--out-dir", tmp_path / "dn"]) == 3
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "line 1" in err and "sigma" in err
+        assert not (tmp_path / "dn").exists()
+
+    @pytest.mark.parametrize("line", ["gamma0 = inf", "eta = 1",
+                                      "max_iters = 0"],
+                             ids=["gamma0-inf", "eta-1", "max_iters-0"])
     def test_out_of_range_config_exits_3(self, tmp_path, sample_points,
                                          capsys, line):
         # a config file is data: a value IrlsConfig rejects is a data error
@@ -278,6 +324,23 @@ class TestSegment:
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "seg").exists()
+
+    def test_filter_larger_than_image_exits_2(self, tmp_path, capsys):
+        cio.save_pgm(disk_phantom(64), tmp_path / "disk64.pgm")
+        out = tmp_path / "seg"
+        assert run(["segment", tmp_path / "disk64.pgm", "--rank", 5,
+                    "--filter", "65x65", "--out-dir", out]) == 2
+        assert "filter support" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_pgm_size_exits_3(self, tmp_path, capsys):
+        bogus = tmp_path / "n.pgm"
+        bogus.write_bytes(b"P5\n-16 -16\n255\n" + bytes([128]) * 256)
+        out = tmp_path / "seg"
+        assert run(["segment", bogus, "--rank", 5, "--out-dir", out]) == 3
+        err = capsys.readouterr().err
+        assert "PGM header" in err and str(bogus) in err
+        assert not out.exists()
 
     def test_non_pgm_input_exits_3(self, tmp_path):
         bogus = tmp_path / "x.pgm"

@@ -6,7 +6,7 @@ from curveband import (DataError, FrequencySupport, GrayImage, PointSet,
 from curveband import io as cio
 from curveband.denoise import DenoiseTrace, IrlsConfig
 from curveband.experiments import curve_with_zero_set, disk_phantom
-from oracles import (save_polyline_csv_reference,
+from oracles import (save_heatmap_svg_reference, save_polyline_csv_reference,
                      save_polyline_svg_reference, svg_paths_reference)
 
 
@@ -235,6 +235,41 @@ class TestPgm:
         assert "r.pgm" in str(info.value)
 
 
+    # each header is followed by 16 * 16 pixels of value 128
+    @pytest.mark.parametrize("header", [
+        pytest.param(b"P5\n16 16\n255\n", id="plain"),
+        pytest.param(b"# made by hand\n P5\n16 16\n255\n",
+                     id="leading-comment"),
+        pytest.param(b"P5 16#c\n16 255\n", id="comment-after-field"),
+        pytest.param(b"P5#c\n16\n# c\n\n16\n255\n", id="comment-lines"),
+        pytest.param(b"P5\t0016\r16\x0b255\x0c", id="other-whitespace"),
+    ])
+    def test_accepted_header(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes([128]) * 256)
+        img = cio.load_pgm(path)
+        assert img.pixels.shape == (16, 16)
+        assert np.all(img.pixels == 128 / 255)
+
+    @pytest.mark.parametrize("header, match", [
+        pytest.param(b"P5\n-16 -16\n255\n", "header", id="negative-size"),
+        pytest.param(b"P5\n+16 16\n255\n", "header", id="plus-sign"),
+        pytest.param(b"P5\n1_6 16\n255\n", "header", id="underscore"),
+        pytest.param(b"P5\n16 16\n0\n", "maxval 0", id="maxval-0"),
+        pytest.param(b"P5\n16 16\n256\n", "maxval 256", id="maxval-256"),
+        pytest.param(b"P5\n16 16\n255", "header", id="no-byte-after-maxval"),
+        pytest.param(b"P5\n16 16\n255#c\n", "header",
+                     id="comment-after-maxval"),
+        pytest.param(b"P516 16 255\n", "header", id="no-space-after-p5"),
+    ])
+    def test_rejected_header_names_file(self, tmp_path, header, match):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes([128]) * 256)
+        with pytest.raises(DataError, match=match) as info:
+            cio.load_pgm(path)
+        assert str(path) in str(info.value)
+
+
 class TestIrlsConfigFile:
     def test_roundtrip(self, tmp_path):
         cfg = IrlsConfig(lam=0.25, sigma=0.08, gamma0=0.5, eta=2.0,
@@ -285,6 +320,34 @@ class TestReports:
         assert "gamma,lambda,N,measured_rank,bound" in text
         assert "11x11,5x5,220,72,72" in text
 
+    def test_metrics(self, tmp_path):
+        path = tmp_path / "m.csv"
+        cio.save_metrics({"iterations": 4, "snr_db": float("inf"),
+                          "mse": 0.1, "note": "x"}, path)
+        assert path.read_text() == ("metric,value\niterations,4\n"
+                                    "snr_db,inf\nmse,0.10000000000000001\n"
+                                    "note,x\n")
+
+    def test_trace_csv_edge_values(self, tmp_path):
+        m = len(EDGE_VALUES)
+        trace = DenoiseTrace(iterations=list(range(1, m + 1)),
+                             costs=EDGE_VALUES, costs_before=[0.0] * m,
+                             gammas=EDGE_VALUES[::-1],
+                             rel_changes=[float("inf")] * m)
+        cio.save_trace_csv(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == "".join(
+            ["iter,cost,gamma,rel_change\n"] + [
+                f"{it},{c:.17g},{g:.17g},inf\n"
+                for it, c, g in zip(trace.iterations, EDGE_VALUES,
+                                    EDGE_VALUES[::-1])])
+
+    def test_rank_report_without_inner(self, tmp_path):
+        path = tmp_path / "rank.csv"
+        cio.save_rank_report([{"gamma": "7x7", "N": 150,
+                               "measured_rank": np.int64(24)}], path)
+        assert path.read_text() == ("gamma,lambda,N,measured_rank,bound\n"
+                                    "7x7,,150,24,\n")
+
     def test_heatmap_svg(self, tmp_path):
         freq = np.array([[0.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
         path = tmp_path / "h.svg"
@@ -293,6 +356,23 @@ class TestReports:
         assert text.startswith("<svg")
         assert text.count("<rect") == 6
         assert text.count("<polyline") == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_heatmap_svg_matches_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        k_values = sorted(rng.choice(np.arange(2, 20), 1 + seed % 4,
+                                     replace=False).tolist())
+        n_values = sorted(rng.choice(np.arange(1, 400), 2 + seed,
+                                     replace=False).tolist())
+        shape = (len(k_values), len(n_values))
+        # half-odd multiples of 1/255 land on round()'s ties
+        freq = (rng.uniform(0, 1, shape) if seed % 2
+                else rng.integers(0, 255, shape) / 255 + 0.5 / 255)
+        cio.save_heatmap_svg(freq, k_values, n_values, tmp_path / "new.svg")
+        save_heatmap_svg_reference(freq, k_values, n_values,
+                                   tmp_path / "ref.svg")
+        assert ((tmp_path / "new.svg").read_bytes()
+                == (tmp_path / "ref.svg").read_bytes())
 
 
 @pytest.mark.parametrize("load, text", [
