@@ -9,8 +9,7 @@ from .curve_model import (FrequencySupport, PointSet, Polyline,
 from .denoise import (DenoiseTrace, IrlsConfig, graph_laplacian, irls_weights,
                       klr_denoise, point_cloud_mse, point_cloud_snr,
                       solve_quadratic)
-from .errors import (AmbiguousSupport, ContractViolation, DataError,
-                     NoSamplesAvailable, NumericalFailure)
+from .errors import ContractViolation, DataError, NumericalFailure
 from .lifting import (FeatureMatrix, KernelMatrix, dirichlet_gram,
                       feature_matrix, gaussian_kernel_matrix)
 from .recovery import (NullspaceBasis, SumOfSquares, chamfer_distance,

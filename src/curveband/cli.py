@@ -20,8 +20,7 @@ import numpy as np
 from . import experiments, io
 from .curve_model import FrequencySupport, extract_zero_level_set, random_curve
 from .denoise import IrlsConfig, klr_denoise, point_cloud_mse, point_cloud_snr
-from .errors import (AmbiguousSupport, ContractViolation, DataError,
-                     NoSamplesAvailable, NumericalFailure)
+from .errors import ContractViolation, DataError, NumericalFailure
 from .recovery import (chamfer_distance, nullspace_basis, rank_bound,
                        recover_curve)
 from .segmentation import segment
@@ -39,18 +38,24 @@ def _parse_support(text: str) -> FrequencySupport:
         raise ContractViolation(f"bad support spec {text!r}, expected K1xK2")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Integers `a,b,c`, or the inclusive range `start:stop[:step]`."""
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Integers `a,b,c`, or the inclusive range `start:stop[:step]`; at
+    least one."""
     try:
         if ":" not in text:
-            return [int(p) for p in text.split(",") if p.strip()]
-        start, stop, step = ([int(p) for p in text.split(":")] + [1])[:3]
+            values = [int(p) for p in text.split(",") if p.strip()]
+        else:
+            start, stop, step = ([int(p) for p in text.split(":")] + [1])[:3]
+            values = list(range(start, stop + 1, step)) if step > 0 else None
     except ValueError:
-        raise ContractViolation(f"bad integer list {text!r}")
-    if step <= 0 or text.count(":") > 2:
-        raise ContractViolation(
-            f"bad range {text!r}, expected start:stop[:step] with step > 0")
-    return list(range(start, stop + 1, step))
+        raise ContractViolation(f"bad integer list {flag} {text!r}")
+    if values is None or text.count(":") > 2:
+        raise ContractViolation(f"bad range {flag} {text!r}, expected "
+                                "start:stop[:step] with step > 0")
+    if not values:
+        raise ContractViolation(f"{flag} {text!r} gives no values; phase "
+                                "transition needs non-empty ranges")
+    return values
 
 
 def _out_dir(args) -> Path:
@@ -64,6 +69,9 @@ def cmd_synth(args) -> int:
     support = _parse_support(args.support)
     poly = random_curve(support, args.seed)
     curve = extract_zero_level_set(poly, args.grid_res)
+    if curve.is_empty:
+        raise NumericalFailure(f"the zero set of the {support.k1}x{support.k2}"
+                               f" curve is empty at grid {args.grid_res}")
     out = _out_dir(args)
     io.save_coefficients(poly, out / "coeffs.json")
     io.save_polyline_svg(curve, out / "curve.svg")
@@ -97,8 +105,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_phase_transition(args) -> int:
-    k_values = _parse_int_list(args.k_range)
-    n_values = _parse_int_list(args.n_range)
+    k_values = _parse_int_list(args.k_range, "--k-range")
+    n_values = _parse_int_list(args.n_range, "--n-range")
     freq = experiments.phase_transition(
         k_values, n_values, args.trials, args.seed,
         grid_res=args.grid_res, threads=args.threads)
@@ -245,10 +253,10 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, NoSamplesAvailable, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalFailure, AmbiguousSupport, np.linalg.LinAlgError) as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

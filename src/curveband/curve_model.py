@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ContractViolation, NoSamplesAvailable
+from .errors import ContractViolation
 
 # Values exactly 0 on the sampling grid are nudged onto the negative side so
 # every sign change falls strictly inside a grid edge.
@@ -112,7 +112,7 @@ class PointSet:
         return self.points.shape[1]
 
     @classmethod
-    def empty(cls, dim: int = 2) -> "PointSet":
+    def empty(cls, dim: int) -> "PointSet":
         return cls(dim, np.zeros((dim, 0)))
 
 
@@ -360,7 +360,7 @@ def sample_curve(curve: Polyline, n: int, seed,
     nonzero = lengths > 0
     starts, deltas, lengths = starts[nonzero], deltas[nonzero], lengths[nonzero]
     if lengths.size == 0:
-        raise NoSamplesAvailable("no curve available in the requested region")
+        raise ContractViolation("no curve available in the requested region")
     cum = np.cumsum(lengths)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, cum[-1], size=n)

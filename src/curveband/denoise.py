@@ -195,7 +195,7 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig
         trace.gammas.append(gamma)
         trace.rel_changes.append(rel)
         if not np.isfinite(cost) or not np.all(np.isfinite(x_new)):
-            raise NumericalFailure("non-finite iterate in IRLS", trace=trace)
+            raise NumericalFailure("non-finite iterate in IRLS")
         x, k_cur = x_new, k_new  # the cost's kernel is the next pass's
         gamma /= cfg.eta
         if rel < cfg.rel_tol:

@@ -1,29 +1,14 @@
-"""Exception types shared across the library and mapped to CLI exit codes."""
+"""Exception types shared across the library, one per CLI exit code."""
 
 
 class ContractViolation(ValueError):
-    """An argument violates a documented precondition."""
-
-
-class AmbiguousSupport(RuntimeError):
-    """The null space has dimension > 1 at the working tolerance, so a single
-    coefficient vector is not identifiable; use a null-space basis instead."""
-
-
-class NoSamplesAvailable(RuntimeError):
-    """A sampling request cannot be satisfied (empty curve or empty region)."""
-
-
-class NumericalFailure(RuntimeError):
-    """A numerical routine failed (non-finite values, singular system, ...).
-
-    May carry a `trace` attribute with per-iteration diagnostics.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """An argument violates a documented precondition (exit code 2)."""
 
 
 class DataError(ValueError):
-    """An input file is missing or malformed."""
+    """An input file is missing or malformed (exit code 3)."""
+
+
+class NumericalFailure(RuntimeError):
+    """A numerical routine failed: non-finite values, a singular system, or a
+    null space of dimension > 1 where one vector is needed (exit code 4)."""

@@ -18,7 +18,7 @@ from .curve_model import (FrequencySupport, PointSet, Polyline,
                           extract_zero_level_set, multiply, random_curve,
                           sample_curve)
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
-from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
+from .errors import ContractViolation, NumericalFailure
 from .recovery import (SumOfSquares, chamfer_distance, estimate_coefficients,
                        nullspace_basis)
 from .segmentation import GrayImage
@@ -59,13 +59,12 @@ def half_region(curve: Polyline) -> tuple[float, float, float, float]:
 def _recovery_error(pts: PointSet, support: FrequencySupport,
                     truth: Polyline, grid_res: int) -> float:
     """Curve error of the known-support recovery from `pts` against `truth`
-    (inf = failed: ambiguous or rejected estimate, a support with an even
-    side, whose estimate is not hermitian, or an empty curve on either
-    side)."""
+    (inf = failed: an ambiguous estimate, no samples, or an empty curve on
+    either side)."""
     try:
         est = estimate_coefficients(pts, support, grid_res)
         recovered = extract_zero_level_set(est, grid_res)
-    except (AmbiguousSupport, ContractViolation):
+    except (NumericalFailure, ContractViolation):
         return np.inf
     if recovered.is_empty or truth.is_empty:
         return np.inf
@@ -73,8 +72,7 @@ def _recovery_error(pts: PointSet, support: FrequencySupport,
 
 
 def known_support_trial(support: FrequencySupport, n_samples: int, seed,
-                        grid_res: int = 256, restrict: str | None = None
-                        ) -> float:
+                        grid_res: int, restrict: str | None = None) -> float:
     """One recovery with known support; returns the curve error (inf = failed).
 
     `restrict="left"` limits sampling to the left half of the curve's
@@ -88,8 +86,8 @@ def known_support_trial(support: FrequencySupport, n_samples: int, seed,
     return _recovery_error(pts, support, truth, grid_res)
 
 
-def phase_transition(k_values, n_values, trials: int, seed,
-                     grid_res: int = 256, threads: int = 1) -> np.ndarray:
+def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
+                     threads: int) -> np.ndarray:
     """Success frequency per (support size, sample count) cell.
 
     Success means the recovered curve lies within 3 grid cells (3/grid_res)
@@ -122,7 +120,7 @@ def phase_transition(k_values, n_values, trials: int, seed,
     return freq / trials
 
 
-def union_curve(seed, grid_res: int = 512
+def union_curve(seed, grid_res: int
                 ) -> tuple[TrigPolynomial, Polyline, Polyline, Polyline]:
     """Product of two random 3x3 factors: (product poly, product curve,
     factor-1 curve, factor-2 curve)."""
@@ -160,8 +158,8 @@ def offcurve_probes(curve: Polyline, n: int, seed) -> PointSet:
     return PointSet(2, np.array(kept).T)
 
 
-def overcomplete_trial(seed, outer: FrequencySupport,
-                       n_samples: int = 220, grid_res: int = 512) -> dict:
+def overcomplete_trial(seed, outer: FrequencySupport, n_samples: int,
+                       grid_res: int) -> dict:
     """Null-space study on a 5x5 union curve with an over-estimated support.
 
     The samples are drawn from the grid_res rasterization of the curve, as
@@ -187,7 +185,7 @@ def overcomplete_trial(seed, outer: FrequencySupport,
     return result
 
 
-def noisy_curve_samples(seed, n_samples: int = 400, noise_std: float = 0.01
+def noisy_curve_samples(seed, n_samples: int, noise_std: float
                         ) -> tuple[PointSet, PointSet]:
     """(clean, noisy) samples of a random 3x3 curve with Gaussian
     perturbations."""
@@ -198,7 +196,7 @@ def noisy_curve_samples(seed, n_samples: int = 400, noise_std: float = 0.01
     return clean, PointSet(2, noisy)
 
 
-def denoise_trial(seed, n_samples: int = 400, noise_std: float = 0.01
+def denoise_trial(seed, n_samples: int, noise_std: float
                   ) -> tuple[float, float]:
     """(input SNR, output SNR) of one kernel low-rank denoising run with the
     default IrlsConfig."""
@@ -211,8 +209,7 @@ def denoise_trial(seed, n_samples: int = 400, noise_std: float = 0.01
 # synthetic phantoms for segmentation
 
 
-def disk_phantom(size: int = 64, center=(0.5, 0.5),
-                 radius: float = 0.3) -> GrayImage:
+def disk_phantom(size: int, radius: float, center=(0.5, 0.5)) -> GrayImage:
     """Filled-disk indicator image (pixel centers at (i+1/2)/size)."""
     coords = (np.arange(size) + 0.5) / size
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
@@ -220,7 +217,7 @@ def disk_phantom(size: int = 64, center=(0.5, 0.5),
     return GrayImage(inside.astype(float))
 
 
-def multi_disk_phantom(size: int = 64) -> GrayImage:
+def multi_disk_phantom(size: int) -> GrayImage:
     """One strong disk plus three progressively fainter ones."""
     coords = (np.arange(size) + 0.5) / size
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
@@ -238,7 +235,7 @@ def edge_contours(edge_map: GrayImage) -> Polyline:
     return contour_periodic_grid(edge_map.pixels - _EDGE_LEVEL)
 
 
-def circle_polyline(radius: float = 0.3) -> Polyline:
+def circle_polyline(radius: float) -> Polyline:
     """Dense circle (720 vertices) centred in the unit square, for phantom
     comparisons (coords = (y, x))."""
     t = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)

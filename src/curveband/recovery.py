@@ -31,7 +31,7 @@ from scipy.spatial import cKDTree
 from .curve_model import (FrequencySupport, PointSet, Polyline,
                           TrigPolynomial, contour_periodic_grid,
                           evaluate_on_grid, extract_zero_level_set)
-from .errors import AmbiguousSupport, ContractViolation, NumericalFailure
+from .errors import ContractViolation, NumericalFailure
 from .lifting import feature_matrix
 
 _log = logging.getLogger(__name__)
@@ -127,13 +127,13 @@ def estimate_coefficients(pts: PointSet, support: FrequencySupport,
     value: a real polynomial, up to sign, flagged hermitian when both sides
     of the support are odd (on an even side it is real only after a
     half-frequency shift, so it stays unflagged). The samples are read off a
-    grid_res rasterization. Raises AmbiguousSupport when a second singular
+    grid_res rasterization. Raises NumericalFailure when a second singular
     value also falls below the known-support cut times sigma_max.
     """
     tol = _KNOWN_SUPPORT_CUT * _grid_scale(grid_res)
     s_full, vh = _feature_svd(pts, support)
     if len(support) >= 2 and s_full[-2] < tol * s_full[0]:
-        raise AmbiguousSupport(
+        raise NumericalFailure(
             f"null space has dimension > 1 at tolerance {tol:g}; use "
             "nullspace_basis for over-estimated supports")
     return TrigPolynomial(support, np.conj(vh[-1]),

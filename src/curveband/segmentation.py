@@ -93,7 +93,9 @@ def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift
     """Gradient spectra of the image, centered and wrapped in a lift."""
     rows, cols = img.pixels.shape
     if filter_support.k1 > rows or filter_support.k2 > cols:
-        raise ContractViolation("filter support larger than the image")
+        raise ContractViolation(
+            f"filter support {filter_support.k1}x{filter_support.k2} larger "
+            f"than the {rows}x{cols} image")
     g0, g1 = gradient_spectrum(img)
     return ToeplitzLift(filter_support,
                         (np.fft.fftshift(g0), np.fft.fftshift(g1)))
@@ -136,8 +138,7 @@ def _difference_operators(h: int, w: int) -> tuple[sp.spmatrix, sp.spmatrix]:
 
 
 def segment(h: GrayImage, rank: int, lam: float,
-            filter_support: FrequencySupport,
-            max_iters: int = 15) -> SegmentResult:
+            filter_support: FrequencySupport, max_iters: int) -> SegmentResult:
     """Piecewise-constant approximation of `h` plus its edge map.
 
     One loop from f = h: each pass evaluates f (the eigendecomposition of

@@ -52,6 +52,14 @@ class TestSynth:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "coeffs.json").exists()
 
+    def test_empty_zero_set_exits_4(self, tmp_path, capsys):
+        # a 1x1 polynomial is a nonzero constant: no curve to write
+        out = tmp_path / "s"
+        assert run(["synth", "--support", "1x1", "--out-dir", out]) == 4
+        assert "zero set of the 1x1 curve is empty at grid 512" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestRecover:
     def test_pipeline_reports_rank(self, tmp_path):
@@ -193,7 +201,8 @@ class TestPhaseTransition:
     def test_empty_range_exits_2(self, tmp_path, capsys):
         assert run(["phase-transition", "--k-range", "3", "--n-range", "20:5",
                     "--trials", 1, "--out-dir", tmp_path]) == 2
-        assert "non-empty ranges" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-empty ranges" in err and "--n-range '20:5'" in err
         assert not (tmp_path / "phase_transition.csv").exists()
 
     def test_range_with_step_includes_stop(self, tmp_path):
@@ -301,7 +310,7 @@ class TestSegment:
 
     def test_non_finite_objective_writes_outputs(self, tmp_path):
         # with no update, the only objective overflows to inf, silently
-        cio.save_pgm(disk_phantom(64), tmp_path / "disk64.pgm")
+        cio.save_pgm(disk_phantom(64, radius=0.3), tmp_path / "disk64.pgm")
         proc = self.run_process(
             ["segment", "disk64.pgm", "--rank", 30, "--lambda", "1e308",
              "--filter", "9x9", "--max-iters", 0, "--out-dir", "seg"],
@@ -314,7 +323,7 @@ class TestSegment:
     @pytest.mark.parametrize("lam", ["1e304", "1e308"])
     def test_overflowing_update_exits_4(self, tmp_path, lam):
         # lam * 64 * 64 is finite at 1e304, but the weighted stencil is not
-        cio.save_pgm(disk_phantom(64), tmp_path / "disk64.pgm")
+        cio.save_pgm(disk_phantom(64, radius=0.3), tmp_path / "disk64.pgm")
         proc = self.run_process(
             ["segment", "disk64.pgm", "--rank", 30, "--lambda", lam,
              "--filter", "9x9", "--max-iters", 2, "--out-dir", "seg"],
@@ -326,11 +335,12 @@ class TestSegment:
         assert not (tmp_path / "seg").exists()
 
     def test_filter_larger_than_image_exits_2(self, tmp_path, capsys):
-        cio.save_pgm(disk_phantom(64), tmp_path / "disk64.pgm")
+        cio.save_pgm(disk_phantom(64, radius=0.3), tmp_path / "disk64.pgm")
         out = tmp_path / "seg"
         assert run(["segment", tmp_path / "disk64.pgm", "--rank", 5,
                     "--filter", "65x65", "--out-dir", out]) == 2
-        assert "filter support" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "filter support 65x65" in err and "64x64 image" in err
         assert not out.exists()
 
     def test_negative_pgm_size_exits_3(self, tmp_path, capsys):
@@ -495,7 +505,7 @@ class TestUnreadableInputs:
     def valid_input(command, tmp_path):
         path = tmp_path / f"valid-{command}"
         if command == "segment":
-            cio.save_pgm(disk_phantom(16), path)
+            cio.save_pgm(disk_phantom(16, radius=0.3), path)
         elif command == "eval":
             path.write_text("0,0.1,0.2\n0,0.3,0.4\n0,0.2,0.6\n")
         else:
@@ -543,4 +553,35 @@ def test_rejected_command_leaves_no_out_dir(tmp_path, command):
         argv, expected = REJECTED[command]
     out = tmp_path / "out"
     assert run([command, *argv, "--out-dir", out]) == expected
+    assert not out.exists()
+
+
+def readme_exit_codes():
+    """{class name: (exit code, stderr prefix)} from the README table."""
+    table = {}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].isdigit():
+            for name in cells[2].split(","):
+                table[name.strip(" `").rsplit(".", 1)[-1]] = (
+                    int(cells[0]), cells[1].strip("`"))
+    return table
+
+
+@pytest.mark.parametrize("exc_type", [
+    *(c for c in vars(curveband.errors).values()
+      if isinstance(c, type) and c.__module__ == "curveband.errors"),
+    OSError, np.linalg.LinAlgError], ids=lambda c: c.__name__)
+def test_every_error_class_maps_to_its_readme_exit_code(
+        tmp_path, capsys, monkeypatch, exc_type):
+    def fail(*args):
+        raise exc_type("injected")
+
+    monkeypatch.setattr(curveband.cli, "random_curve", fail)
+    code, prefix = readme_exit_codes()[exc_type.__name__]
+    out = tmp_path / "out"
+    assert run(["synth", "--out-dir", out]) == code
+    err = capsys.readouterr().err
+    assert err == f"{prefix} injected\n"
     assert not out.exists()

@@ -8,8 +8,8 @@ import pytest
 from scipy.signal import convolve2d
 
 import curveband
-from curveband import (ContractViolation, FrequencySupport, NoSamplesAvailable,
-                       PointSet, TrigPolynomial, evaluate_on_grid,
+from curveband import (ContractViolation, FrequencySupport, PointSet,
+                       TrigPolynomial, evaluate_on_grid,
                        extract_zero_level_set, multiply, random_curve,
                        sample_curve)
 from curveband.curve_model import (_convolve_full, contour_periodic_grid,
@@ -238,7 +238,7 @@ def contour_fields():
     # saddle at cell (0, 0) whose center sign flips if a+b+c+d is reordered
     yield "saddle-rounding", np.array([[1.0, -1e-17, 1.0, -1.0],
                                        [-1.0, 1e-16, -1.0, 1.0]] * 2)
-    for name, img in (("disk", disk_phantom(64)),
+    for name, img in (("disk", disk_phantom(64, radius=0.3)),
                       ("multi-disk", multi_disk_phantom(64))):
         for level in (0.0, 0.1, 0.5):
             yield f"{name}-{level}", img.pixels - level
@@ -309,7 +309,7 @@ class TestSampleCurve:
 
     def test_empty_region_raises(self):
         _, curve = self._line_curve()
-        with pytest.raises(NoSamplesAvailable):
+        with pytest.raises(ContractViolation, match="requested region"):
             sample_curve(curve, 5, seed=0, region=(0.4, 0.45, 0.0, 1.0))
 
     def test_empty_curve_rejected(self):
@@ -319,7 +319,8 @@ class TestSampleCurve:
 
     def test_known_support_trial_takes_only_the_left_half(self):
         with pytest.raises(ContractViolation):
-            known_support_trial(FrequencySupport(3, 3), 10, 0, restrict="right")
+            known_support_trial(FrequencySupport(3, 3), 10, 0, 256,
+                                restrict="right")
 
 
 class TestRandomCurve:

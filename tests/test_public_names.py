@@ -79,11 +79,12 @@ def _calls_by_name(paths) -> dict:
     return calls
 
 
-def _unset_defaults(node: ast.FunctionDef, is_method: bool,
-                    calls: list) -> list[str]:
-    """The defaulted parameters of a definition that none of the calls
-    binds: by keyword, by position (after self or cls for a method), or
-    through `*`/`**`, which may bind any of them."""
+def _defaults_bound(node: ast.FunctionDef, is_method: bool,
+                    calls: list) -> tuple[list[str], list[set]]:
+    """The defaulted parameters of a definition, and for each call the set
+    of them that it binds: by keyword, or by position (after self or cls
+    for a method). A call through `*`/`**` may bind any of them or none, so
+    then no call is returned and no parameter can be judged."""
     args = node.args
     positional = [a.arg for a in args.posonlyargs + args.args]
     defaulted = positional[len(positional) - len(args.defaults):] + [
@@ -92,23 +93,44 @@ def _unset_defaults(node: ast.FunctionDef, is_method: bool,
     if is_method and not any(getattr(d, "id", None) == "staticmethod"
                              for d in node.decorator_list):
         positional = positional[1:]
-    bound = set()
+    bound = []
     for call in calls:
         if (any(isinstance(a, ast.Starred) for a in call.args)
                 or any(k.arg is None for k in call.keywords)):
-            return []
-        bound |= set(positional[:len(call.args)])
-        bound |= {k.arg for k in call.keywords}
-    return [p for p in defaulted if p not in bound]
+            return defaulted, None
+        bound.append(set(positional[:len(call.args)])
+                     | {k.arg for k in call.keywords})
+    return defaulted, bound
+
+
+def _defaults_where(judge) -> list[str]:
+    """`label(param)` for each defaulted parameter of a public function or
+    method that `judge(param, bound)` flags, given the per-call bound sets
+    of the calls outside the unit tests."""
+    calls = _calls_by_name(CALLERS)
+    flagged = []
+    for label, node in _public_definitions():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        defaulted, bound = _defaults_bound(node, label.count(".") == 2,
+                                           calls.get(node.name, []))
+        if bound is not None:
+            flagged += [f"{label}({p})" for p in defaulted if judge(p, bound)]
+    return flagged
 
 
 def test_every_default_parameter_is_set_outside_unit_tests():
     # A default that no caller overrides is a constant posing as a knob.
-    calls = _calls_by_name(CALLERS)
-    unset = [f"{label}({p})" for label, node in _public_definitions()
-             if isinstance(node, ast.FunctionDef)
-             for p in _unset_defaults(node, label.count(".") == 2,
-                                      calls.get(node.name, []))]
+    unset = _defaults_where(lambda p, bound: not any(p in b for b in bound))
     assert unset == [], (
         "defaulted parameters that no call outside the unit tests sets; "
         "make them constants or drop them")
+
+
+def test_every_default_is_taken_by_some_call_outside_unit_tests():
+    # A default that every caller overrides is a value nobody relies on;
+    # the callers already hold the real one.
+    untaken = _defaults_where(lambda p, bound: all(p in b for b in bound))
+    assert untaken == [], (
+        "defaulted parameters that every call outside the unit tests sets; "
+        "drop the default")

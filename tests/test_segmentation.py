@@ -135,7 +135,7 @@ class TestToeplitzLift:
         # the 128 px / 15x15 lift is 25992 x 225 complex, 89 MiB
         tracemalloc.start()
         try:
-            trailing_energy(build_lift(disk_phantom(128),
+            trailing_energy(build_lift(disk_phantom(128, radius=0.3),
                                        FrequencySupport(15, 15)), 40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -215,9 +215,9 @@ class TestSegment:
             assert fractions[1] <= 5e-3
 
     # iterations, converged and objective_history of segment on
-    # disk_phantom(32) with a 7x7 filter and rank 20, recorded from the
-    # implementation that evaluated the last iterate in a copy of the loop
-    # body after the loop
+    # disk_phantom(32, radius=0.3) with a 7x7 filter and rank 20, recorded
+    # from the implementation that evaluated the last iterate in a copy of
+    # the loop body after the loop
     @pytest.mark.parametrize("lam, max_iters, iterations, converged, history", [
         (1e-2, 3, 3, False, [226.02486312684906, 89.49383142518076,
                              79.347957565752, 75.3752490393213]),
@@ -227,7 +227,7 @@ class TestSegment:
     ])
     def test_pinned_iteration_record(self, lam, max_iters, iterations,
                                      converged, history):
-        result = segment(disk_phantom(32), rank=20, lam=lam,
+        result = segment(disk_phantom(32, radius=0.3), rank=20, lam=lam,
                          filter_support=FrequencySupport(7, 7),
                          max_iters=max_iters)
         assert result.iterations == iterations
@@ -252,11 +252,13 @@ class TestSegment:
     # the Gram eigendecomposition against a dense SVD of the lift: the
     # criterion-9 disk, the workload's multi-disk ranks and a wide lift
     @pytest.mark.parametrize("image, k, rank", [
-        pytest.param(lambda: disk_phantom(32), 7, 20, id="disk32-7x7"),
+        pytest.param(lambda: disk_phantom(32, radius=0.3), 7, 20,
+                     id="disk32-7x7"),
         pytest.param(lambda: multi_disk_phantom(64), 9, 15, id="multi64-r15"),
         pytest.param(lambda: multi_disk_phantom(64), 9, 30, id="multi64-r30"),
         pytest.param(lambda: multi_disk_phantom(64), 9, 45, id="multi64-r45"),
-        pytest.param(lambda: disk_phantom(16), 13, 5, id="wide16-13x13"),
+        pytest.param(lambda: disk_phantom(16, radius=0.3), 13, 5,
+                     id="wide16-13x13"),
     ])
     def test_gram_spectrum_matches_svd_oracle(self, image, k, rank):
         img = image()
@@ -288,19 +290,20 @@ class TestSegment:
         result = segment(disk_phantom(64, radius=0.3), rank=30, lam=1e-5,
                          filter_support=FrequencySupport(9, 9), max_iters=2)
         assert result.iterations == 2
-        lift = build_lift(disk_phantom(64), FrequencySupport(9, 9))
+        lift = build_lift(disk_phantom(64, radius=0.3), FrequencySupport(9, 9))
         assert trailing_energy(lift, 30) > 0
 
     def test_invalid_rank_rejected(self):
-        img = disk_phantom(32)
+        img = disk_phantom(32, radius=0.3)
         with pytest.raises(ContractViolation):
             segment(img, rank=200, lam=1.0,
-                    filter_support=FrequencySupport(5, 5))
+                    filter_support=FrequencySupport(5, 5), max_iters=15)
 
     def test_invalid_lambda_rejected(self):
-        img = disk_phantom(32)
+        img = disk_phantom(32, radius=0.3)
         with pytest.raises(ContractViolation):
-            segment(img, rank=5, lam=0.0, filter_support=FrequencySupport(5, 5))
+            segment(img, rank=5, lam=0.0,
+                    filter_support=FrequencySupport(5, 5), max_iters=15)
 
     # a negative max_iters rides along: it is rejected at the same point
     @pytest.mark.parametrize("lam, max_iters, match", [
@@ -315,12 +318,12 @@ class TestSegment:
 
         monkeypatch.setattr("curveband.segmentation.build_lift", no_lift)
         with pytest.raises(ContractViolation, match=match):
-            segment(disk_phantom(32), rank=5, lam=lam,
+            segment(disk_phantom(32, radius=0.3), rank=5, lam=lam,
                     filter_support=FrequencySupport(5, 5), max_iters=max_iters)
 
     def test_non_finite_objective_still_returns_an_iterate(self):
         # lam * trailing energy overflows to inf; the first iterate is kept
-        img = disk_phantom(64)
+        img = disk_phantom(64, radius=0.3)
         with np.errstate(over="ignore"):
             result = segment(img, rank=30, lam=1e308,
                              filter_support=FrequencySupport(9, 9),
@@ -333,7 +336,7 @@ class TestSegment:
     def test_wide_lift_edge_map_uses_every_trailing_filter(self):
         # 16 px with a 13x13 filter: the lift has 2 * 4 * 4 = 32 rows and
         # 169 columns, so its null space alone has dimension >= 137
-        img = disk_phantom(16)
+        img = disk_phantom(16, radius=0.3)
         support = FrequencySupport(13, 13)
         rank = 5
         lift = build_lift(img, support)

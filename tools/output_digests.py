@@ -8,7 +8,8 @@ directory and runs every op once, as the benchmark harness runs it: in
 process, with `--threads 1` and a fresh `--out-dir`. For each op it prints
 `<workload>/<i> exit <code>`, then `<workload>/<i>/<file> <sha256>` for each
 file the op wrote. Two checkouts whose CLI outputs are byte-identical print
-the same lines, so `diff` of two runs is the whole comparison.
+the same lines, so `diff` of two runs is the whole comparison. Exits 1,
+after printing every line, when any op exited non-zero.
 """
 
 from __future__ import annotations
@@ -33,18 +34,21 @@ def main(argv=None) -> int:
     import harness
     import workloads
 
+    failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in run.WORKLOAD_NAMES:
             inputs = Path(tmp) / name / "inputs"
             workloads.WORKLOADS[name]().write_inputs(args.seed, inputs)
             for i, op in enumerate(workloads.load_ops(inputs)):
                 out = Path(tmp) / name / f"op{i}"
-                print(f"{name}/{i} exit {harness.run_op(op['argv'], out).code}")
+                code = harness.run_op(op["argv"], out).code
+                failed += code != 0
+                print(f"{name}/{i} exit {code}")
                 files = sorted(f for f in out.rglob("*") if f.is_file())
                 for f in files:
                     digest = hashlib.sha256(f.read_bytes()).hexdigest()
                     print(f"{name}/{i}/{f.relative_to(out)} {digest}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
