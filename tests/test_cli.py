@@ -9,7 +9,7 @@ import pytest
 
 import curveband
 from curveband import io as cio
-from curveband import sample_curve
+from curveband import FrequencySupport, sample_curve, segment
 from curveband.cli import build_parser, main
 from curveband.experiments import (child_seed, disk_phantom,
                                    noisy_curve_samples, union_curve)
@@ -298,6 +298,20 @@ class TestSegment:
                     "--out-dir", out]) == 0
         for name in ("fstar.pgm", "edges.pgm", "edges.svg"):
             assert (out / name).exists()
+
+    def test_prints_the_objective_of_the_returned_iterate(self, tmp_path,
+                                                          capsys):
+        img_path = tmp_path / "disk.pgm"
+        cio.save_pgm(disk_phantom(32, radius=0.25), img_path)
+        history = segment(cio.load_pgm(img_path), 12, 1e-3,
+                          FrequencySupport(5, 5), 8).objective_history
+        best = int(np.argmin(history))
+        assert best < len(history) - 1  # a later iterate scores worse
+        assert f"{history[best]:.4g}" != f"{history[-1]:.4g}"
+        assert run(["segment", img_path, "--rank", 12, "--lambda", 1e-3,
+                    "--filter", "5x5", "--max-iters", 8,
+                    "--out-dir", tmp_path / "seg"]) == 0
+        assert f"objective {history[best]:.4g} " in capsys.readouterr().out
 
     @staticmethod
     def run_process(args, cwd):

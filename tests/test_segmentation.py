@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -114,11 +115,14 @@ class TestToeplitzLift:
         lift = build_lift(img, FrequencySupport(7, 5))
         assert np.array_equal(lift.materialize(), materialize_by_oracle(lift))
 
-    # the window-row Gram against M^H M of the materialized lift: non-square
-    # images and filters, an even filter, and a wide lift with 4 window rows
+    # the FFT Gram against M^H M of the materialized lift: non-square images
+    # and filters, an even filter, a wide lift with 4 window rows, a filter
+    # one frequency tall, a 2x2 filter, a filter as tall as the image, and a
+    # filter equal to the image (one window)
     @pytest.mark.parametrize("shape, k", [
         ((24, 40), (7, 5)), ((40, 24), (4, 9)), ((32, 32), (8, 6)),
-        ((16, 16), (13, 13)),
+        ((16, 16), (13, 13)), ((16, 16), (1, 5)), ((16, 20), (2, 2)),
+        ((16, 20), (16, 3)), ((17, 16), (17, 16)),
     ])
     def test_gram_spectrum_matches_materialized_gram(self, shape, k):
         rng = np.random.default_rng(5)
@@ -272,6 +276,23 @@ class TestSegment:
                          max_iters=0)
         np.testing.assert_allclose(result.edge_map.pixels,
                                    weights / weights.max(), rtol=0, atol=1e-9)
+
+    # the 32 px disk's own Gram (5x5) cuts at rank 6 between eigenvalues
+    # 1.0004 apart; two updates widen that gap to 1.13 at the iterate that
+    # segment returns, so only the run with no update warns
+    @pytest.mark.parametrize("max_iters, warns", [(0, True), (2, False)])
+    def test_narrow_eigen_gap_warns(self, caplog, max_iters, warns):
+        with caplog.at_level(logging.WARNING,
+                             logger="curveband.segmentation"):
+            segment(disk_phantom(32, radius=0.28), rank=6, lam=1e-4,
+                    filter_support=FrequencySupport(5, 5),
+                    max_iters=max_iters)
+        messages = [r.getMessage() for r in caplog.records]
+        if warns:
+            assert len(messages) == 1
+            assert "eigen-gap 1.0004 at rank 6 is under 1.01" in messages[0]
+        else:
+            assert messages == []
 
     def test_segment_calls_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
