@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="structured low-rank image segmentation")
     p.add_argument("image", help="binary PGM (P5)")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=5e9)
+    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--filter", default="7x7")
     p.add_argument("--max-iters", type=int, default=15)
     p.set_defaults(func=cmd_segment)

@@ -50,16 +50,14 @@ class FrequencySupport:
     def shape(self) -> tuple[int, int]:
         return (self.k1, self.k2)
 
-    def axis_range(self, axis: int) -> tuple[int, int]:
-        """Inclusive (lo, hi) frequency bounds along `axis` (0 or 1)."""
-        k = (self.k1, self.k2)[axis]
-        return -(k // 2), (k - 1) // 2
+    def frequencies(self, axis: int) -> np.ndarray:
+        """The centered integer frequencies along `axis` (0 or 1), ascending."""
+        k = self.shape[axis]
+        return np.arange(k) - k // 2
 
     def indices(self) -> np.ndarray:
         """All frequency pairs, shape (k1*k2, 2), enumeration order."""
-        lo1, hi1 = self.axis_range(0)
-        lo2, hi2 = self.axis_range(1)
-        a, b = np.meshgrid(np.arange(lo1, hi1 + 1), np.arange(lo2, hi2 + 1),
+        a, b = np.meshgrid(self.frequencies(0), self.frequencies(1),
                            indexing="ij")
         return np.stack([a.ravel(), b.ravel()], axis=1)
 
@@ -160,7 +158,7 @@ class Polyline:
 
 def wrap_delta(d: np.ndarray) -> np.ndarray:
     """Map coordinate differences to the minimum-image representative in
-    (-1/2, 1/2]."""
+    [-1/2, 1/2)."""
     return (d + 0.5) % 1.0 - 0.5
 
 
@@ -175,10 +173,9 @@ def evaluate_on_grid(poly: TrigPolynomial, grid_res) -> np.ndarray:
     separable structure, so large grids stay cheap.
     """
     n1, n2 = (grid_res, grid_res) if np.isscalar(grid_res) else grid_res
-    lo1, hi1 = poly.support.axis_range(0)
-    lo2, hi2 = poly.support.axis_range(1)
-    e1 = np.exp(2j * np.pi * np.outer(np.arange(n1) / n1, np.arange(lo1, hi1 + 1)))
-    e2 = np.exp(2j * np.pi * np.outer(np.arange(n2) / n2, np.arange(lo2, hi2 + 1)))
+    f1, f2 = poly.support.frequencies(0), poly.support.frequencies(1)
+    e1 = np.exp(2j * np.pi * np.outer(np.arange(n1) / n1, f1))
+    e2 = np.exp(2j * np.pi * np.outer(np.arange(n2) / n2, f2))
     return e1 @ poly.coeff_grid() @ e2.T
 
 

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .curve_model import FrequencySupport, PointSet
+from .curve_model import FrequencySupport, PointSet, wrap_delta
 from .errors import ContractViolation
-
-# Below this, sin(pi*d) is too close to 0 for the closed-form Dirichlet
-# ratio; those entries fall back to the direct series.
-_DIRICHLET_SERIES_CUTOFF = 1e-9
-
 
 @dataclass
 class FeatureMatrix:
@@ -41,42 +36,36 @@ def feature_matrix(pts: PointSet, support: FrequencySupport) -> FeatureMatrix:
     support enumeration order."""
     if pts.dim != 2:
         raise ContractViolation(f"feature lifting needs dim 2, got {pts.dim}")
-    (lo1, hi1), (lo2, hi2) = support.axis_range(0), support.axis_range(1)
-    e1 = np.exp(2j * np.pi * np.outer(np.arange(lo1, hi1 + 1), pts.points[0]))
-    e2 = np.exp(2j * np.pi * np.outer(np.arange(lo2, hi2 + 1), pts.points[1]))
+    e1 = np.exp(2j * np.pi * np.outer(support.frequencies(0), pts.points[0]))
+    e2 = np.exp(2j * np.pi * np.outer(support.frequencies(1), pts.points[1]))
     return FeatureMatrix((e1[:, None] * e2).reshape(len(support), -1))
 
 
-def _dirichlet_1d(delta: np.ndarray, k: int) -> np.ndarray:
-    """sum_{a in centered range of size k} exp(j 2 pi a t), elementwise."""
-    t = np.asarray(delta, dtype=float)
+def _dirichlet_1d(delta: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """sum_{a in freqs} exp(j 2 pi a t) over consecutive integers `freqs`,
+    elementwise. The sum is 1-periodic, so t is wrapped into [-1/2, 1/2),
+    where sin(pi t) vanishes only at t = 0; the ratio sin(pi k t)/sin(pi t)
+    takes its limit k there, times the phase of the centre of `freqs`."""
+    t = wrap_delta(delta)
     s = np.sin(np.pi * t)
-    small = np.abs(s) < _DIRICHLET_SERIES_CUTOFF
-    safe = np.where(small, 1.0, s)
-    out = (np.sin(np.pi * k * t) / safe).astype(complex)
-    if k % 2 == 0:
-        out *= np.exp(-1j * np.pi * t)
-    if np.any(small):
-        lo = -(k // 2)
-        freqs = np.arange(lo, lo + k)
-        ts = t[small]
-        out[small] = np.exp(2j * np.pi * np.outer(ts, freqs)).sum(axis=1)
-    return out
+    k = len(freqs)
+    ratio = np.where(s == 0, k, np.sin(np.pi * k * t) / np.where(s == 0, 1.0, s))
+    return ratio * np.exp(2j * np.pi * (freqs[0] + freqs[-1]) / 2 * t)
 
 
 def dirichlet_gram(pts: PointSet, support: FrequencySupport) -> KernelMatrix:
     """Gram matrix of exponential features under conjugate pairing.
 
     Entry (i, j) = sum_{k in support} exp(j 2 pi k.(x_j - x_i)), evaluated in
-    closed form as a product of 1-D Dirichlet kernels with a series fallback
-    near removable singularities.
+    closed form as a product of 1-D Dirichlet kernels.
     """
     if pts.dim != 2:
         raise ContractViolation(f"dirichlet gram needs dim 2, got {pts.dim}")
     x = pts.points
     d1 = x[0][None, :] - x[0][:, None]
     d2 = x[1][None, :] - x[1][:, None]
-    return KernelMatrix(_dirichlet_1d(d1, support.k1) * _dirichlet_1d(d2, support.k2))
+    return KernelMatrix(_dirichlet_1d(d1, support.frequencies(0))
+                        * _dirichlet_1d(d2, support.frequencies(1)))
 
 
 def gaussian_kernel_matrix(x: np.ndarray, sigma: float) -> np.ndarray:

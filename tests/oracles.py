@@ -29,10 +29,10 @@ def shift_set_reference(outer, inner):
     closed form."""
     if inner.k1 > outer.k1 or inner.k2 > outer.k2:
         raise ContractViolation("inner support must fit inside outer support")
-    lo = [outer.axis_range(d)[0] - inner.axis_range(d)[0] for d in (0, 1)]
-    hi = [outer.axis_range(d)[1] - inner.axis_range(d)[1] for d in (0, 1)]
-    a, b = np.meshgrid(np.arange(lo[0], hi[0] + 1),
-                       np.arange(lo[1], hi[1] + 1), indexing="ij")
+    first = [outer.frequencies(d)[0] - inner.frequencies(d)[0] for d in (0, 1)]
+    last = [outer.frequencies(d)[-1] - inner.frequencies(d)[-1] for d in (0, 1)]
+    a, b = np.meshgrid(np.arange(first[0], last[0] + 1),
+                       np.arange(first[1], last[1] + 1), indexing="ij")
     return np.stack([a.ravel(), b.ravel()], axis=1)
 
 

@@ -348,11 +348,22 @@ class TestSegment:
         assert "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "seg").exists()
 
+    def test_missing_lambda_exits_2(self, tmp_path, capsys):
+        cio.save_pgm(disk_phantom(64, radius=0.3), tmp_path / "disk64.pgm")
+        out = tmp_path / "seg"
+        with pytest.raises(SystemExit) as info:
+            run(["segment", tmp_path / "disk64.pgm", "--rank", 30,
+                 "--out-dir", out])
+        assert info.value.code == 2
+        assert "--lambda" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_filter_larger_than_image_exits_2(self, tmp_path, capsys):
         cio.save_pgm(disk_phantom(64, radius=0.3), tmp_path / "disk64.pgm")
         out = tmp_path / "seg"
         assert run(["segment", tmp_path / "disk64.pgm", "--rank", 5,
-                    "--filter", "65x65", "--out-dir", out]) == 2
+                    "--lambda", 1e-3, "--filter", "65x65",
+                    "--out-dir", out]) == 2
         err = capsys.readouterr().err
         assert "filter support 65x65" in err and "64x64 image" in err
         assert not out.exists()
@@ -361,7 +372,8 @@ class TestSegment:
         bogus = tmp_path / "n.pgm"
         bogus.write_bytes(b"P5\n-16 -16\n255\n" + bytes([128]) * 256)
         out = tmp_path / "seg"
-        assert run(["segment", bogus, "--rank", 5, "--out-dir", out]) == 3
+        assert run(["segment", bogus, "--rank", 5, "--lambda", 1e-3,
+                    "--out-dir", out]) == 3
         err = capsys.readouterr().err
         assert "PGM header" in err and str(bogus) in err
         assert not out.exists()
@@ -369,12 +381,12 @@ class TestSegment:
     def test_non_pgm_input_exits_3(self, tmp_path):
         bogus = tmp_path / "x.pgm"
         bogus.write_bytes(b"not an image")
-        assert run(["segment", bogus, "--rank", 5]) == 3
+        assert run(["segment", bogus, "--rank", 5, "--lambda", 1e-3]) == 3
 
     def test_unterminated_header_comment_exits_3(self, tmp_path):
         bogus = tmp_path / "u.pgm"
         bogus.write_bytes(b"P5\n# x")
-        assert run(["segment", bogus, "--rank", 5]) == 3
+        assert run(["segment", bogus, "--rank", 5, "--lambda", 1e-3]) == 3
 
     @pytest.mark.parametrize("header, pixel, message", [
         pytest.param(b"P5\n10 10\n255\n", 0, "at least 16", id="10x10"),
@@ -386,7 +398,7 @@ class TestSegment:
         bogus = tmp_path / "r.pgm"
         n = int(header.split()[1])
         bogus.write_bytes(header + bytes([pixel]) * (n * n))
-        assert run(["segment", bogus, "--rank", 5]) == 3
+        assert run(["segment", bogus, "--rank", 5, "--lambda", 1e-3]) == 3
         err = capsys.readouterr().err
         assert message in err and "r.pgm" in err
 
@@ -439,7 +451,7 @@ class TestEval:
     ["recover", "pts.csv", "--rank-tol", "1e-3"],
     ["recover", "pts.csv", "--seed", "1"],
     ["denoise", "pts.csv", "--seed", "1"],
-    ["segment", "img.pgm", "--rank", "3", "--seed", "1"],
+    ["segment", "img.pgm", "--rank", "3", "--lambda", "1e-3", "--seed", "1"],
     ["eval", "a.csv", "b.csv", "--seed", "1"],
 ], ids=["recover-rank-tol", "recover-seed", "denoise-seed", "segment-seed",
         "eval-seed"])
@@ -513,7 +525,7 @@ def file_arguments():
 class TestUnreadableInputs:
     # a valid input for the file arguments not under test, and the required
     # options, per command
-    REQUIRED = {"segment": ["--rank", "3"]}
+    REQUIRED = {"segment": ["--rank", "3", "--lambda", "1e-3"]}
 
     @staticmethod
     def valid_input(command, tmp_path):

@@ -48,6 +48,18 @@ class TestFrequencySupport:
         with pytest.raises(ContractViolation):
             FrequencySupport(0, 3)
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_frequencies_are_the_centred_range(self, k):
+        for s, axis in ((FrequencySupport(k, 2), 0), (FrequencySupport(3, k), 1)):
+            assert (list(s.frequencies(axis))
+                    == list(range(-(k // 2), (k - 1) // 2 + 1)))
+
+
+@pytest.mark.parametrize("d", [0.5, -0.5, 1.5, -1.5])
+def test_wrap_delta_maps_half_to_minus_half(d):
+    # the minimum image lies in [-1/2, 1/2): +-1/2 both map to -1/2
+    assert wrap_delta(np.array([d]))[0] == -0.5
+
 
 class TestEvaluate:
     def test_constant_polynomial(self):

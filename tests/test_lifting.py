@@ -88,6 +88,19 @@ class TestDirichletGram:
         k = dirichlet_gram(pts, support)
         assert np.abs(k.data - np.conj(phi).T @ phi).max() <= 1e-10
 
+    @pytest.mark.parametrize("k", [3, 8, 9, 15, 21])
+    def test_matches_feature_pairing_across_the_seam(self, k):
+        # pairs that straddle the seam (delta/2 and 1 - delta/2) or lie delta
+        # apart; the kernel is 1-periodic, so the seam costs no accuracy
+        support = FrequencySupport(k, k)
+        for delta in (0.3, 1e-3, 1e-5, 1e-6, 1e-7, 3e-8, 1e-9, 1e-11, 1e-14, 0.0):
+            pts = PointSet(2, np.array([
+                [delta / 2, 1 - delta / 2, 0.3, 0.3 + delta],
+                [0.6, 0.6 + delta, 1 - delta / 2, delta / 2]]))
+            phi = feature_matrix(pts, support).data
+            k_data = dirichlet_gram(pts, support).data
+            assert np.abs(k_data - np.conj(phi).T @ phi).max() <= 1e-12, delta
+
     def test_series_fallback_near_coincident_points(self):
         eps = 1e-12
         pts = PointSet(2, np.array([[0.3, 0.3 + eps], [0.7, 0.7]]))

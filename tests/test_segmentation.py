@@ -22,8 +22,8 @@ def materialize_by_oracle(lift):
     support = lift.filter_support
     s0, s1 = lift.spectra
     g1, g2 = support.shape
-    lo1, _ = support.axis_range(0)
-    lo2, _ = support.axis_range(1)
+    lo1 = support.frequencies(0)[0]
+    lo2 = support.frequencies(1)[0]
     v1, v2 = s0.shape[0] - g1 + 1, s0.shape[1] - g2 + 1
     cols = []
     for k in support.indices():
