@@ -155,9 +155,8 @@ def cmd_segment(args) -> int:
     contours = experiments.edge_contours(result.edge_map)
     io.save_polyline_svg(contours, out / "edges.svg")
     flag = "" if result.converged else " (warning: not converged)"
-    # f_star is the iterate of least objective, not always the last
     print(f"segment: {result.iterations} iterations, objective "
-          f"{min(result.objective_history):.4g}{flag} -> {out}")
+          f"{result.objective_history[-1]:.4g}{flag} -> {out}")
     return 0
 
 

@@ -7,9 +7,11 @@ built from it, and a closed-form quadratic update of the points. Works in
 any ambient dimension.
 
 The weight comes from a diagonal-pivoted Cholesky factor of the kernel,
-whose numerical rank r is far below N, and an r x r eigendecomposition:
-O(N r^2 + r^3 + N^2 r) per iteration instead of O(N^3), within
-_WEIGHT_REL_TOL relative of the exact weight (see `irls_weights`).
+of numerical rank r, and an r x r eigendecomposition: O(N r^2 + r^3 +
+N^2 r) per iteration instead of O(N^3), within _WEIGHT_REL_TOL relative of
+the exact weight (see `irls_weights`). The factor pays at paper size: r is
+306-374 at N = 1600, under a quarter of N, but 228-291 at N = 400, where
+it costs about what a dense eigendecomposition does.
 """
 
 from __future__ import annotations

@@ -2,16 +2,17 @@
 
 The Fourier coefficients of the gradient of a piecewise-constant image are
 annihilated by convolution with the coefficients of any band-limited
-function vanishing on the edge set. Stacking the valid-region convolutions
-of the two gradient spectra with all candidate filters yields a block
-Toeplitz operator whose trailing singular values measure edge complexity;
-segmentation penalizes them while staying close to the input image. Both
-the squared singular values and the right singular vectors of the lift M
-come from an eigendecomposition of its Gram M^H M. M is never formed: the
-Gram is the FFT autocorrelation of each spectrum on the torus minus the
-windows that wrap (1-D FFT correlations over g - 1 rows and g - 1 columns,
-plus a small corner block). Image updates are SPD symmetric-mode sparse LU
-solves.
+function vanishing on the edge set. Stacking the circular convolutions of
+the two gradient spectra with all candidate filters (every window of each
+spectrum, wrapped on the torus of frequencies) yields a structured
+lift whose trailing singular values measure edge complexity; segmentation
+penalizes them while staying close to the input image. Both the squared
+singular values and the right singular vectors of the lift M come from an
+eigendecomposition of its Gram M^H M, the FFT autocorrelation of each
+spectrum; M is never formed. Because the lift is circular, its trailing
+energy for fixed filters is a weighted gradient energy of the image, so
+each image update, an SPD symmetric-mode sparse LU solve, minimizes a
+majorizer of the objective and cannot raise it.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ _SEGMENT_REL_TOL = 1e-3
 
 # segment warns when the eigen-gap lam[rank - 1] / lam[rank] of the returned
 # iterate's Gram is under this factor, as its edge map then moves with
-# rounding: at 1.008 (the criterion-9 disk at lambda 1e-2) a ~1e-15 relative
-# change of the Gram moved 4 of its 4096 edge pixels. The benchmark's segment
-# ops read 1.05 to 3.7 on seeds 1-5, the other test inputs 1.021 and up.
+# rounding: at a gap of 1.008 a ~1e-15 relative change of the Gram moved 4 of
+# 4096 edge pixels of a 64 px disk. The criterion-9 disk reads 1.070 at
+# lambda 1e-5 and 1.172 at 1e-2, its multi-disk ranks 1.58 to 3.75, the
+# benchmark's segment ops 1.061 to 3.75 on seeds 1-5, and the other test
+# inputs 1.017 and up.
 _NARROW_GAP = 1.01
 
 
@@ -75,8 +78,8 @@ def gradient_spectrum(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ToeplitzLift:
-    """Linear operator mapping a filter to the valid 2-D convolutions of the
-    two centered gradient spectra with it, stacked over channels.
+    """Linear operator mapping a filter to the circular 2-D convolutions of
+    the two centered gradient spectra with it, stacked over channels.
 
     `spectra` are fftshifted so array indexing matches the centered integer
     frequency lattice.
@@ -88,14 +91,18 @@ class ToeplitzLift:
     @property
     def shape(self) -> tuple[int, int]:
         (n1, n2), (g1, g2) = self.spectra[0].shape, self.filter_support.shape
-        return (2 * (n1 - g1 + 1) * (n2 - g2 + 1), g1 * g2)
+        return (2 * n1 * n2, g1 * g2)
 
     def materialize(self) -> np.ndarray:
-        """Dense matrix with columns in support enumeration order: row
-        (i, j) of a channel is its window (i, j), flipped."""
-        g = self.filter_support.shape
-        return np.stack([sliding_window_view(s, g)[:, :, ::-1, ::-1]
-                         for s in self.spectra]).reshape(self.shape)
+        """Dense matrix with columns in support enumeration order: row j of
+        a channel s holds s[j - k], indices mod n, at the column of
+        frequency k, so M c stacks the circular convolutions of s and c."""
+        g1, g2 = self.filter_support.shape
+        pad = (((g1 - 1) // 2, g1 // 2), ((g2 - 1) // 2, g2 // 2))
+        return np.stack([
+            sliding_window_view(np.pad(s, pad, mode="wrap"),
+                                (g1, g2))[:, :, ::-1, ::-1]
+            for s in self.spectra]).reshape(self.shape)
 
 
 def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift:
@@ -116,51 +123,25 @@ def _offsets(g: int, n: int) -> np.ndarray:
     return (a[:, None] - a) % n
 
 
-def _wrapped_rows(s: np.ndarray, g1: int, g2: int) -> np.ndarray:
-    """Sum over the windows j with j1 < g1 - 1 and any j2 on the torus, as a
-    (g1, g2, g1, g2) array: for each pair of rows j1 - a1, j1 - a1' the sum
-    over j2 is a circular correlation along axis 1, so one inverse FFT over
-    that axis gives every column offset a2 - a2' at once."""
-    n1, n2 = s.shape[1:]
-    f = np.fft.fft(s[:, _offsets(g1, n1)[:-1]])  # (2, g1 - 1, g1, n2)
-    b = f.transpose(3, 0, 1, 2).reshape(n2, -1, g1)
-    p = np.fft.ifft(b.conj().transpose(0, 2, 1) @ b, axis=0)
-    return p[_offsets(g2, n2)].transpose(2, 0, 3, 1)
-
-
 def _gram_spectrum(lift: ToeplitzLift) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the lift's Gram G = M^H M, descending and clamped at 0
     (the squared singular values of M), and the matching unit eigenvectors
     as columns (its right singular vectors). M is never formed.
 
-    Index the windows of a channel s (n1 x n2) by their last element j, so
-    that G[a, a'] sums conj(s[j - a]) s[j - a'] over g - 1 <= j < n on each
-    axis. Inclusion-exclusion over the torus gives G exactly:
-    - over every j mod n the sum is the circular autocorrelation
-      R[(a - a') mod n], R = ifft2(|fft2(s)|^2);
-    - minus the g1 - 1 wrapped rows j1 < g1 - 1 and the g2 - 1 wrapped
-      columns, each a 1-D FFT correlation (`_wrapped_rows`);
-    - plus the (g1 - 1)(g2 - 1) corner windows the strips both removed, as
-      a direct product Z^H Z.
-    Cost O(n1 n2 log(n1 n2) + g^2 n log n + (g - 1)^2 k^2) for k = g1 g2,
-    against O(n1 n2 k^2) for summing the windows. Against M^H M of the
-    materialized lift it differs by at most 3.1e-15 of the largest entry
-    (64 and 256 px phantoms, random 16 to 80 px images, filters 1x5 to
-    15x15), and by 2.2e-14 when the filter is the whole image, a single
-    window that the torus sum reaches by cancellation."""
+    Row j of a channel s (n1 x n2) holds s[j - k] at the column of
+    frequency k, indices mod n, so G[k, k'] sums conj(s[m]) s[m + k - k']
+    over the torus: the circular autocorrelation R[(k - k') mod n],
+    R = ifft2(|fft2(s)|^2), summed over both channels. Cost
+    O(n1 n2 log(n1 n2) + k^3) for k = g1 g2, against O(n1 n2 k^2) for
+    summing the windows. Against M^H M of the materialized lift it differs
+    by at most 4.9e-15 of the largest entry (64 px phantoms with 9x9 and
+    15x15 filters, random 16 to 80 px images with filters up to 15x15, and
+    a filter equal to the image)."""
     g1, g2 = lift.filter_support.shape
-    k = g1 * g2
     s = np.stack(lift.spectra)
-    n1, n2 = s.shape[1:]
-    d1, d2 = _offsets(g1, n1), _offsets(g2, n2)
+    d1, d2 = _offsets(g1, s.shape[1]), _offsets(g2, s.shape[2])
     r = np.fft.ifft2(np.abs(np.fft.fft2(s)) ** 2).sum(axis=0)
-    gram = r[d1[:, None, :, None], d2[None, :, None, :]]
-    gram -= _wrapped_rows(s, g1, g2)
-    gram -= _wrapped_rows(s.transpose(0, 2, 1), g2, g1).transpose(1, 0, 3, 2)
-    corner = s[:, d1[:-1, None, :, None], d2[None, :-1, None, :]]
-    corner = corner.reshape(-1, k)
-    gram = gram.reshape(k, k)
-    gram += corner.conj().T @ corner
+    gram = r[d1[:, None, :, None], d2[None, :, None, :]].reshape(g1 * g2, -1)
     lam, v = np.linalg.eigh(gram)
     return np.maximum(lam[::-1], 0.0), v[:, ::-1]
 
@@ -196,29 +177,28 @@ def segment(h: GrayImage, rank: int, lam: float,
     if the last update moved f by less than _SEGMENT_REL_TOL or max_iters
     updates were made, else updates f by a symmetric-mode sparse LU solve of
     the SPD system that penalizes gradient energy weighted by that map (the
-    circular-convolution form of the trailing-energy penalty). Returns the
-    best evaluated iterate by objective, flagged if not converged;
-    `iterations` counts updates. Logs a warning when that iterate's Gram has
-    an eigen-gap lam[rank - 1] / lam[rank] under _NARROW_GAP. Rejects a lam
-    that is not positive and finite, or a negative max_iters, before any
-    work, and raises NumericalFailure when lam is so large that the update
-    system overflows.
+    trailing-energy penalty with the filters held fixed, a majorizer of the
+    objective, so no update raises it). Returns the last evaluated iterate,
+    flagged if not converged; `iterations` counts updates. Logs a warning
+    when its Gram has an eigen-gap lam[rank - 1] / lam[rank] under
+    _NARROW_GAP. Rejects a lam that is not positive and finite, or a
+    negative max_iters, before any work, and raises NumericalFailure when
+    lam is so large that the update system overflows.
     """
     if not 0 < lam < np.inf:
         raise ContractViolation(f"lam must be positive and finite, got {lam}")
     if max_iters < 0:
         raise ContractViolation(f"max_iters must be >= 0, got {max_iters}")
     lift = build_lift(h, filter_support)
-    top = min(lift.shape)
-    if not 0 <= rank < top:
-        raise ContractViolation(f"rank must lie in [0, {top}) for this lift")
+    if not 0 <= rank < len(filter_support):
+        raise ContractViolation(
+            f"rank must lie in [0, {len(filter_support)}) for this lift")
     hh, ww = h.pixels.shape
     d0, d1 = _difference_operators(hh, ww)
     h_flat = h.pixels.ravel()
     scale = hh * ww  # Parseval factor between spectrum and pixel sums
 
     f = h.pixels.copy()
-    best = None  # (objective, f, weights, gap); the first iterate seeds it
     history = []
     converged = False
     iterations = 0
@@ -230,9 +210,6 @@ def segment(h: GrayImage, rank: int, lam: float,
         history.append(objective)
         sos = SumOfSquares(filter_support, v[:, rank:].T)
         weights = np.maximum(sos.evaluate_grid((hh, ww)), 0.0)
-        gap = s2[rank - 1] / s2[rank] if rank and s2[rank] > 0 else np.inf
-        if best is None or objective < best[0]:
-            best = (objective, f.copy(), weights, gap)
         if converged or iterations >= max_iters:
             break
         iterations += 1
@@ -252,12 +229,12 @@ def segment(h: GrayImage, rank: int, lam: float,
         converged = bool(step < _SEGMENT_REL_TOL)
         lift = build_lift(GrayImage(np.clip(f, 0.0, 1.0)), filter_support)
 
-    _, f_best, edge_raw, gap = best
+    gap = s2[rank - 1] / s2[rank] if rank and s2[rank] > 0 else np.inf
     if gap < _NARROW_GAP:
         _log.warning("segment: eigen-gap %.4f at rank %d is under %g, so the "
                      "edge map rests on a near-degenerate rank cut",
                      gap, rank, _NARROW_GAP)
-    peak = edge_raw.max()
-    edge = edge_raw / peak if peak > 0 else edge_raw
-    return SegmentResult(GrayImage(np.clip(f_best, 0.0, 1.0)),
+    peak = weights.max()
+    edge = weights / peak if peak > 0 else weights
+    return SegmentResult(GrayImage(np.clip(f, 0.0, 1.0)),
                          GrayImage(edge), converged, iterations, history)

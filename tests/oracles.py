@@ -345,15 +345,13 @@ def irls_weights_reference(k, sigma, gamma):
 
 
 def lift_spectrum_by_svd(lift):
-    """Singular values of the materialized lift (descending, zero-padded to
-    its column count) and all of its right singular vectors, as rows of vh,
-    from a dense SVD; the reference for the Gram eigendecomposition in
-    `curveband.segment` and `curveband.segmentation.trailing_energy`."""
-    m = lift.materialize()
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    s_full = np.zeros(m.shape[1])
-    s_full[:s.size] = s
-    return s_full, vh
+    """Singular values of the materialized lift (descending) and all of its
+    right singular vectors, as rows of vh, from a dense SVD; the lift is
+    tall, so the thin SVD returns all. The reference for the Gram
+    eigendecomposition in `curveband.segment` and
+    `curveband.segmentation.trailing_energy`."""
+    _, s, vh = np.linalg.svd(lift.materialize(), full_matrices=False)
+    return s, vh
 
 
 def edge_weights_by_svd(lift, rank, shape):

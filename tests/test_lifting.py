@@ -101,7 +101,7 @@ class TestDirichletGram:
             k_data = dirichlet_gram(pts, support).data
             assert np.abs(k_data - np.conj(phi).T @ phi).max() <= 1e-12, delta
 
-    def test_series_fallback_near_coincident_points(self):
+    def test_near_coincident_points_give_the_support_size(self):
         eps = 1e-12
         pts = PointSet(2, np.array([[0.3, 0.3 + eps], [0.7, 0.7]]))
         k = dirichlet_gram(pts, FrequencySupport(5, 5))
