@@ -232,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--filter", default="7x7")
-    p.add_argument("--max-iters", type=int, default=15)
+    p.add_argument("--max-iters", type=int, default=15,
+                   help="cap on image updates; a run that stops at it is "
+                        "flagged not converged, and its outputs depend on it")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("eval", parents=[common],

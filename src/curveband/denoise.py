@@ -16,6 +16,7 @@ it costs about what a dense eigendecomposition does.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ from scipy.spatial import cKDTree
 from .curve_model import PointSet
 from .errors import ContractViolation, NumericalFailure
 from .lifting import gaussian_kernel_matrix
+
+_log = logging.getLogger(__name__)
 
 # Relative spectral-norm accuracy of the factored half-inverse weight P.
 _WEIGHT_REL_TOL = 1e-6
@@ -172,7 +175,7 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig
     Alternates the weight/Laplacian update computed on the current iterate
     with the closed-form quadratic solve, shrinking the regularizer by eta
     each pass, until the relative iterate change drops below rel_tol or
-    max_iters is hit.
+    max_iters is hit; logs a warning in the latter case.
     """
     if noisy.n_points < 2:
         raise ContractViolation("denoising needs at least 2 points")
@@ -202,6 +205,10 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig
         gamma /= cfg.eta
         if rel < cfg.rel_tol:
             break
+    if rel >= cfg.rel_tol:
+        _log.warning("klr_denoise: stopped at max_iters = %d with relative "
+                     "change %.3g, not under rel_tol %g", cfg.max_iters, rel,
+                     cfg.rel_tol)
     return PointSet(noisy.dim, x), trace
 
 

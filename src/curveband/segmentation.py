@@ -8,11 +8,12 @@ spectrum, wrapped on the torus of frequencies) yields a structured
 lift whose trailing singular values measure edge complexity; segmentation
 penalizes them while staying close to the input image. Both the squared
 singular values and the right singular vectors of the lift M come from an
-eigendecomposition of its Gram M^H M, the FFT autocorrelation of each
-spectrum; M is never formed. Because the lift is circular, its trailing
-energy for fixed filters is a weighted gradient energy of the image, so
-each image update, an SPD symmetric-mode sparse LU solve, minimizes a
-majorizer of the objective and cannot raise it.
+eigendecomposition of its Gram M^H M, which is n1 n2 times the DFT of the
+image's periodic gradient energy, so `segment` forms neither M nor the
+spectra. Because the lift is circular, its trailing energy for fixed
+filters is a weighted gradient energy of the image, so each image update,
+an SPD symmetric-mode sparse LU solve, minimizes a majorizer of the
+objective and cannot raise it.
 """
 
 from __future__ import annotations
@@ -63,34 +64,34 @@ class GrayImage:
         self.pixels = np.clip(p, 0.0, 1.0)
 
 
-def gradient_spectrum(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """DFTs of the two periodic finite-difference gradient channels.
+def _gradients(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic forward differences f[x + e_i] - f[x] along axes 0 and 1."""
+    return np.roll(f, -1, axis=0) - f, np.roll(f, -1, axis=1) - f
 
-    Returns (g0_hat, g1_hat) in numpy fft layout, where g0 differences along
-    axis 0 (rows) and g1 along axis 1 (columns). Identical to multiplying
-    the image spectrum by exp(2 pi j k/n) - 1 along each axis.
-    """
-    f = img.pixels
-    g0 = np.roll(f, -1, axis=0) - f
-    g1 = np.roll(f, -1, axis=1) - f
-    return np.fft.fft2(g0), np.fft.fft2(g1)
+
+def gradient_spectrum(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+    """DFTs (g0_hat, g1_hat), in numpy fft layout, of the periodic forward
+    differences of the pixels along axis 0 (rows) and axis 1 (columns): the
+    image spectrum times exp(2 pi j k/n) - 1 along each axis."""
+    return tuple(np.fft.fft2(g) for g in _gradients(img.pixels))
 
 
 @dataclass
 class ToeplitzLift:
     """Linear operator mapping a filter to the circular 2-D convolutions of
-    the two centered gradient spectra with it, stacked over channels.
-
-    `spectra` are fftshifted so array indexing matches the centered integer
-    frequency lattice.
-    """
+    the two gradient spectra of `image` with it, stacked over channels."""
 
     filter_support: FrequencySupport
-    spectra: tuple[np.ndarray, np.ndarray]
+    image: GrayImage
+
+    @property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient spectra, fftshifted to the centered frequency lattice."""
+        return tuple(np.fft.fftshift(s) for s in gradient_spectrum(self.image))
 
     @property
     def shape(self) -> tuple[int, int]:
-        (n1, n2), (g1, g2) = self.spectra[0].shape, self.filter_support.shape
+        (n1, n2), (g1, g2) = self.image.pixels.shape, self.filter_support.shape
         return (2 * n1 * n2, g1 * g2)
 
     def materialize(self) -> np.ndarray:
@@ -106,15 +107,13 @@ class ToeplitzLift:
 
 
 def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift:
-    """Gradient spectra of the image, centered and wrapped in a lift."""
+    """The lift of the image's gradient spectra; nothing is computed."""
     rows, cols = img.pixels.shape
     if filter_support.k1 > rows or filter_support.k2 > cols:
         raise ContractViolation(
             f"filter support {filter_support.k1}x{filter_support.k2} larger "
             f"than the {rows}x{cols} image")
-    g0, g1 = gradient_spectrum(img)
-    return ToeplitzLift(filter_support,
-                        (np.fft.fftshift(g0), np.fft.fftshift(g1)))
+    return ToeplitzLift(filter_support, img)
 
 
 def _offsets(g: int, n: int) -> np.ndarray:
@@ -128,19 +127,20 @@ def _gram_spectrum(lift: ToeplitzLift) -> tuple[np.ndarray, np.ndarray]:
     (the squared singular values of M), and the matching unit eigenvectors
     as columns (its right singular vectors). M is never formed.
 
-    Row j of a channel s (n1 x n2) holds s[j - k] at the column of
-    frequency k, indices mod n, so G[k, k'] sums conj(s[m]) s[m + k - k']
-    over the torus: the circular autocorrelation R[(k - k') mod n],
-    R = ifft2(|fft2(s)|^2), summed over both channels. Cost
-    O(n1 n2 log(n1 n2) + k^3) for k = g1 g2, against O(n1 n2 k^2) for
-    summing the windows. Against M^H M of the materialized lift it differs
-    by at most 4.9e-15 of the largest entry (64 px phantoms with 9x9 and
-    15x15 filters, random 16 to 80 px images with filters up to 15x15, and
-    a filter equal to the image)."""
+    Row j of a channel s holds s[j - k] at the column of frequency k,
+    indices mod n, so G[k, k'] = R[(k - k') mod n] for the circular
+    autocorrelation R of s, summed over both channels. Each s is the
+    shifted DFT of a gradient channel g, so |fft2(s)[x]| = n1 n2 |g(-x)|
+    (the shift only adds a phase), and R = n1 n2 fft2(E) for the periodic
+    gradient energy E = g0^2 + g1^2 of the pixels (the GIRAF Gram of Ongie
+    & Jacob, IEEE TCI 2017). Cost O(n1 n2 log(n1 n2) + k^3) for k = g1 g2.
+    Against M^H M of the materialized lift it differs by at most 4.1e-15 of
+    the largest entry (64 px phantoms with 9x9 and 15x15 filters, random 16
+    to 80 px images with filters up to 15x15, a filter equal to the image)."""
     g1, g2 = lift.filter_support.shape
-    s = np.stack(lift.spectra)
-    d1, d2 = _offsets(g1, s.shape[1]), _offsets(g2, s.shape[2])
-    r = np.fft.ifft2(np.abs(np.fft.fft2(s)) ** 2).sum(axis=0)
+    f = lift.image.pixels
+    d1, d2 = _offsets(g1, f.shape[0]), _offsets(g2, f.shape[1])
+    r = f.size * np.fft.fft2(sum(g ** 2 for g in _gradients(f)))
     gram = r[d1[:, None, :, None], d2[None, :, None, :]].reshape(g1 * g2, -1)
     lam, v = np.linalg.eigh(gram)
     return np.maximum(lam[::-1], 0.0), v[:, ::-1]
@@ -172,11 +172,11 @@ def segment(h: GrayImage, rank: int, lam: float,
     """Piecewise-constant approximation of `h` plus its edge map.
 
     One loop from f = h: each pass evaluates f (the eigendecomposition of
-    the Gram of its lifted gradient spectra gives the objective and the edge
-    weight map, the sum-of-squares of the trailing eigenvectors), then stops
-    if the last update moved f by less than _SEGMENT_REL_TOL or max_iters
-    updates were made, else updates f by a symmetric-mode sparse LU solve of
-    the SPD system that penalizes gradient energy weighted by that map (the
+    the Gram of its lift gives the objective and the edge weight map, the
+    sum-of-squares of the trailing eigenvectors), then stops if the last
+    update moved f by less than _SEGMENT_REL_TOL or max_iters updates were
+    made, else updates f by a symmetric-mode sparse LU solve of the SPD
+    system that penalizes gradient energy weighted by that map (the
     trailing-energy penalty with the filters held fixed, a majorizer of the
     objective, so no update raises it). Returns the last evaluated iterate,
     flagged if not converged; `iterations` counts updates. Logs a warning
@@ -195,7 +195,6 @@ def segment(h: GrayImage, rank: int, lam: float,
             f"rank must lie in [0, {len(filter_support)}) for this lift")
     hh, ww = h.pixels.shape
     d0, d1 = _difference_operators(hh, ww)
-    h_flat = h.pixels.ravel()
     scale = hh * ww  # Parseval factor between spectrum and pixel sums
 
     f = h.pixels.copy()
@@ -223,7 +222,7 @@ def segment(h: GrayImage, rank: int, lam: float,
         # SPD (weights >= 0, lam * scale > 0): diagonal pivots are safe
         f_new = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-                     ).solve(h_flat).reshape(hh, ww)
+                     ).solve(h.pixels.ravel()).reshape(hh, ww)
         step = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1e-30)
         f = f_new
         converged = bool(step < _SEGMENT_REL_TOL)

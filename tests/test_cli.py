@@ -312,6 +312,19 @@ class TestSegment:
                     "--out-dir", tmp_path / "seg"]) == 0
         assert f"objective {history[-1]:.4g} " in capsys.readouterr().out
 
+    # the lam 1e-4 input of the pinned segment record converges in 3 updates
+    # and is still moving after 1
+    @pytest.mark.parametrize("max_iters, flagged", [(1, True), (3, False)])
+    def test_unconverged_run_is_flagged(self, tmp_path, capsys, max_iters,
+                                        flagged):
+        img_path = tmp_path / "disk.pgm"
+        cio.save_pgm(disk_phantom(32, radius=0.3), img_path)
+        assert run(["segment", img_path, "--rank", 20, "--lambda", 1e-4,
+                    "--filter", "7x7", "--max-iters", max_iters,
+                    "--out-dir", tmp_path / "seg"]) == 0
+        out = capsys.readouterr().out
+        assert ("(warning: not converged)" in out) is flagged
+
     @staticmethod
     def run_process(args, cwd):
         """The CLI in a fresh interpreter, so its warnings reach stderr."""

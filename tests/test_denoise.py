@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,17 @@ class TestKlrDenoise:
                     + cfg.lam * np.trace(k1 @ p)]
         np.testing.assert_allclose([trace.costs_before[0], trace.costs[0]],
                                    expected, rtol=1e-12, atol=0)
+
+    # one pass leaves the iterate moving; with the default cap the same
+    # input converges after 38 passes
+    @pytest.mark.parametrize("max_iters, warns", [(1, True), (100, False)])
+    def test_warns_when_stopped_at_max_iters(self, caplog, max_iters, warns):
+        _, noisy = noisy_curve_samples(5, 100, 0.01)
+        cfg = IrlsConfig(max_iters=max_iters)
+        with caplog.at_level(logging.WARNING, logger="curveband.denoise"):
+            _, trace = klr_denoise(noisy, cfg)
+        assert (trace.rel_changes[-1] >= cfg.rel_tol) is warns
+        assert ("klr_denoise: stopped at max_iters" in caplog.text) is warns
 
     @pytest.mark.parametrize("std", [0.005, 0.01, 0.02])
     def test_matches_eigh_reference_end_to_end(self, monkeypatch, std):

@@ -74,9 +74,7 @@ class TestGradientSpectrum:
 
 
 class TestToeplitzLift:
-    def test_impulse_filter_crops_spectra(self):
-        # the circular lift has a window at every frequency, so the "crop"
-        # that the zero-frequency impulse returns is each whole spectrum
+    def test_zero_frequency_impulse_returns_whole_spectra(self):
         rng = np.random.default_rng(1)
         img = GrayImage(rng.uniform(0, 1, (16, 16)))
         support = FrequencySupport(3, 3)
@@ -329,6 +327,20 @@ class TestSegment:
         assert result.iterations == 2
         lift = build_lift(disk_phantom(64, radius=0.3), FrequencySupport(9, 9))
         assert trailing_energy(lift, 30) > 0
+
+    def test_segment_computes_no_gradient_spectrum(self, monkeypatch):
+        # the Gram is read off the pixels' gradient energy, so building the
+        # lift, its trailing energy and a whole segmentation take no spectrum
+        def no_spectrum(*args):
+            raise AssertionError("gradient_spectrum called")
+
+        monkeypatch.setattr("curveband.segmentation.gradient_spectrum",
+                            no_spectrum)
+        img, support = disk_phantom(32, radius=0.3), FrequencySupport(7, 7)
+        assert trailing_energy(build_lift(img, support), 20) > 0
+        result = segment(img, rank=20, lam=1e-2, filter_support=support,
+                         max_iters=2)
+        assert result.iterations == 2
 
     def test_invalid_rank_rejected(self):
         img = disk_phantom(32, radius=0.3)
