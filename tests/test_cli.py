@@ -287,6 +287,33 @@ class TestDenoise:
         assert str(cfg) in capsys.readouterr().err
         assert not (tmp_path / "denoised.csv").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        # gamma falls to 1e-302 in one pass, so the update loses its unit
+        # shift before gamma reaches 0; at lambda 0 every update is the
+        # identity, and 1e-2 / 1e300 / 1e300 rounds to 0 before pass 3
+        (["eta = 1e300", "rel_tol = 0", "max_iters = 5"],
+         "working precision"),
+        (["lambda = 0", "eta = 1e300", "rel_tol = 0", "max_iters = 5"],
+         "gamma underflowed to 0 at iteration 3"),
+        # I + lam L rounds to the singular lam L
+        (["lambda = 1e300"], "working precision"),
+        (["sigma = 1e-200"], "non-finite iterate"),
+    ], ids=["eta-1e300", "eta-1e300-lambda-0", "lambda-1e300",
+            "sigma-1e-200"])
+    def test_accepted_config_that_breaks_the_update_exits_4(
+            self, tmp_path, capsys, lines, message):
+        _, noisy = noisy_curve_samples(5, 100, 0.01)
+        noisy_path = tmp_path / "noisy.csv"
+        cio.save_points(noisy, noisy_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "dn"
+        assert run(["denoise", noisy_path, "--config", cfg,
+                    "--out-dir", out]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and message in err
+        assert not out.exists()
+
 
 class TestSegment:
     def test_outputs(self, tmp_path):

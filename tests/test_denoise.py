@@ -2,11 +2,12 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from curveband import (ContractViolation, IrlsConfig, PointSet,
-                       graph_laplacian, irls_weights, klr_denoise,
+from curveband import (ContractViolation, IrlsConfig, NumericalFailure,
+                       PointSet, graph_laplacian, irls_weights, klr_denoise,
                        point_cloud_mse, point_cloud_snr)
-from curveband.denoise import solve_quadratic
+from curveband.denoise import _update, solve_quadratic
 from curveband.experiments import denoise_trial, noisy_curve_samples
 from curveband.lifting import gaussian_kernel_matrix
 
@@ -104,6 +105,39 @@ class TestIrlsWeights:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ContractViolation):
             irls_weights(np.ones((3, 3)), 0.1, 0.0)  # 3 coincident points
+
+
+class TestUpdate:
+    # gamma0 and the gamma of the default loop's 40th pass
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-2 / 1.3 ** 39])
+    @pytest.mark.parametrize("n", [200, 600])
+    def test_cholesky_update_matches_lu(self, n, gamma):
+        _, noisy = noisy_curve_samples(0, n, 0.01)
+        cfg = IrlsConfig()
+        k = gaussian_kernel_matrix(noisy.points, cfg.sigma)
+        p, w = irls_weights(k, cfg.sigma, gamma)
+        assert np.array_equal(p, p.T) and np.array_equal(w, w.T)
+        got = _update(noisy.points, w, cfg.lam)
+        expected = solve_quadratic(noisy.points, graph_laplacian(w), cfg.lam)
+        assert (np.abs(got - expected).max()
+                <= 1e-12 * np.abs(expected).max())
+
+    # at lam 1e300 the unit shift rounds away; a bare Cholesky of the
+    # rounded system succeeds on some of these clouds and fails on others
+    @pytest.mark.parametrize("seed", range(8))
+    def test_system_singular_to_working_precision_raises(self, seed):
+        _, noisy = noisy_curve_samples(seed, 100, 0.01)
+        cfg = IrlsConfig()
+        k = gaussian_kernel_matrix(noisy.points, cfg.sigma)
+        _, w = irls_weights(k, cfg.sigma, cfg.gamma0)
+        with pytest.raises(NumericalFailure, match="working precision"):
+            _update(noisy.points, w, 1e300)
+
+    def test_system_that_is_not_positive_definite_raises(self):
+        # I + (D - W) = [[-4, 5], [5, -4]] has eigenvalues 1 and -9
+        w = np.array([[0.0, -5.0], [-5.0, 0.0]])
+        with pytest.raises(NumericalFailure, match="not positive definite"):
+            _update(np.array([[0.0, 1.0], [0.0, 0.0]]), w, 1.0)
 
 
 class TestGraphLaplacian:
@@ -252,6 +286,23 @@ class TestKlrDenoise:
         _, trace = klr_denoise(noisy, IrlsConfig())
         assert len(eigh_sizes) == len(trace.iterations)
         assert max(eigh_sizes) < 300
+
+    def test_one_cholesky_and_no_lu_per_iteration(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "solve",
+                            spy("solve", np.linalg.solve))
+        monkeypatch.setattr(scipy.linalg, "cho_factor",
+                            spy("cho_factor", scipy.linalg.cho_factor))
+        _, noisy = noisy_curve_samples(9, 300, 0.01)
+        _, trace = klr_denoise(noisy, IrlsConfig())
+        assert calls == ["cho_factor"] * len(trace.iterations)
 
     def test_permutation_equivariance(self):
         _, noisy = noisy_curve_samples(2, 80, 0.01)
