@@ -16,6 +16,6 @@ from .recovery import (NullspaceBasis, SumOfSquares, chamfer_distance,
                        estimate_coefficients, nullspace_basis, rank_bound,
                        recover_curve)
 from .segmentation import (GrayImage, SegmentResult, ToeplitzLift, build_lift,
-                           gradient_spectrum, segment)
+                           segment)
 
 __version__ = "0.1.0"

@@ -204,6 +204,7 @@ def _update(y: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, y.T, check_finite=False).T
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def klr_denoise(noisy: PointSet, cfg: IrlsConfig
                 ) -> tuple[PointSet, DenoiseTrace]:
     """Denoise a point cloud by kernel low-rank IRLS.
@@ -211,7 +212,9 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig
     Alternates the weight/Laplacian update computed on the current iterate
     with the closed-form quadratic solve, shrinking the regularizer by eta
     each pass, until the relative iterate change drops below rel_tol or
-    max_iters is hit; logs a warning in the latter case.
+    max_iters is hit; logs a warning in the latter case. Overflow, division
+    by zero and invalid operations raise NumericalFailure naming the
+    iteration; underflow does not, as exp(-large) rounds to its limit, 0.
     """
     if noisy.n_points < 2:
         raise ContractViolation("denoising needs at least 2 points")
@@ -219,34 +222,39 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig
     x = y.copy()
     gamma = cfg.gamma0
     trace = DenoiseTrace()
-    k_cur = gaussian_kernel_matrix(x, cfg.sigma)
-    for it in range(1, cfg.max_iters + 1):
-        if gamma == 0.0:
-            raise NumericalFailure(
-                f"gamma underflowed to 0 at iteration {it} (gamma0 "
-                f"{cfg.gamma0:g} divided by eta {cfg.eta:g} each iteration)")
-        p, w = irls_weights(k_cur, cfg.sigma, gamma)
-        x_new = _update(y, w, cfg.lam)
-        k_new = gaussian_kernel_matrix(x_new, cfg.sigma)
-        # P is symmetric, so tr(K P) = sum(K * P) without the matrix
-        # product; before the update K * P = -sigma^2 W
-        cost_before = float(np.linalg.norm(x - y) ** 2
-                            - cfg.lam * cfg.sigma ** 2 * w.sum())
-        cost = float(np.linalg.norm(x_new - y) ** 2
-                     + cfg.lam * np.einsum("ij,ij->", k_new, p))
-        denom = np.linalg.norm(x)
-        rel = float(np.linalg.norm(x_new - x) / denom) if denom > 0 else 0.0
-        trace.iterations.append(it)
-        trace.costs.append(cost)
-        trace.costs_before.append(cost_before)
-        trace.gammas.append(gamma)
-        trace.rel_changes.append(rel)
-        if not np.isfinite(cost) or not np.all(np.isfinite(x_new)):
-            raise NumericalFailure("non-finite iterate in IRLS")
-        x, k_cur = x_new, k_new  # the cost's kernel is the next pass's
-        gamma /= cfg.eta
-        if rel < cfg.rel_tol:
-            break
+    it = 1
+    try:
+        k_cur = gaussian_kernel_matrix(x, cfg.sigma)
+        for it in range(1, cfg.max_iters + 1):
+            if gamma == 0.0:
+                raise NumericalFailure(
+                    f"gamma underflowed to 0 at iteration {it} (gamma0 "
+                    f"{cfg.gamma0:g} divided by eta {cfg.eta:g} each iteration)")
+            p, w = irls_weights(k_cur, cfg.sigma, gamma)
+            x_new = _update(y, w, cfg.lam)
+            k_new = gaussian_kernel_matrix(x_new, cfg.sigma)
+            # P is symmetric, so tr(K P) = sum(K * P) without the matrix
+            # product; before the update K * P = -sigma^2 W
+            cost_before = float(np.linalg.norm(x - y) ** 2
+                                - cfg.lam * cfg.sigma ** 2 * w.sum())
+            cost = float(np.linalg.norm(x_new - y) ** 2
+                         + cfg.lam * np.einsum("ij,ij->", k_new, p))
+            denom = np.linalg.norm(x)
+            rel = float(np.linalg.norm(x_new - x) / denom) if denom > 0 else 0.0
+            trace.iterations.append(it)
+            trace.costs.append(cost)
+            trace.costs_before.append(cost_before)
+            trace.gammas.append(gamma)
+            trace.rel_changes.append(rel)
+            if not np.isfinite(cost) or not np.all(np.isfinite(x_new)):
+                raise NumericalFailure("non-finite iterate in IRLS")
+            x, k_cur = x_new, k_new  # the cost's kernel is the next pass's
+            gamma /= cfg.eta
+            if rel < cfg.rel_tol:
+                break
+    except FloatingPointError as exc:
+        raise NumericalFailure(
+            f"non-finite iterate in IRLS at iteration {it}: {exc}")
     if rel >= cfg.rel_tol:
         _log.warning("klr_denoise: stopped at max_iters = %d with relative "
                      "change %.3g, not under rel_tol %g", cfg.max_iters, rel,

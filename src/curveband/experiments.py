@@ -147,8 +147,9 @@ def union_split_trial(seed, n_first: int, n_second: int) -> float:
 
 def offcurve_probes(curve: Polyline, n: int, seed) -> PointSet:
     """Uniform points in the unit square at least _PROBE_MIN_DISTANCE from
-    the curve."""
-    tree = cKDTree(curve.vertex_array())
+    the curve, in minimum-image distance on the torus. A contour vertex can
+    read exactly 1.0, which cKDTree's periodic box rejects: mod 1 it is 0."""
+    tree = cKDTree(curve.vertex_array() % 1.0, boxsize=1.0)
     rng = np.random.default_rng(seed)
     kept = []
     while len(kept) < n:

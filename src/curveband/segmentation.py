@@ -69,13 +69,6 @@ def _gradients(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.roll(f, -1, axis=0) - f, np.roll(f, -1, axis=1) - f
 
 
-def gradient_spectrum(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """DFTs (g0_hat, g1_hat), in numpy fft layout, of the periodic forward
-    differences of the pixels along axis 0 (rows) and axis 1 (columns): the
-    image spectrum times exp(2 pi j k/n) - 1 along each axis."""
-    return tuple(np.fft.fft2(g) for g in _gradients(img.pixels))
-
-
 @dataclass
 class ToeplitzLift:
     """Linear operator mapping a filter to the circular 2-D convolutions of
@@ -86,24 +79,22 @@ class ToeplitzLift:
 
     @property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient spectra, fftshifted to the centered frequency lattice."""
-        return tuple(np.fft.fftshift(s) for s in gradient_spectrum(self.image))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        (n1, n2), (g1, g2) = self.image.pixels.shape, self.filter_support.shape
-        return (2 * n1 * n2, g1 * g2)
+        """DFTs of the periodic forward differences of the pixels along axis
+        0 and axis 1, fftshifted to the centered frequency lattice: the
+        image spectrum times exp(2 pi j k/n) - 1 along each axis."""
+        return tuple(np.fft.fftshift(np.fft.fft2(g))
+                     for g in _gradients(self.image.pixels))
 
     def materialize(self) -> np.ndarray:
-        """Dense matrix with columns in support enumeration order: row j of
-        a channel s holds s[j - k], indices mod n, at the column of
-        frequency k, so M c stacks the circular convolutions of s and c."""
+        """Dense (2 n1 n2) x (g1 g2) matrix, columns in support enumeration
+        order: row j of a channel s holds s[j - k], indices mod n, at the
+        column of frequency k, so M c stacks the circular convolutions."""
         g1, g2 = self.filter_support.shape
         pad = (((g1 - 1) // 2, g1 // 2), ((g2 - 1) // 2, g2 // 2))
         return np.stack([
             sliding_window_view(np.pad(s, pad, mode="wrap"),
                                 (g1, g2))[:, :, ::-1, ::-1]
-            for s in self.spectra]).reshape(self.shape)
+            for s in self.spectra]).reshape(-1, g1 * g2)
 
 
 def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift:
@@ -122,10 +113,12 @@ def _offsets(g: int, n: int) -> np.ndarray:
     return (a[:, None] - a) % n
 
 
-def _gram_spectrum(lift: ToeplitzLift) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the lift's Gram G = M^H M, descending and clamped at 0
-    (the squared singular values of M), and the matching unit eigenvectors
-    as columns (its right singular vectors). M is never formed.
+def _gram_spectrum(f: np.ndarray, filter_shape: tuple[int, int]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the Gram G = M^H M of the lift M of pixels f with a
+    filter_shape filter, descending and clamped at 0 (the squared singular
+    values of M), and the matching unit eigenvectors as columns (its right
+    singular vectors). M is never formed.
 
     Row j of a channel s holds s[j - k] at the column of frequency k,
     indices mod n, so G[k, k'] = R[(k - k') mod n] for the circular
@@ -137,8 +130,7 @@ def _gram_spectrum(lift: ToeplitzLift) -> tuple[np.ndarray, np.ndarray]:
     Against M^H M of the materialized lift it differs by at most 4.1e-15 of
     the largest entry (64 px phantoms with 9x9 and 15x15 filters, random 16
     to 80 px images with filters up to 15x15, a filter equal to the image)."""
-    g1, g2 = lift.filter_support.shape
-    f = lift.image.pixels
+    g1, g2 = filter_shape
     d1, d2 = _offsets(g1, f.shape[0]), _offsets(g2, f.shape[1])
     r = f.size * np.fft.fft2(sum(g ** 2 for g in _gradients(f)))
     gram = r[d1[:, None, :, None], d2[None, :, None, :]].reshape(g1 * g2, -1)
@@ -148,7 +140,8 @@ def _gram_spectrum(lift: ToeplitzLift) -> tuple[np.ndarray, np.ndarray]:
 
 def trailing_energy(lift: ToeplitzLift, rank: int) -> float:
     """Sum of squared singular values beyond `rank`."""
-    return float(np.sum(_gram_spectrum(lift)[0][rank:]))
+    return float(np.sum(_gram_spectrum(lift.image.pixels,
+                                       lift.filter_support.shape)[0][rank:]))
 
 
 @dataclass
@@ -160,11 +153,14 @@ class SegmentResult:
     objective_history: list[float]
 
 
-def _difference_operators(h: int, w: int) -> tuple[sp.spmatrix, sp.spmatrix]:
+def _gradient_operator(h: int, w: int) -> sp.csr_matrix:
+    """G of shape (2 h w, h w): G f.ravel() stacks the raveled periodic
+    forward differences of an h x w image f along axis 0, then axis 1, the
+    arrays `_gradients(f)` returns."""
     def diff(n):  # periodic forward difference x[i + 1 mod n] - x[i]
         return sp.diags([-1.0, 1.0, 1.0], [0, 1, 1 - n], shape=(n, n))
-    return (sp.kron(diff(h), sp.eye(w), format="csr"),
-            sp.kron(sp.eye(h), diff(w), format="csr"))
+    return sp.vstack([sp.kron(diff(h), sp.eye(w)),
+                      sp.kron(sp.eye(h), diff(w))], format="csr")
 
 
 def segment(h: GrayImage, rank: int, lam: float,
@@ -189,12 +185,12 @@ def segment(h: GrayImage, rank: int, lam: float,
         raise ContractViolation(f"lam must be positive and finite, got {lam}")
     if max_iters < 0:
         raise ContractViolation(f"max_iters must be >= 0, got {max_iters}")
-    lift = build_lift(h, filter_support)
+    build_lift(h, filter_support)  # rejects a filter larger than the image
     if not 0 <= rank < len(filter_support):
         raise ContractViolation(
             f"rank must lie in [0, {len(filter_support)}) for this lift")
     hh, ww = h.pixels.shape
-    d0, d1 = _difference_operators(hh, ww)
+    g = _gradient_operator(hh, ww)
     scale = hh * ww  # Parseval factor between spectrum and pixel sums
 
     f = h.pixels.copy()
@@ -202,7 +198,7 @@ def segment(h: GrayImage, rank: int, lam: float,
     converged = False
     iterations = 0
     while True:
-        s2, v = _gram_spectrum(lift)
+        s2, v = _gram_spectrum(np.clip(f, 0.0, 1.0), filter_support.shape)
         # a Python float product overflows to inf without a warning
         objective = float(np.linalg.norm(f - h.pixels) ** 2
                           + lam * float(np.sum(s2[rank:])))
@@ -212,10 +208,9 @@ def segment(h: GrayImage, rank: int, lam: float,
         if converged or iterations >= max_iters:
             break
         iterations += 1
-        s_diag = sp.diags(weights.ravel())
+        s_diag = sp.diags(np.tile(weights.ravel(), 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            system = (sp.eye(hh * ww) + (lam * scale)
-                      * (d0.T @ s_diag @ d0 + d1.T @ s_diag @ d1))
+            system = sp.eye(hh * ww) + (lam * scale) * (g.T @ s_diag @ g)
         if not np.isfinite(system.data).all():
             raise NumericalFailure(
                 f"lam = {lam:g} (--lambda) overflows the update system")
@@ -226,7 +221,6 @@ def segment(h: GrayImage, rank: int, lam: float,
         step = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1e-30)
         f = f_new
         converged = bool(step < _SEGMENT_REL_TOL)
-        lift = build_lift(GrayImage(np.clip(f, 0.0, 1.0)), filter_support)
 
     gap = s2[rank - 1] / s2[rank] if rank and s2[rank] > 0 else np.inf
     if gap < _NARROW_GAP:

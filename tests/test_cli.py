@@ -19,6 +19,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_process(args, cwd):
+    """The CLI in a fresh interpreter, so its warnings reach stderr."""
+    src = str(Path(curveband.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "curveband.cli", *map(str, args)],
+        cwd=cwd, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
+
+
 @pytest.fixture
 def sample_points(tmp_path):
     clean, noisy = noisy_curve_samples(2, 120, 0.01)
@@ -314,6 +323,20 @@ class TestDenoise:
         assert err.startswith("numerical failure:") and message in err
         assert not out.exists()
 
+    # sigma^2 underflows to 0 (divide by zero) or to a subnormal (overflow):
+    # the run stops at the first such operation, with no numpy warning
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e-155"])
+    def test_tiny_sigma_writes_one_stderr_line(self, tmp_path, sigma):
+        _, noisy = noisy_curve_samples(5, 100, 0.01)
+        cio.save_points(noisy, tmp_path / "noisy.csv")
+        (tmp_path / "run.cfg").write_text(f"sigma = {sigma}\n")
+        proc = run_process(["denoise", "noisy.csv", "--config", "run.cfg",
+                            "--out-dir", "dn"], tmp_path)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+        assert not (tmp_path / "dn").exists()
+
 
 class TestSegment:
     def test_outputs(self, tmp_path):
@@ -352,19 +375,10 @@ class TestSegment:
         out = capsys.readouterr().out
         assert ("(warning: not converged)" in out) is flagged
 
-    @staticmethod
-    def run_process(args, cwd):
-        """The CLI in a fresh interpreter, so its warnings reach stderr."""
-        src = str(Path(curveband.__file__).resolve().parents[1])
-        return subprocess.run(
-            [sys.executable, "-m", "curveband.cli", *map(str, args)],
-            cwd=cwd, capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": src})
-
     def test_non_finite_objective_writes_outputs(self, tmp_path):
         # with no update, the only objective overflows to inf, silently
         cio.save_pgm(disk_phantom(64, radius=0.3), tmp_path / "disk64.pgm")
-        proc = self.run_process(
+        proc = run_process(
             ["segment", "disk64.pgm", "--rank", 30, "--lambda", "1e308",
              "--filter", "9x9", "--max-iters", 0, "--out-dir", "seg"],
             tmp_path)
@@ -377,7 +391,7 @@ class TestSegment:
     def test_overflowing_update_exits_4(self, tmp_path, lam):
         # lam * 64 * 64 is finite at 1e304, but the weighted stencil is not
         cio.save_pgm(disk_phantom(64, radius=0.3), tmp_path / "disk64.pgm")
-        proc = self.run_process(
+        proc = run_process(
             ["segment", "disk64.pgm", "--rank", 30, "--lambda", lam,
              "--filter", "9x9", "--max-iters", 2, "--out-dir", "seg"],
             tmp_path)

@@ -9,9 +9,10 @@ from curveband import (ContractViolation, FrequencySupport, NumericalFailure,
                        evaluate_on_grid, extract_zero_level_set,
                        nullspace_basis, random_curve, rank_bound,
                        recover_curve, sample_curve)
+from curveband.curve_model import wrap_delta
 from curveband.experiments import (_recovery_error, child_seed,
-                                   curve_with_zero_set, overcomplete_trial,
-                                   union_curve)
+                                   curve_with_zero_set, offcurve_probes,
+                                   overcomplete_trial, union_curve)
 from curveband.recovery import _feature_svd
 from oracles import (count_common_zeros, evaluate, feature_svd_reference,
                      hermitian_align_reference, minimal_rectangle_by_svd,
@@ -386,6 +387,40 @@ class TestSumOfSquares:
         with pytest.raises(ContractViolation):
             SumOfSquares(FrequencySupport(3, 3),
                          np.zeros((0, 9), dtype=complex))
+
+    # gamma at points is read off the polynomial alone; on the criterion-4
+    # samples and off-curve probes it matches both the per-row coefficient
+    # reference and the rows' own sums of squares
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_point_values_match_the_row_references(self, seed):
+        support = FrequencySupport(11, 11)
+        _, truth, _, _ = union_curve(seed, 512)
+        pts = sample_curve(truth, 220, seed=child_seed(seed, 1))
+        probes = offcurve_probes(truth, 2000, child_seed(seed, 3))
+        basis = nullspace_basis(pts, support, 512)
+        sos = SumOfSquares(basis.support, basis.vectors)
+        by_rows = TrigPolynomial(
+            FrequencySupport(21, 21),
+            sum_of_squares_by_rows(support, basis.vectors).ravel())
+        squares = [sum(np.abs(evaluate(TrigPolynomial(support, row),
+                                       where)) ** 2 for row in basis.vectors)
+                   for where in (pts, probes)]
+        tol = 1e-12 * squares[1].max()  # max gamma: the probes hold it
+        for where, sq in zip((pts, probes), squares):
+            gamma = sos(where)
+            assert np.abs(gamma - evaluate(by_rows, where).real).max() <= tol
+            assert np.abs(gamma - sq).max() <= tol
+
+
+class TestOffcurveProbes:
+    def test_distance_is_measured_across_the_seam(self):
+        # a vertical line at x1 = 0.005: a probe at x1 = 0.99 is 0.015 away
+        # across the seam, though 0.985 away in the plane
+        x2 = np.arange(1000) / 1000
+        curve = Polyline([np.stack([np.full(1000, 0.005), x2], axis=1)])
+        probes = offcurve_probes(curve, 2000, 0).points.T
+        d = wrap_delta(probes[:, None, :] - curve.vertex_array()[None])
+        assert np.sqrt((d ** 2).sum(axis=2)).min(axis=1).min() > 0.02
 
 
 class TestRealNullVectors:

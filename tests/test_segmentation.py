@@ -10,8 +10,9 @@ from curveband.experiments import (circle_polyline, curve_with_zero_set,
                                    disk_phantom, edge_contours,
                                    multi_disk_phantom)
 from curveband.recovery import rank_bound
-from curveband.segmentation import (ToeplitzLift, _gram_spectrum, build_lift,
-                                    gradient_spectrum, trailing_energy)
+from curveband.segmentation import (ToeplitzLift, _gradient_operator,
+                                    _gradients, _gram_spectrum, build_lift,
+                                    trailing_energy)
 from oracles import (curve_phantom, edge_weights_by_svd, evaluate,
                      lift_spectrum_by_svd)
 
@@ -44,6 +45,12 @@ class TestGrayImage:
     def test_range_enforced(self):
         with pytest.raises(ContractViolation):
             GrayImage(np.full((16, 16), 1.5))
+
+
+def gradient_spectrum(img):
+    """The lift's spectra in numpy fft layout."""
+    lift = build_lift(img, FrequencySupport(1, 1))
+    return tuple(np.fft.ifftshift(s) for s in lift.spectra)
 
 
 class TestGradientSpectrum:
@@ -106,7 +113,9 @@ class TestToeplitzLift:
         rng = np.random.default_rng(4)
         img = GrayImage(rng.uniform(0, 1, (24, 40)))
         lift = build_lift(img, FrequencySupport(7, 5))
-        assert np.array_equal(lift.materialize(), materialize_by_oracle(lift))
+        m = lift.materialize()
+        assert m.shape == (2 * 24 * 40, 7 * 5)
+        assert np.array_equal(m, materialize_by_oracle(lift))
 
     # the FFT Gram against M^H M of the materialized lift: non-square images
     # and filters, an even filter, a 13x13 filter on 16 px, a filter one
@@ -123,7 +132,7 @@ class TestToeplitzLift:
                           FrequencySupport(*k))
         m = lift.materialize()
         gram = m.conj().T @ m
-        lam, v = _gram_spectrum(lift)
+        lam, v = _gram_spectrum(lift.image.pixels, k)
         assert np.all(np.diff(lam) <= 0)
         rebuilt = (v * lam) @ v.conj().T
         assert np.abs(rebuilt - gram).max() <= 1e-13 * np.abs(gram).max()
@@ -331,16 +340,23 @@ class TestSegment:
     def test_segment_computes_no_gradient_spectrum(self, monkeypatch):
         # the Gram is read off the pixels' gradient energy, so building the
         # lift, its trailing energy and a whole segmentation take no spectrum
-        def no_spectrum(*args):
-            raise AssertionError("gradient_spectrum called")
+        def no_spectrum(self):
+            raise AssertionError("ToeplitzLift.spectra read")
 
-        monkeypatch.setattr("curveband.segmentation.gradient_spectrum",
-                            no_spectrum)
+        monkeypatch.setattr(ToeplitzLift, "spectra", property(no_spectrum))
         img, support = disk_phantom(32, radius=0.3), FrequencySupport(7, 7)
         assert trailing_energy(build_lift(img, support), 20) > 0
         result = segment(img, rank=20, lam=1e-2, filter_support=support,
                          max_iters=2)
         assert result.iterations == 2
+
+    # the one stacked operator of the update system against the two
+    # np.roll differences of the Gram, on non-square images
+    @pytest.mark.parametrize("shape", [(16, 24), (25, 17)])
+    def test_gradient_operator_equals_stacked_gradients(self, shape):
+        f = np.random.default_rng(6).uniform(0, 1, shape)
+        stacked = np.concatenate([g.ravel() for g in _gradients(f)])
+        assert np.array_equal(_gradient_operator(*shape) @ f.ravel(), stacked)
 
     def test_invalid_rank_rejected(self):
         img = disk_phantom(32, radius=0.3)
