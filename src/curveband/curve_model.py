@@ -334,28 +334,23 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
 
 
 def sample_curve(curve: Polyline, n: int, seed,
-                 region: tuple[float, float, float, float] | None = None
-                 ) -> PointSet:
+                 region: tuple[float, float] | None = None) -> PointSet:
     """Draw `n` points on the polyline, uniformly with respect to arc length.
 
-    With `region` = (x1_min, x1_max, x2_min, x2_max), sampling is restricted
-    to segments whose midpoints lie in the rectangle (segment-level
-    granularity; segments are one grid cell long, so the boundary fuzz is
-    below the rasterization scale).
+    With `region` = (x1_min, x1_max), only segments whose midpoint (mod 1)
+    has its first coordinate in that interval are sampled; segments are one
+    grid cell long, so the boundary fuzz is below the rasterization scale.
     """
     if n == 0:
         return PointSet.empty(2)
     if curve.is_empty:
         raise ContractViolation("cannot sample from an empty curve")
     starts, deltas, lengths = curve.segment_arrays()
+    keep = lengths > 0
     if region is not None:
-        mid = (starts + 0.5 * deltas) % 1.0
-        x1min, x1max, x2min, x2max = region
-        keep = ((mid[:, 0] >= x1min) & (mid[:, 0] <= x1max)
-                & (mid[:, 1] >= x2min) & (mid[:, 1] <= x2max))
-        starts, deltas, lengths = starts[keep], deltas[keep], lengths[keep]
-    nonzero = lengths > 0
-    starts, deltas, lengths = starts[nonzero], deltas[nonzero], lengths[nonzero]
+        mid = (starts[:, 0] + 0.5 * deltas[:, 0]) % 1.0
+        keep &= (mid >= region[0]) & (mid <= region[1])
+    starts, deltas, lengths = starts[keep], deltas[keep], lengths[keep]
     if lengths.size == 0:
         raise ContractViolation("no curve available in the requested region")
     cum = np.cumsum(lengths)

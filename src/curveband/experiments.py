@@ -49,13 +49,6 @@ def curve_with_zero_set(support: FrequencySupport, seed, grid_res: int = 512
         f"no curve with a non-empty zero set in {_MAX_CURVE_ATTEMPTS} attempts")
 
 
-def half_region(curve: Polyline) -> tuple[float, float, float, float]:
-    """Full-height strip over the left half of the curve's first-axis extent."""
-    x1 = curve.vertex_array()[:, 0]
-    lo, hi = float(x1.min()), float(x1.max())
-    return (lo, 0.5 * (lo + hi), 0.0, 1.0)
-
-
 def _recovery_error(pts: PointSet, support: FrequencySupport,
                     truth: Polyline, grid_res: int) -> float:
     """Curve error of the known-support recovery from `pts` against `truth`
@@ -81,7 +74,11 @@ def known_support_trial(support: FrequencySupport, n_samples: int, seed,
     if restrict not in (None, "left"):
         raise ContractViolation(f"unknown restrict {restrict!r}")
     _, truth = curve_with_zero_set(support, seed, grid_res)
-    region = half_region(truth) if restrict else None
+    region = None
+    if restrict:
+        x1 = truth.vertex_array()[:, 0]
+        lo, hi = float(x1.min()), float(x1.max())
+        region = (lo, 0.5 * (lo + hi))
     pts = sample_curve(truth, n_samples, seed=child_seed(seed, 1), region=region)
     return _recovery_error(pts, support, truth, grid_res)
 
@@ -113,11 +110,8 @@ def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
         return err <= 3.0 / grid_res
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(run, jobs))
-    freq = np.zeros((len(k_values), len(n_values)))
-    for (ki, ni, _), ok in zip(jobs, outcomes):
-        freq[ki, ni] += ok
-    return freq / trials
+        ok = list(pool.map(run, jobs))
+    return np.reshape(ok, (len(k_values), len(n_values), trials)).mean(axis=2)
 
 
 def union_curve(seed, grid_res: int
@@ -136,12 +130,9 @@ def union_split_trial(seed, n_first: int, n_second: int) -> float:
     a 256 grid; returns the curve error (inf = failed)."""
     grid_res = 256
     product, truth, c1, c2 = union_curve(seed, grid_res)
-    parts = []
-    if n_first:
-        parts.append(sample_curve(c1, n_first, seed=child_seed(seed, 1)).points)
-    if n_second:
-        parts.append(sample_curve(c2, n_second, seed=child_seed(seed, 2)).points)
-    pts = PointSet(2, np.concatenate(parts, axis=1))
+    pts = PointSet(2, np.concatenate(
+        [sample_curve(c1, n_first, seed=child_seed(seed, 1)).points,
+         sample_curve(c2, n_second, seed=child_seed(seed, 2)).points], axis=1))
     return _recovery_error(pts, product.support, truth, grid_res)
 
 
@@ -232,7 +223,8 @@ def multi_disk_phantom(size: int) -> GrayImage:
 
 def edge_contours(edge_map: GrayImage) -> Polyline:
     """Contours of the (max-normalized) edge map at the small level
-    _EDGE_LEVEL; the edge set is where the map is near zero."""
+    _EDGE_LEVEL; the edge set is where the map is near zero. Vertices are in
+    the library's grid frame, with pixel (i, j) at (i/n1, j/n2)."""
     return contour_periodic_grid(edge_map.pixels - _EDGE_LEVEL)
 
 

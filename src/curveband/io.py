@@ -97,6 +97,7 @@ def load_polyline_csv(path) -> Polyline:
     text = _read(path, "polyline")
     groups: dict[int, list] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
         if not line.strip():
             continue
         try:

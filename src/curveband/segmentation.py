@@ -171,15 +171,18 @@ def segment(h: GrayImage, rank: int, lam: float,
     the Gram of its lift gives the objective and the edge weight map, the
     sum-of-squares of the trailing eigenvectors), then stops if the last
     update moved f by less than _SEGMENT_REL_TOL or max_iters updates were
-    made, else updates f by a symmetric-mode sparse LU solve of the SPD
-    system that penalizes gradient energy weighted by that map (the
-    trailing-energy penalty with the filters held fixed, a majorizer of the
-    objective, so no update raises it). Returns the last evaluated iterate,
-    flagged if not converged; `iterations` counts updates. Logs a warning
-    when its Gram has an eigen-gap lam[rank - 1] / lam[rank] under
-    _NARROW_GAP. Rejects a lam that is not positive and finite, or a
-    negative max_iters, before any work, and raises NumericalFailure when
-    lam is so large that the update system overflows.
+    made, else sets f to the symmetric-mode sparse LU solve, clipped to
+    [0, 1], of the SPD system I + c G^T S G that penalizes gradient energy
+    weighted by that map (the trailing-energy penalty with the filters held
+    fixed, a majorizer of the objective, so no update raises it). Its
+    off-diagonals are nonpositive and its rows sum to 1, so the solution
+    lies in [min h, max h]: the clip removes rounding, or the error of a
+    solve that an extreme lam leaves ill-conditioned, which GrayImage would
+    reject. Returns the last evaluated iterate, flagged if not converged;
+    `iterations` counts updates. Logs a warning when its Gram has an
+    eigen-gap lam[rank - 1] / lam[rank] under _NARROW_GAP. Rejects a lam
+    that is not positive and finite, or a negative max_iters, before any
+    work, and raises NumericalFailure when lam overflows the update system.
     """
     if not 0 < lam < np.inf:
         raise ContractViolation(f"lam must be positive and finite, got {lam}")
@@ -198,7 +201,7 @@ def segment(h: GrayImage, rank: int, lam: float,
     converged = False
     iterations = 0
     while True:
-        s2, v = _gram_spectrum(np.clip(f, 0.0, 1.0), filter_support.shape)
+        s2, v = _gram_spectrum(f, filter_support.shape)
         # a Python float product overflows to inf without a warning
         objective = float(np.linalg.norm(f - h.pixels) ** 2
                           + lam * float(np.sum(s2[rank:])))
@@ -215,12 +218,13 @@ def segment(h: GrayImage, rank: int, lam: float,
             raise NumericalFailure(
                 f"lam = {lam:g} (--lambda) overflows the update system")
         # SPD (weights >= 0, lam * scale > 0): diagonal pivots are safe
-        f_new = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-                     ).solve(h.pixels.ravel()).reshape(hh, ww)
+        # the factor is a temporary, so no two factors are alive at once
+        f_new = np.clip(
+            splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                 diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+                 ).solve(h.pixels.ravel()).reshape(hh, ww), 0.0, 1.0)
         step = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1e-30)
-        f = f_new
-        converged = bool(step < _SEGMENT_REL_TOL)
+        f, converged = f_new, bool(step < _SEGMENT_REL_TOL)
 
     gap = s2[rank - 1] / s2[rank] if rank and s2[rank] > 0 else np.inf
     if gap < _NARROW_GAP:
@@ -229,5 +233,5 @@ def segment(h: GrayImage, rank: int, lam: float,
                      gap, rank, _NARROW_GAP)
     peak = weights.max()
     edge = weights / peak if peak > 0 else weights
-    return SegmentResult(GrayImage(np.clip(f, 0.0, 1.0)),
-                         GrayImage(edge), converged, iterations, history)
+    return SegmentResult(GrayImage(f), GrayImage(edge), converged, iterations,
+                         history)

@@ -148,37 +148,6 @@ def recover_curve_reference(pts, support, grid_res):
     return contour_periodic_grid(grid - level)
 
 
-# hermitian_align_reference rejects a vector whose asymmetry
-# |c[-k] - conj(c[k])|, after phase alignment, exceeds this fraction of its
-# largest coefficient.
-_HERMITIAN_DEFECT_TOL = 0.05
-
-
-def hermitian_align_reference(poly: TrigPolynomial) -> TrigPolynomial | None:
-    """Rotate a coefficient vector by a global phase so it becomes hermitian.
-
-    A vector that equals exp(j a) times a real-valued polynomial's
-    coefficients satisfies sum_k c[k] c[-k] = exp(2j a) |c|^2, which pins the
-    phase. Returns the symmetrized hermitian polynomial, or None when the
-    residual asymmetry exceeds _HERMITIAN_DEFECT_TOL (relative) -- i.e. the
-    vector is not a phase rotation of a real polynomial. The phase alignment
-    recovery ran before its SVD returned exactly hermitian vectors.
-    """
-    if poly.support.k1 % 2 == 0 or poly.support.k2 % 2 == 0:
-        return None
-    g = poly.coeff_grid()
-    pairing = np.sum(g * g[::-1, ::-1])
-    if np.abs(pairing) < 1e-12:
-        return None
-    aligned = g * np.exp(-0.5j * np.angle(pairing))
-    defect = np.abs(aligned[::-1, ::-1] - np.conj(aligned)).max()
-    scale = np.abs(aligned).max()
-    if scale == 0 or defect > _HERMITIAN_DEFECT_TOL * scale:
-        return None
-    sym = 0.5 * (aligned + np.conj(aligned[::-1, ::-1]))
-    return TrigPolynomial(poly.support, sym.ravel(), hermitian=True)
-
-
 def count_common_zeros(pa, pb, grid=128, bound_hint=64):
     """Number of solutions of pa(x) = pb(x) = 0 in the unit square, found by
     dense grid search plus Gauss-Newton refinement. Asserts the count stays

@@ -475,6 +475,22 @@ class TestEval:
                       (out / "eval.csv").read_text().strip().splitlines()[1:])
         assert float(report["mse"]) > 0
 
+    def test_polyline_comments_are_skipped(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("0,0.1,0.2\n0,0.3,0.4\n1,0.2,0.6\n")
+        commented = tmp_path / "commented.csv"
+        commented.write_text(
+            "# c\n0,0.1,0.2\n0,0.3,0.4  # vertex\n1,0.2,0.6\n")
+        a = cio.load_polyline_csv(plain)
+        b = cio.load_polyline_csv(commented)
+        assert len(a.components) == len(b.components) == 2
+        assert all(np.array_equal(u, v)
+                   for u, v in zip(a.components, b.components))
+        out = tmp_path / "ev"
+        assert run(["eval", commented, plain, "--kind", "curves",
+                    "--out-dir", out]) == 0
+        assert "chamfer,0" in (out / "eval.csv").read_text()
+
     def test_non_finite_polyline_exits_3(self, tmp_path, capsys):
         good = tmp_path / "a.csv"
         good.write_text("0,0.1,0.2\n0,0.3,0.4\n0,0.2,0.6\n")

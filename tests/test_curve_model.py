@@ -316,13 +316,13 @@ class TestSampleCurve:
 
     def test_restricted_region(self):
         _, curve = self._line_curve()
-        pts = sample_curve(curve, 30, seed=3, region=(0.0, 0.5, 0.0, 1.0))
+        pts = sample_curve(curve, 30, seed=3, region=(0.0, 0.5))
         assert np.all(pts.points[0] < 0.5)
 
     def test_empty_region_raises(self):
         _, curve = self._line_curve()
         with pytest.raises(ContractViolation, match="requested region"):
-            sample_curve(curve, 5, seed=0, region=(0.4, 0.45, 0.0, 1.0))
+            sample_curve(curve, 5, seed=0, region=(0.4, 0.45))
 
     def test_empty_curve_rejected(self):
         from curveband import Polyline

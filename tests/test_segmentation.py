@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from curveband import (ContractViolation, FrequencySupport, GrayImage,
                        PointSet, chamfer_distance, segment)
@@ -357,6 +359,26 @@ class TestSegment:
         f = np.random.default_rng(6).uniform(0, 1, shape)
         stacked = np.concatenate([g.ravel() for g in _gradients(f)])
         assert np.array_equal(_gradient_operator(*shape) @ f.ravel(), stacked)
+
+    # segment's update system I + c G^T S G is an M-matrix with unit row
+    # sums, so its solution lies in the range of the right-hand side and
+    # the clip of each solve removes only rounding; the weights of a 9x9
+    # filter's sum-of-squares of unit vectors lie in [0, 81]
+    @pytest.mark.parametrize("shape", [(16, 24), (25, 17), (64, 64)])
+    def test_update_system_keeps_the_solution_in_range(self, shape):
+        hh, ww = shape
+        rng = np.random.default_rng(8)
+        g = _gradient_operator(hh, ww)
+        for c in (1e-3 * hh * ww, 1e-2 * hh * ww, 100.0):
+            s_diag = sp.diags(np.tile(rng.uniform(0, 81, hh * ww), 2))
+            system = (sp.eye(hh * ww) + c * (g.T @ s_diag @ g)).tocsc()
+            assert (system - sp.diags(system.diagonal())).max() <= 0
+            row_sums = np.asarray(system.sum(axis=1)).ravel()
+            assert np.abs(row_sums - 1).max() <= 1e-10
+            h = rng.uniform(0, 1, hh * ww)
+            f = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}).solve(h)
+            assert h.min() - 1e-12 <= f.min() and f.max() <= h.max() + 1e-12
 
     def test_invalid_rank_rejected(self):
         img = disk_phantom(32, radius=0.3)
