@@ -5,7 +5,7 @@
 Every command is deterministic given its flags (synth and phase-transition
 draw from --seed). Exit codes: 0 success, 2 usage error, 3 data error (an
 unreadable, malformed or empty input, or an output directory or file that
-cannot be written), 4 numerical failure.
+cannot be written), 4 numerical failure (or an array too large to allocate).
 """
 
 from __future__ import annotations
@@ -107,6 +107,9 @@ def cmd_recover(args) -> int:
 def cmd_phase_transition(args) -> int:
     k_values = _parse_int_list(args.k_range, "--k-range")
     n_values = _parse_int_list(args.n_range, "--n-range")
+    if np.any(np.diff(n_values) <= 0):
+        # the heatmap places its k^2 and (2k)^2 guides by interpolating N
+        raise ContractViolation(f"--n-range {args.n_range!r} must increase")
     freq = experiments.phase_transition(
         k_values, n_values, args.trials, args.seed,
         grid_res=args.grid_res, threads=args.threads)
@@ -258,7 +261,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+    except (NumericalFailure, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -109,10 +109,6 @@ class PointSet:
     def n_points(self) -> int:
         return self.points.shape[1]
 
-    @classmethod
-    def empty(cls, dim: int) -> "PointSet":
-        return cls(dim, np.zeros((dim, 0)))
-
 
 @dataclass
 class Polyline:
@@ -189,16 +185,12 @@ def multiply(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
     """
     if not (a.coeffs.any() and b.coeffs.any()):
         raise ContractViolation("multiply requires nonzero polynomials")
-    for axis in (0, 1):
-        ka = (a.support.k1, a.support.k2)[axis]
-        kb = (b.support.k1, b.support.k2)[axis]
+    for ka, kb in zip(a.support.shape, b.support.shape):
         if ka % 2 == 0 and kb % 2 == 0:
             raise ContractViolation(
                 "product of two even-sized supports along an axis is not centered")
     grid = _convolve_full(a.coeff_grid(), b.coeff_grid())
-    support = FrequencySupport(a.support.k1 + b.support.k1 - 1,
-                               a.support.k2 + b.support.k2 - 1)
-    return TrigPolynomial(support, grid.ravel(),
+    return TrigPolynomial(FrequencySupport(*grid.shape), grid.ravel(),
                           hermitian=a.hermitian and b.hermitian)
 
 
@@ -266,8 +258,6 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
     b10 = np.roll(pos, -1, axis=0)
     i, j = np.nonzero((pos != b10) | (pos != np.roll(pos, -1, axis=1))
                       | (pos != np.roll(b10, -1, axis=1)))
-    if i.size == 0:
-        return Polyline([])
 
     # Corners a=(i,j), b=(i+1,j), c=(i+1,j+1), d=(i,j+1) of the active cells
     # and their edges in slot order ab, bc, dc, ad. Edge ids: i*n2 + j for
@@ -341,10 +331,6 @@ def sample_curve(curve: Polyline, n: int, seed,
     has its first coordinate in that interval are sampled; segments are one
     grid cell long, so the boundary fuzz is below the rasterization scale.
     """
-    if n == 0:
-        return PointSet.empty(2)
-    if curve.is_empty:
-        raise ContractViolation("cannot sample from an empty curve")
     starts, deltas, lengths = curve.segment_arrays()
     keep = lengths > 0
     if region is not None:
@@ -352,7 +338,7 @@ def sample_curve(curve: Polyline, n: int, seed,
         keep &= (mid >= region[0]) & (mid <= region[1])
     starts, deltas, lengths = starts[keep], deltas[keep], lengths[keep]
     if lengths.size == 0:
-        raise ContractViolation("no curve available in the requested region")
+        raise ContractViolation("no curve to sample in the requested region")
     cum = np.cumsum(lengths)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, cum[-1], size=n)

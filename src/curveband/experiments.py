@@ -56,12 +56,9 @@ def _recovery_error(pts: PointSet, support: FrequencySupport,
     either side)."""
     try:
         est = estimate_coefficients(pts, support, grid_res)
-        recovered = extract_zero_level_set(est, grid_res)
+        return chamfer_distance(extract_zero_level_set(est, grid_res), truth)
     except (NumericalFailure, ContractViolation):
         return np.inf
-    if recovered.is_empty or truth.is_empty:
-        return np.inf
-    return chamfer_distance(recovered, truth)
 
 
 def known_support_trial(support: FrequencySupport, n_samples: int, seed,
@@ -201,24 +198,25 @@ def denoise_trial(seed, n_samples: int, noise_std: float
 # synthetic phantoms for segmentation
 
 
-def disk_phantom(size: int, radius: float, center=(0.5, 0.5)) -> GrayImage:
-    """Filled-disk indicator image (pixel centers at (i+1/2)/size)."""
+def _disks(size: int, disks) -> GrayImage:
+    """Disks ((cy, cx), r, level) painted in order, pixels at (i+1/2)/size."""
     coords = (np.arange(size) + 0.5) / size
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
-    inside = (yy - center[0]) ** 2 + (xx - center[1]) ** 2 < radius ** 2
-    return GrayImage(inside.astype(float))
+    img = np.zeros((size, size))
+    for (cy, cx), r, a in disks:
+        img = np.where((yy - cy) ** 2 + (xx - cx) ** 2 < r ** 2, a, img)
+    return GrayImage(img)
+
+
+def disk_phantom(size: int, radius: float, center=(0.5, 0.5)) -> GrayImage:
+    """Filled-disk indicator image."""
+    return _disks(size, [(center, radius, 1.0)])
 
 
 def multi_disk_phantom(size: int) -> GrayImage:
     """One strong disk plus three progressively fainter ones."""
-    coords = (np.arange(size) + 0.5) / size
-    yy, xx = np.meshgrid(coords, coords, indexing="ij")
-    img = np.zeros((size, size))
-    disks = [((0.35, 0.35), 0.2, 0.9), ((0.7, 0.65), 0.12, 0.45),
-             ((0.3, 0.75), 0.09, 0.25), ((0.72, 0.25), 0.07, 0.12)]
-    for (cy, cx), r, a in disks:
-        img = np.where((yy - cy) ** 2 + (xx - cx) ** 2 < r ** 2, a, img)
-    return GrayImage(img)
+    return _disks(size, [((0.35, 0.35), 0.2, 0.9), ((0.7, 0.65), 0.12, 0.45),
+                         ((0.3, 0.75), 0.09, 0.25), ((0.72, 0.25), 0.07, 0.12)])
 
 
 def edge_contours(edge_map: GrayImage) -> Polyline:

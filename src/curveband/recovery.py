@@ -212,9 +212,10 @@ def nullspace_basis(pts: PointSet, support: FrequencySupport,
                          "margins %.3g above and %.3g below", *rect.shape,
                          rank, cut, *margins)
     else:
+        # rank >= 1: rel[0] = 1 and the cut is at most 1.5e-4 * 32^2 < 0.16
         rel = s_full / s_full[0]
         rank = int(np.count_nonzero(rel > cut))
-        above = rel[rank - 1] / cut if rank else np.inf
+        above = rel[rank - 1] / cut
         below = cut / rel[rank] if rank < rel.size and rel[rank] else np.inf
         margins = (float(above), float(below))
         _log.warning("no rectangle decides the rank at cut %g: spectral "

@@ -69,6 +69,17 @@ class TestSynth:
             capsys.readouterr().err)
         assert not out.exists()
 
+    def test_allocation_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        # an array too large to allocate, e.g. at a huge --grid-res
+        def too_large(poly, grid_res):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+        monkeypatch.setattr("curveband.cli.extract_zero_level_set", too_large)
+        out = tmp_path / "s"
+        assert run(["synth", "--out-dir", out]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
+        assert not out.exists()
+
 
 class TestRecover:
     def test_pipeline_reports_rank(self, tmp_path):
@@ -192,7 +203,9 @@ class TestPhaseTransition:
 
     @pytest.mark.parametrize("flag,value", [("--k-range", "3,x"),
                                             ("--n-range", "5:20:0"),
-                                            ("--n-range", "5:")])
+                                            ("--n-range", "5:"),
+                                            ("--n-range", "40,10,20"),
+                                            ("--n-range", "20,20")])
     def test_bad_integer_list_exits_2(self, tmp_path, flag, value):
         assert run(["phase-transition", flag, value, "--trials", 1,
                     "--out-dir", tmp_path]) == 2

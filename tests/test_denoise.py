@@ -406,7 +406,7 @@ class TestPointCloudMetrics:
     def test_empty_rejected(self):
         pts = PointSet(2, np.zeros((2, 3)))
         with pytest.raises(ContractViolation):
-            point_cloud_mse(pts, PointSet.empty(2))
+            point_cloud_mse(pts, PointSet(2, np.zeros((2, 0))))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ContractViolation):

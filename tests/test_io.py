@@ -126,7 +126,7 @@ class TestBlockWriters:
     @pytest.mark.parametrize("name", list(writer_polylines()))
     @pytest.mark.parametrize("points", [
         None,
-        PointSet.empty(2),
+        PointSet(2, np.zeros((2, 0))),
         PointSet(2, np.array([EDGE_VALUES, EDGE_VALUES[::-1]])),
         PointSet(2, np.random.default_rng(3).uniform(0, 1, (2, 40))),
     ], ids=["no-points", "empty-points", "edge-points", "random-points"])
@@ -151,8 +151,8 @@ class TestBlockWriters:
         PointSet(2, np.random.default_rng(0).uniform(-1, 1, (2, 25))),
         PointSet(3, np.random.default_rng(1).uniform(-1, 1, (3, 25))),
         PointSet(2, np.array([EDGE_VALUES, EDGE_VALUES[::-1]])),
-        PointSet.empty(2),
-        PointSet.empty(3),
+        PointSet(2, np.zeros((2, 0))),
+        PointSet(3, np.zeros((3, 0))),
     ], ids=["dim2", "dim3", "edge-values", "empty-dim2", "empty-dim3"])
     def test_points_match_savetxt(self, tmp_path, pts):
         cio.save_points(pts, tmp_path / "new.csv")

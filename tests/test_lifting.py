@@ -37,7 +37,8 @@ class TestFeatureMap:
 
 class TestFeatureMatrix:
     def test_empty_point_set_shape(self):
-        m = feature_matrix(PointSet.empty(2), FrequencySupport(3, 3))
+        m = feature_matrix(PointSet(2, np.zeros((2, 0))),
+                           FrequencySupport(3, 3))
         assert m.data.shape == (9, 0)
 
     def test_analytic_annihilation(self):

@@ -10,6 +10,7 @@ from curveband import (ContractViolation, FrequencySupport, NumericalFailure,
                        evaluate_on_grid, extract_zero_level_set,
                        nullspace_basis, random_curve, rank_bound,
                        recover_curve, sample_curve)
+from curveband import experiments
 from curveband.curve_model import wrap_delta
 from curveband.experiments import (_recovery_error, child_seed,
                                    curve_with_zero_set, offcurve_probes,
@@ -61,8 +62,8 @@ class TestEstimateCoefficients:
 
     def test_empty_point_set_rejected(self):
         with pytest.raises(ContractViolation):
-            estimate_coefficients(PointSet.empty(2), FrequencySupport(3, 3),
-                                  512)
+            estimate_coefficients(PointSet(2, np.zeros((2, 0))),
+                                  FrequencySupport(3, 3), 512)
 
 
 class TestShiftSet:
@@ -480,6 +481,29 @@ class TestRealNullVectors:
         # so the known-support trial scores it as a failure
         _, truth = curve_with_zero_set(FrequencySupport(3, 3), 41, 256)
         assert _recovery_error(pts, support, truth, 256) == np.inf
+
+
+class TestTrialFailures:
+    # a nonzero constant: hermitian, with an empty zero set on every grid
+    CONSTANT = TrigPolynomial(FrequencySupport(1, 1), [1.0], hermitian=True)
+
+    def test_curve_draw_gives_up_after_the_attempt_cap(self, monkeypatch):
+        seeds = []
+
+        def constant(support, seed):
+            seeds.append(seed)
+            return self.CONSTANT
+        monkeypatch.setattr(experiments, "random_curve", constant)
+        with pytest.raises(NumericalFailure, match="non-empty zero set"):
+            curve_with_zero_set(FrequencySupport(3, 3), 0, 64)
+        assert len(seeds) == experiments._MAX_CURVE_ATTEMPTS
+
+    def test_estimate_with_an_empty_zero_set_scores_inf(self, monkeypatch):
+        _, truth = curve_with_zero_set(FrequencySupport(3, 3), 41, 256)
+        monkeypatch.setattr(experiments, "estimate_coefficients",
+                            lambda pts, support, grid_res: self.CONSTANT)
+        assert _recovery_error(sample_curve(truth, 20, seed=1),
+                               FrequencySupport(3, 3), truth, 256) == np.inf
 
 
 class TestRecoverCurve:
