@@ -101,7 +101,7 @@ class PointSet:
         if p.ndim != 2 or p.shape[0] != self.dim:
             raise ContractViolation(
                 f"points must have shape ({self.dim}, N), got {p.shape}")
-        if p.size and not np.all(np.isfinite(p)):
+        if not np.all(np.isfinite(p)):
             raise ContractViolation("point coordinates must be finite")
         self.points = p
 
@@ -130,9 +130,7 @@ class Polyline:
 
     def vertex_array(self) -> np.ndarray:
         """All vertices stacked, shape (total, 2)."""
-        if self.is_empty:
-            return np.zeros((0, 2))
-        return np.concatenate(self.components, axis=0)
+        return np.concatenate([np.zeros((0, 2)), *self.components])
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, deltas, lengths) over all segments of all components,
@@ -141,11 +139,9 @@ class Polyline:
         Deltas are minimum-image, so seam-crossing segments keep their true
         (short) length.
         """
-        loops = [c for c in self.components if c.shape[0] >= 2]
-        if not loops:
-            return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
-        s = np.concatenate(loops, axis=0)
-        d = wrap_delta(np.concatenate([np.roll(v, -1, axis=0) for v in loops]) - s)
+        s = self.vertex_array()
+        d = wrap_delta(Polyline([np.roll(c, -1, axis=0)
+                                 for c in self.components]).vertex_array() - s)
         return s, d, np.linalg.norm(d, axis=1)
 
     def total_length(self) -> float:

@@ -166,7 +166,7 @@ def overcomplete_trial(seed, outer: FrequencySupport, n_samples: int,
     result = {"q": basis.q, "rank": basis.rank, "margin_above": margin_above,
               "margin_below": margin_below}
     if basis.q >= 1:
-        sos = SumOfSquares(basis.support, basis.vectors)
+        sos = SumOfSquares(outer, basis.vectors)
         on_vals = sos(pts)
         off_vals = sos(offcurve_probes(truth, 2000, child_seed(seed, 3)))
         result["on_p95"] = float(np.quantile(on_vals, 0.95))

@@ -248,7 +248,8 @@ def save_phase_csv(freq: np.ndarray, k_values, n_values, path) -> None:
 def save_heatmap_svg(freq: np.ndarray, k_values, n_values, path) -> None:
     """Grayscale success-frequency grid with the two guide curves overlaid:
     sample counts k*k (degrees of freedom, blue) and (2k)^2 (worst-case
-    bound, red)."""
+    bound, red). A guide point outside [n_values[0], n_values[-1]] has no
+    column and is left out."""
     cell = 10.0
     width = len(n_values) * cell
     height = len(k_values) * cell
@@ -261,8 +262,10 @@ def save_heatmap_svg(freq: np.ndarray, k_values, n_values, path) -> None:
     n_arr = np.asarray(n_values, dtype=float)
 
     def guide(values, color):
-        j = np.interp(values, n_arr, np.arange(len(n_arr)))
+        j = np.interp(values, n_arr, np.arange(len(n_arr)),
+                      left=np.nan, right=np.nan)
         xy = (np.column_stack([j, np.arange(len(values))]) + 0.5) * cell
+        xy = xy[~np.isnan(j)]
         return (f'<polyline points="{_format_rows("%.2f,%.2f ", xy)[:-1]}" '
                 f'fill="none" stroke="{color}" stroke-width="1.5"/>\n')
 

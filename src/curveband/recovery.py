@@ -76,7 +76,6 @@ class NullspaceBasis:
     s[rank-1] / s_max over the cut, and the cut over s[rank] / s_max.
     """
 
-    support: FrequencySupport
     vectors: np.ndarray
     cut: float
     margins: tuple[float, float]
@@ -87,7 +86,7 @@ class NullspaceBasis:
 
     @property
     def rank(self) -> int:
-        return len(self.support) - self.q
+        return self.vectors.shape[1] - self.q
 
 
 def _feature_svd(pts: PointSet, support: FrequencySupport
@@ -221,7 +220,7 @@ def nullspace_basis(pts: PointSet, support: FrequencySupport,
         _log.warning("no rectangle decides the rank at cut %g: spectral "
                      "rank %d, margins %.3g above and %.3g below", cut, rank,
                      *margins)
-    return NullspaceBasis(support, np.conj(vh[rank:]), cut, margins)
+    return NullspaceBasis(np.conj(vh[rank:]), cut, margins)
 
 
 class SumOfSquares:
@@ -289,7 +288,7 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
         return extract_zero_level_set(
             TrigPolynomial(support, basis.vectors[0], hermitian=True),
             grid_res)
-    grid = SumOfSquares(basis.support, basis.vectors).evaluate_grid(grid_res)
+    grid = SumOfSquares(support, basis.vectors).evaluate_grid(grid_res)
     return contour_periodic_grid(grid - _resolvable_level(grid, pts))
 
 

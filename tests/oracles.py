@@ -141,7 +141,7 @@ def recover_curve_reference(pts, support, grid_res):
         return extract_zero_level_set(
             TrigPolynomial(support, basis.vectors[0], hermitian=True),
             grid_res)
-    sos = SumOfSquares(basis.support, basis.vectors)
+    sos = SumOfSquares(support, basis.vectors)
     level = 3.0 * float(np.median(sos(pts)))
     grid = sos.evaluate_grid(grid_res)
     level = max(level, _resolvable_level(grid, pts))
@@ -390,7 +390,7 @@ def save_polyline_svg_reference(curve, path, points=None):
 
 def save_heatmap_svg_reference(freq, k_values, n_values, path):
     """The phase-transition heatmap written one cell and one guide vertex at
-    a time."""
+    a time; a guide vertex outside the N range is skipped."""
     cell = 10.0
     body = []
     for i in range(len(k_values)):
@@ -405,6 +405,8 @@ def save_heatmap_svg_reference(freq, k_values, n_values, path):
     for values, color in ((ks * ks, "#26c"), ((2 * ks) ** 2, "#c22")):
         pts = []
         for i, v in enumerate(values):
+            if not n_arr[0] <= v <= n_arr[-1]:
+                continue
             j = float(np.interp(v, n_arr, np.arange(len(n_arr))))
             pts.append(f"{(j + 0.5) * cell:.2f},{(i + 0.5) * cell:.2f}")
         body.append(f'<polyline points="{" ".join(pts)}" fill="none" '

@@ -236,6 +236,17 @@ class TestPhaseTransition:
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["3", "10"], ["3", "25"], ["3", "40"]]
 
+    def test_heatmap_leaves_out_guide_points_outside_the_n_range(
+            self, tmp_path):
+        # k^2 = 9 lies below N = 20; (2k)^2 = 36 lies between 20 and 40
+        assert run(["phase-transition", "--k-range", "3",
+                    "--n-range", "20,40", "--trials", 1,
+                    "--out-dir", tmp_path]) == 0
+        svg = (tmp_path / "phase_transition.svg").read_text()
+        assert '<polyline points="" fill="none" stroke="#26c"' in svg
+        assert "5.00,5.00" not in svg
+        assert '<polyline points="13.00,5.00" fill="none" stroke="#c22"' in svg
+
     def test_zero_trials_exits_2(self, tmp_path):
         assert run(["phase-transition", "--k-range", "3", "--n-range", "40",
                     "--trials", 0, "--out-dir", tmp_path]) == 2

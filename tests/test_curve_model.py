@@ -9,7 +9,7 @@ from scipy.signal import convolve2d
 
 import curveband
 from curveband import (ContractViolation, FrequencySupport, PointSet,
-                       TrigPolynomial, evaluate_on_grid,
+                       Polyline, TrigPolynomial, evaluate_on_grid,
                        extract_zero_level_set, multiply, random_curve,
                        sample_curve)
 from curveband.curve_model import (_convolve_full, contour_periodic_grid,
@@ -53,6 +53,37 @@ class TestFrequencySupport:
         for s, axis in ((FrequencySupport(k, 2), 0), (FrequencySupport(3, k), 1)):
             assert (list(s.frequencies(axis))
                     == list(range(-(k // 2), (k - 1) // 2 + 1)))
+
+
+@pytest.mark.parametrize("coeffs", [np.ones(8), [1.0, 2.0, np.nan, 0.0],
+                                    [0.0, 0.0, 1j * np.inf, 0.0]])
+def test_trig_polynomial_rejects_bad_coefficients(coeffs):
+    with pytest.raises(ContractViolation):
+        TrigPolynomial(FrequencySupport(2, 2), coeffs)
+
+
+@pytest.mark.parametrize("points", [np.zeros((3, 4)), np.zeros(4),
+                                    [[0.0, np.inf], [0.5, 0.5]]])
+def test_point_set_rejects_bad_points(points):
+    with pytest.raises(ContractViolation):
+        PointSet(2, points)
+
+
+class TestPolyline:
+    def test_empty_polyline_gives_empty_arrays(self):
+        curve = Polyline([])
+        assert curve.vertex_array().shape == (0, 2)
+        assert [a.shape for a in curve.segment_arrays()] == [(0, 2), (0, 2),
+                                                              (0,)]
+        assert curve.total_length() == 0.0
+
+    def test_single_vertex_component_adds_no_length(self):
+        square = np.array([[0.1, 0.1], [0.1, 0.3], [0.3, 0.3], [0.3, 0.1]])
+        curve = Polyline([np.array([[0.7, 0.7]]), square])
+        assert curve.total_length() == Polyline([square]).total_length()
+        assert np.isclose(curve.total_length(), 0.8)
+        pts = sample_curve(curve, 200, seed=4).points
+        assert np.all((pts >= 0.1 - 1e-12) & (pts <= 0.3 + 1e-12))
 
 
 @pytest.mark.parametrize("d", [0.5, -0.5, 1.5, -1.5])
@@ -325,7 +356,6 @@ class TestSampleCurve:
             sample_curve(curve, 5, seed=0, region=(0.4, 0.45))
 
     def test_empty_curve_rejected(self):
-        from curveband import Polyline
         with pytest.raises(ContractViolation):
             sample_curve(Polyline([]), 5, seed=0)
 

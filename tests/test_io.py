@@ -30,6 +30,13 @@ class TestCoefficientJson:
         with pytest.raises(DataError):
             cio.load_coefficients(path)
 
+    def test_coefficient_count_must_match_the_support(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text('{"k1": 3, "k2": 3, "hermitian": false, "coeffs": '
+                        + str([[1.0, 0.0]] * 8) + '}')
+        with pytest.raises(DataError, match="expected 9 coefficients, got 8"):
+            cio.load_coefficients(path)
+
 
 class TestPointsCsv:
     def test_roundtrip(self, tmp_path):

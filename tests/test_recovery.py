@@ -327,8 +327,9 @@ class TestSumOfSquares:
     def test_nonnegative_everywhere(self):
         _, truth, _, _ = union_curve(3, 256)
         pts = sample_curve(truth, 230, seed=7)
-        basis = nullspace_basis(pts, FrequencySupport(11, 11), 256)
-        sos = SumOfSquares(basis.support, basis.vectors)
+        support = FrequencySupport(11, 11)
+        basis = nullspace_basis(pts, support, 256)
+        sos = SumOfSquares(support, basis.vectors)
         rng = np.random.default_rng(8)
         vals = sos(PointSet(2, rng.uniform(0, 1, size=(2, 10000))))
         assert vals.min() >= 0.0
@@ -351,8 +352,9 @@ class TestSumOfSquares:
         pts = sample_curve(truth, 230, seed=11)
         probe = PointSet(2, np.random.default_rng(12).uniform(0, 1, (2, 64)))
         for shape in ((7, 7), (8, 6)):
-            basis = nullspace_basis(pts, FrequencySupport(*shape), 256)
-            sos = SumOfSquares(basis.support, basis.vectors)
+            support = FrequencySupport(*shape)
+            basis = nullspace_basis(pts, support, 256)
+            sos = SumOfSquares(support, basis.vectors)
             grid_vals = evaluate_on_grid(sos.polynomial, 64).real
             direct = sos(PointSet(2, np.stack([np.arange(64) / 64,
                                                np.zeros(64)])))
@@ -400,7 +402,7 @@ class TestSumOfSquares:
         pts = sample_curve(truth, 220, seed=child_seed(seed, 1))
         probes = offcurve_probes(truth, 2000, child_seed(seed, 3))
         basis = nullspace_basis(pts, support, 512)
-        sos = SumOfSquares(basis.support, basis.vectors)
+        sos = SumOfSquares(support, basis.vectors)
         by_rows = TrigPolynomial(
             FrequencySupport(21, 21),
             sum_of_squares_by_rows(support, basis.vectors).ravel())

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spsolve
 
 from curveband import (ContractViolation, FrequencySupport, GrayImage,
                        PointSet, chamfer_distance, segment)
@@ -47,6 +47,16 @@ class TestGrayImage:
     def test_range_enforced(self):
         with pytest.raises(ContractViolation):
             GrayImage(np.full((16, 16), 1.5))
+
+    def test_three_dimensional_array_rejected(self):
+        with pytest.raises(ContractViolation, match="2-D"):
+            GrayImage(np.zeros((16, 16, 3)))
+
+    def test_nan_pixel_rejected(self):
+        pixels = np.full((16, 16), 0.5)
+        pixels[3, 4] = np.nan
+        with pytest.raises(ContractViolation, match="finite"):
+            GrayImage(pixels)
 
 
 def gradient_spectrum(img):
@@ -371,13 +381,13 @@ class TestSegment:
         g = _gradient_operator(hh, ww)
         for c in (1e-3 * hh * ww, 1e-2 * hh * ww, 100.0):
             s_diag = sp.diags(np.tile(rng.uniform(0, 81, hh * ww), 2))
-            system = (sp.eye(hh * ww) + c * (g.T @ s_diag @ g)).tocsc()
+            # CSC as built: spsolve would warn on any other format
+            system = sp.eye(hh * ww) + c * (g.T @ s_diag @ g)
             assert (system - sp.diags(system.diagonal())).max() <= 0
             row_sums = np.asarray(system.sum(axis=1)).ravel()
             assert np.abs(row_sums - 1).max() <= 1e-10
             h = rng.uniform(0, 1, hh * ww)
-            f = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True}).solve(h)
+            f = spsolve(system, h, permc_spec="MMD_AT_PLUS_A")
             assert h.min() - 1e-12 <= f.min() and f.max() <= h.max() + 1e-12
 
     def test_invalid_rank_rejected(self):
