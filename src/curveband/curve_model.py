@@ -15,7 +15,7 @@ that error into account.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,12 +54,6 @@ class FrequencySupport:
         """The centered integer frequencies along `axis` (0 or 1), ascending."""
         k = self.shape[axis]
         return np.arange(k) - k // 2
-
-    def indices(self) -> np.ndarray:
-        """All frequency pairs, shape (k1*k2, 2), enumeration order."""
-        a, b = np.meshgrid(self.frequencies(0), self.frequencies(1),
-                           indexing="ij")
-        return np.stack([a.ravel(), b.ravel()], axis=1)
 
 
 @dataclass
@@ -119,7 +113,7 @@ class Polyline:
     coordinates; geometric helpers use minimum-image deltas.
     """
 
-    components: list[np.ndarray] = field(default_factory=list)
+    components: list[np.ndarray]
 
     @property
     def is_empty(self) -> bool:
@@ -174,10 +168,11 @@ def evaluate_on_grid(poly: TrigPolynomial, grid_res) -> np.ndarray:
 def multiply(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
     """Pointwise product of two polynomials via coefficient convolution.
 
-    The product support is (k1a+k1b-1, k2a+k2b-1). Two even sizes along the
-    same axis are rejected: their centered index ranges sum to a range that
-    is not centered, so the result could not be represented on a
-    FrequencySupport without shifting the spectrum.
+    The product support is (k1a+k1b-1, k2a+k2b-1): every window of a's grid
+    zero-padded by b's size minus one, contracted against b's flipped grid.
+    Two even sizes along the same axis are rejected: their centered index
+    ranges sum to a range that is not centered, so the result could not be
+    represented on a FrequencySupport without shifting the spectrum.
     """
     if not (a.coeffs.any() and b.coeffs.any()):
         raise ContractViolation("multiply requires nonzero polynomials")
@@ -185,19 +180,12 @@ def multiply(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
         if ka % 2 == 0 and kb % 2 == 0:
             raise ContractViolation(
                 "product of two even-sized supports along an axis is not centered")
-    grid = _convolve_full(a.coeff_grid(), b.coeff_grid())
+    b1, b2 = b.support.shape
+    padded = np.pad(a.coeff_grid(), ((b1 - 1, b1 - 1), (b2 - 1, b2 - 1)))
+    grid = np.einsum("ijkl,kl->ij", sliding_window_view(padded, (b1, b2)),
+                     b.coeff_grid()[::-1, ::-1])
     return TrigPolynomial(FrequencySupport(*grid.shape), grid.ravel(),
                           hermitian=a.hermitian and b.hermitian)
-
-
-def _convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-D convolution of coefficient grids, shape (a1+b1-1, a2+b2-1):
-    every window of `a` zero-padded by b's size minus one, contracted
-    against the flipped `b`."""
-    b1, b2 = b.shape
-    padded = np.pad(a, ((b1 - 1, b1 - 1), (b2 - 1, b2 - 1)))
-    return np.einsum("ijkl,kl->ij", sliding_window_view(padded, b.shape),
-                     b[::-1, ::-1])
 
 
 def random_curve(support: FrequencySupport, seed) -> TrigPolynomial:

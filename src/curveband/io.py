@@ -27,6 +27,14 @@ def _read(path, kind: str, binary: bool = False):
         raise DataError(f"cannot read {kind} file {path}: {exc}")
 
 
+def _data_lines(path, kind: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line of a text input that holds
+    data: `#` starts a comment, and blank lines are skipped."""
+    lines = enumerate(_read(path, kind).splitlines(), start=1)
+    return [(ln, text) for ln, line in lines
+            if (text := line.split("#", 1)[0].strip())]
+
+
 def _format_rows(row_fmt: str, table: np.ndarray) -> str:
     """Every row of a 2-D table through one %-format, in one C-level call."""
     return (row_fmt * len(table)) % tuple(table.ravel().tolist())
@@ -68,8 +76,8 @@ def save_points(pts: PointSet, path) -> None:
 
 
 def load_points(path, dim: int | None = None) -> PointSet:
-    lines = _read(path, "point").splitlines()
-    if not any(line.split("#")[0].strip() for line in lines):
+    lines = [text for _, text in _data_lines(path, "point")]
+    if not lines:
         raise DataError(f"point file {path} holds no points")
     try:
         rows = np.loadtxt(lines, delimiter=",", ndmin=2)
@@ -94,12 +102,8 @@ def save_polyline_csv(curve: Polyline, path) -> None:
 
 
 def load_polyline_csv(path) -> Polyline:
-    text = _read(path, "polyline")
     groups: dict[int, list] = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        if not line.strip():
-            continue
+    for ln, line in _data_lines(path, "polyline"):
         try:
             cid, x1, x2 = line.split(",")
             vertex = (float(x1), float(x2))
@@ -186,13 +190,9 @@ def load_pgm(path) -> GrayImage:
 
 
 def load_irls_config(path) -> IrlsConfig:
-    text = _read(path, "config")
     parsers = {f.name: type(f.default) for f in dataclasses.fields(IrlsConfig)}
     kwargs = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for ln, stripped in _data_lines(path, "config"):
         if "=" not in stripped:
             raise DataError(f"config {path}, line {ln}: expected `key = value`")
         key, value = (part.strip() for part in stripped.split("=", 1))

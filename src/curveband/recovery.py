@@ -105,7 +105,7 @@ def _feature_svd(pts: PointSet, support: FrequencySupport
     if pts.n_points < 1:
         raise ContractViolation("the feature-matrix SVD needs at least 1 point")
     n, h = len(support), len(support) // 2
-    centre = support.indices().mean(axis=0)
+    centre = (np.array(support.shape) % 2 - 1) / 2
     m = (feature_matrix(pts, support).data
          * np.exp(-2j * np.pi * (centre @ pts.points))).T
     r = np.sqrt(2.0) * np.where(np.arange(n) < n - h, m.real, m.imag)

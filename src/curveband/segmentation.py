@@ -77,24 +77,21 @@ class ToeplitzLift:
     filter_support: FrequencySupport
     image: GrayImage
 
-    @property
-    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """DFTs of the periodic forward differences of the pixels along axis
-        0 and axis 1, fftshifted to the centered frequency lattice: the
-        image spectrum times exp(2 pi j k/n) - 1 along each axis."""
-        return tuple(np.fft.fftshift(np.fft.fft2(g))
-                     for g in _gradients(self.image.pixels))
-
     def materialize(self) -> np.ndarray:
         """Dense (2 n1 n2) x (g1 g2) matrix, columns in support enumeration
-        order: row j of a channel s holds s[j - k], indices mod n, at the
-        column of frequency k, so M c stacks the circular convolutions."""
+        order. Its channels s are the DFTs of the periodic forward
+        differences of the pixels along axis 0 and axis 1, fftshifted to the
+        centered frequency lattice: the image spectrum times
+        exp(2 pi j k/n) - 1 along each axis. Row j of a channel s holds
+        s[j - k], indices mod n, at the column of frequency k, so M c stacks
+        the circular convolutions."""
         g1, g2 = self.filter_support.shape
         pad = (((g1 - 1) // 2, g1 // 2), ((g2 - 1) // 2, g2 // 2))
         return np.stack([
-            sliding_window_view(np.pad(s, pad, mode="wrap"),
-                                (g1, g2))[:, :, ::-1, ::-1]
-            for s in self.spectra]).reshape(-1, g1 * g2)
+            sliding_window_view(
+                np.pad(np.fft.fftshift(np.fft.fft2(g)), pad, mode="wrap"),
+                (g1, g2))[:, :, ::-1, ::-1]
+            for g in _gradients(self.image.pixels)]).reshape(-1, g1 * g2)
 
 
 def build_lift(img: GrayImage, filter_support: FrequencySupport) -> ToeplitzLift:

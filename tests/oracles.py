@@ -3,14 +3,31 @@
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import convolve2d
 
 from curveband import (FrequencySupport, GrayImage, PointSet, SumOfSquares,
                        TrigPolynomial, evaluate_on_grid, extract_zero_level_set,
                        feature_matrix, nullspace_basis)
-from curveband.curve_model import (_ZERO_NUDGE, _convolve_full,
-                                   contour_periodic_grid)
+from curveband.curve_model import _ZERO_NUDGE, contour_periodic_grid
 from curveband.errors import ContractViolation, NumericalFailure
 from curveband.recovery import _resolvable_level
+
+
+def support_indices(support):
+    """All frequency pairs of a FrequencySupport, shape (k1*k2, 2), in its
+    enumeration order (row-major, first axis slowest)."""
+    a, b = np.meshgrid(support.frequencies(0), support.frequencies(1),
+                       indexing="ij")
+    return np.stack([a.ravel(), b.ravel()], axis=1)
+
+
+def gradient_channels(img):
+    """The two channels of the segmentation lift: the DFTs of the periodic
+    forward differences of the pixels along axis 0 and axis 1, fftshifted
+    to the centered frequency lattice."""
+    p = img.pixels
+    return tuple(np.fft.fftshift(np.fft.fft2(np.roll(p, -1, axis=a) - p))
+                 for a in (0, 1))
 
 
 def evaluate(poly, pts):
@@ -18,7 +35,7 @@ def evaluate(poly, pts):
     of length N."""
     if pts.dim != 2:
         raise ContractViolation(f"curve evaluation needs dim 2, got {pts.dim}")
-    k = poly.support.indices()              # (|support|, 2)
+    k = support_indices(poly.support)       # (|support|, 2)
     phase = k @ pts.points                  # (|support|, N)
     return poly.coeffs @ np.exp(2j * np.pi * phase)
 
@@ -46,7 +63,7 @@ def random_curve_reference(support, seed):
     grid = np.zeros(support.shape, dtype=complex)
     c1 = support.k1 // 2
     c2 = support.k2 // 2
-    for k in support.indices():
+    for k in support_indices(support):
         a, b = int(k[0]), int(k[1])
         if a == 0 and b == 0:
             grid[c1, c2] = rng.standard_normal()
@@ -63,7 +80,7 @@ def curve_phantom(poly, size=64):
     """Indicator of {psi > 0} sampled at pixel centers: a piecewise-constant
     image whose edge set is exactly a band-limited curve."""
     # pixel centers: a half-pixel shift, c_k times exp(j pi (k1 + k2) / size)
-    k = poly.support.indices()
+    k = support_indices(poly.support)
     shifted = TrigPolynomial(
         poly.support, poly.coeffs * np.exp(1j * np.pi * k.sum(axis=1) / size))
     vals = evaluate_on_grid(shifted, size).real
@@ -72,7 +89,7 @@ def curve_phantom(poly, size=64):
 
 def derivative_coeffs(poly, axis):
     """Coefficients of the partial derivative along one axis."""
-    k = poly.support.indices()[:, axis]
+    k = support_indices(poly.support)[:, axis]
     return TrigPolynomial(poly.support, poly.coeffs * (2j * np.pi * k))
 
 
@@ -333,7 +350,7 @@ def edge_weights_by_svd(lift, rank, shape):
     yy, xx = np.meshgrid(np.arange(n1) / n1, np.arange(n2) / n2,
                          indexing="ij")
     grid = np.stack([yy.ravel(), xx.ravel()])
-    phases = np.exp(2j * np.pi * (support.indices() @ grid))
+    phases = np.exp(2j * np.pi * (support_indices(support) @ grid))
     values = np.conj(vh[rank:]) @ phases
     return np.sum(np.abs(values) ** 2, axis=0).reshape(n1, n2)
 
@@ -346,7 +363,7 @@ def sum_of_squares_by_rows(support, rows):
     acc = np.zeros((2 * k1 - 1, 2 * k2 - 1), dtype=complex)
     for row in rows:
         g = row.reshape(k1, k2)
-        acc += _convolve_full(g, np.conj(g[::-1, ::-1]))
+        acc += convolve2d(g, np.conj(g[::-1, ::-1]))
     return 0.5 * (acc + np.conj(acc[::-1, ::-1]))
 
 

@@ -394,3 +394,38 @@ def test_input_without_data_is_data_error_naming_file(tmp_path, load, text):
     with pytest.raises(DataError) as info:
         load(path)
     assert str(path) in str(info.value)
+
+
+# The three text readers share one data-line rule: `#` starts a comment and
+# blank lines are skipped, while line numbers count every line of the file.
+TEXT_READERS = {
+    "points": (cio.load_points, ["0.25,0.5", "0.75,0.125"],
+               lambda pts: pts.points.tolist()),
+    "polyline": (cio.load_polyline_csv,
+                 ["0,0.25,0.5", "0,0.75,0.125", "1,0.5,0.5"],
+                 lambda curve: [c.tolist() for c in curve.components]),
+    "config": (cio.load_irls_config, ["lambda = 0.5", "max_iters = 3"],
+               lambda cfg: cfg),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_READERS)
+def test_comments_and_blank_lines_read_as_the_plain_file(tmp_path, name):
+    load, lines, value = TEXT_READERS[name]
+    plain, commented = tmp_path / "plain", tmp_path / "commented"
+    plain.write_text("\n".join(lines) + "\n")
+    commented.write_text("# leading comment\n   \n"
+                         + "".join(f"{line}  # note {i}\n"
+                                   for i, line in enumerate(lines)))
+    assert value(load(commented)) == value(load(plain))
+
+
+@pytest.mark.parametrize("load, bad", [
+    (cio.load_polyline_csv, "0,oops,0.3"),
+    (cio.load_irls_config, "bogus = 1"),
+], ids=["polyline", "config"])
+def test_error_line_counts_comment_and_blank_lines(tmp_path, load, bad):
+    path = tmp_path / "input"
+    path.write_text(f"# header\n\n   \n{bad}\n")
+    with pytest.raises(DataError, match="line 4"):
+        load(path)
