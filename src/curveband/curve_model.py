@@ -22,8 +22,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation
 
-# Values exactly 0 on the sampling grid are nudged onto the negative side so
-# every sign change falls strictly inside a grid edge.
+# Values exactly 0 on the sampling grid count as negative, and are nudged onto
+# that side where they are interpolated, so every sign change falls strictly
+# inside a grid edge.
 _ZERO_NUDGE = -1e-300
 
 
@@ -225,6 +226,11 @@ def extract_zero_level_set(poly: TrigPolynomial, grid_res: int) -> Polyline:
     return contour_periodic_grid(values)
 
 
+def _nudged(values: np.ndarray) -> np.ndarray:
+    """`values` with exact zeros moved to _ZERO_NUDGE."""
+    return np.where(values == 0.0, _ZERO_NUDGE, values)
+
+
 def contour_periodic_grid(values: np.ndarray) -> Polyline:
     """Zero contour of a real scalar field sampled on a periodic grid.
 
@@ -233,22 +239,23 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
     start at crossed grid edges in the order a row-major scan of the cells
     first links them, and head towards the edge each was first linked to.
     """
-    v = np.where(values == 0.0, _ZERO_NUDGE, values)
+    v = np.asarray(values)
     if v.ndim != 2 or min(v.shape) < 2:
         raise ContractViolation(
             f"periodic contouring needs a grid of at least 2x2, got {v.shape}")
     n1, n2 = v.shape
     pos = v > 0
     b10 = np.roll(pos, -1, axis=0)
-    i, j = np.nonzero((pos != b10) | (pos != np.roll(pos, -1, axis=1))
-                      | (pos != np.roll(b10, -1, axis=1)))
+    i, j = np.divmod(np.flatnonzero((pos != b10)
+                                    | (pos != np.roll(pos, -1, axis=1))
+                                    | (pos != np.roll(b10, -1, axis=1))), n2)
 
     # Corners a=(i,j), b=(i+1,j), c=(i+1,j+1), d=(i,j+1) of the active cells
     # and their edges in slot order ab, bc, dc, ad. Edge ids: i*n2 + j for
     # the edge from (i, j) along axis 0, n1*n2 + i*n2 + j along axis 1.
     ip = (i + 1) % n1
     jp = (j + 1) % n2
-    a, b, c, d = v[i, j], v[ip, j], v[ip, jp], v[i, jp]
+    a, b, c, d = _nudged(v[[i, ip, ip, i], [j, j, jp, jp]])
     sa, sb, sc, sd = a > 0, b > 0, c > 0, d > 0
     crossed = np.stack([sa != sb, sb != sc, sd != sc, sa != sd], axis=1)
     slot_edges = np.stack([i * n2 + j, n1 * n2 + ip * n2 + j,
@@ -276,8 +283,8 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
     # Crossing positions by linear interpolation along each edge; t moves
     # only the coordinate along the edge's axis (the other gets an exact 0).
     axis1, ei, ej = np.unravel_index(edges, (2, n1, n2))
-    v0 = v[ei, ej]
-    t = v0 / (v0 - v[(ei + 1 - axis1) % n1, (ej + axis1) % n2])
+    v0, v1 = _nudged(v[[ei, (ei + 1 - axis1) % n1], [ej, (ej + axis1) % n2]])
+    t = v0 / (v0 - v1)
     xy = np.stack([((ei + t * (1 - axis1)) / n1) % 1.0,
                    ((ej + t * axis1) / n2) % 1.0], axis=1)
 

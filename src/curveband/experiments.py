@@ -3,7 +3,8 @@ known-support recovery trials, phase-transition sweeps, over-estimated
 support (null-space) studies, denoising trials, and synthetic phantoms.
 
 Every routine is deterministic given its seed; trial-level parallelism
-derives one child seed per trial index and reduces in index order.
+derives one child seed per trial index (in the phase sweep, per (k, trial)
+pair) and reduces in index order.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _recovery_error(pts: PointSet, support: FrequencySupport,
 
 
 def known_support_trial(support: FrequencySupport, n_samples: int, seed,
-                        grid_res: int, restrict: str | None = None) -> float:
+                        grid_res: int, restrict: str | None) -> float:
     """One recovery with known support; returns the curve error (inf = failed).
 
     `restrict="left"` limits sampling to the left half of the curve's
@@ -85,9 +86,12 @@ def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
     """Success frequency per (support size, sample count) cell.
 
     Success means the recovered curve lies within 3 grid cells (3/grid_res)
-    of the truth. Every trial runs on one pool of `threads` workers; each
-    has its own seed, so the result does not depend on `threads`. Returns an
-    array of shape (len(k_values), len(n_values)).
+    of the truth. Each (k, trial) pair draws one truth curve and one
+    sequence of max(n_values) samples, seeded as the largest-N cell, and
+    scores every N on the first N samples; the cells of a row share those
+    draws. Every pair runs on one pool of `threads` workers with its own
+    seed, so the result does not depend on `threads`. Returns an array of
+    shape (len(k_values), len(n_values)).
     """
     if len(k_values) == 0 or len(n_values) == 0:
         raise ContractViolation("phase transition needs non-empty ranges")
@@ -95,20 +99,21 @@ def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
         raise ContractViolation(
             f"phase transition needs trials >= 1, threads >= 1 and sample "
             f"counts >= 0, got {trials}, {threads} and {min(n_values)}")
-    jobs = [(ki, ni, t) for ki in range(len(k_values))
-            for ni in range(len(n_values)) for t in range(trials)]
+    n_max = int(max(n_values))
+    jobs = [(int(k), t) for k in k_values for t in range(trials)]
 
     def run(job):
-        ki, ni, t = job
-        k = int(k_values[ki])
-        err = known_support_trial(
-            FrequencySupport(k, k), int(n_values[ni]),
-            seed=child_seed(seed, k, int(n_values[ni]), t), grid_res=grid_res)
-        return err <= 3.0 / grid_res
+        k, t = job
+        support = FrequencySupport(k, k)
+        trial_seed = child_seed(seed, k, n_max, t)
+        _, truth = curve_with_zero_set(support, trial_seed, grid_res)
+        pts = sample_curve(truth, n_max, seed=child_seed(trial_seed, 1)).points
+        return [_recovery_error(PointSet(2, pts[:, :int(n)]), support, truth,
+                                grid_res) <= 3.0 / grid_res for n in n_values]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ok = list(pool.map(run, jobs))
-    return np.reshape(ok, (len(k_values), len(n_values), trials)).mean(axis=2)
+    return np.reshape(ok, (len(k_values), trials, len(n_values))).mean(axis=1)
 
 
 def union_curve(seed, grid_res: int

@@ -201,6 +201,18 @@ class TestPhaseTransition:
             results.append((out / "phase_transition.csv").read_bytes())
         assert results[0] == results[1]
 
+    def test_threads_do_not_change_results_over_several_k_and_trials(
+            self, tmp_path):
+        results = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert run(["phase-transition", "--k-range", "3,5",
+                        "--n-range", "20,40,60", "--trials", 3, "--seed", 9,
+                        "--threads", threads, "--out-dir", out]) == 0
+            results.append((out / "phase_transition.csv").read_bytes())
+        assert results[0] == results[1]
+        assert len(results[0].decode().splitlines()) == 1 + 2 * 3
+
     @pytest.mark.parametrize("flag,value", [("--k-range", "3,x"),
                                             ("--n-range", "5:20:0"),
                                             ("--n-range", "5:"),

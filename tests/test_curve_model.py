@@ -267,8 +267,9 @@ class TestExtractZeroLevelSet:
 
 def contour_fields():
     """Named scalar fields covering the tracer's cases: smooth curves,
-    products with many components, a non-square grid, exact zeros, no
-    crossing at all, saddles in every cell, and piecewise-constant images."""
+    products with many components, a non-square grid, exact zeros, an
+    integer grid, no crossing at all, saddles in every cell, and
+    piecewise-constant images."""
     for k in (3, 5, 7):
         for res in (16, 64, 256):
             for seed in range(3):
@@ -288,9 +289,13 @@ def contour_fields():
     checker = (-1.0) ** np.add.outer(np.arange(32), np.arange(32))
     yield "checkerboard", checker
     yield "checkerboard-jittered", checker * rng.uniform(0.5, 1.5, (32, 32))
+    yield "integer-noise", rng.integers(-2, 3, size=(24, 24))
     # saddle at cell (0, 0) whose center sign flips if a+b+c+d is reordered
     yield "saddle-rounding", np.array([[1.0, -1e-17, 1.0, -1.0],
                                        [-1.0, 1e-16, -1.0, 1.0]] * 2)
+    # saddles whose center sign is set by the nudge of their zero corner
+    yield "saddle-zero-corner", np.tile([[0.0, 1e-300], [1e-300, -1.5e-300]],
+                                        (2, 2))
     for name, img in (("disk", disk_phantom(64, radius=0.3)),
                       ("multi-disk", multi_disk_phantom(64))):
         for level in (0.0, 0.1, 0.5):

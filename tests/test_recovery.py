@@ -13,8 +13,9 @@ from curveband import (ContractViolation, FrequencySupport, NumericalFailure,
 from curveband import experiments
 from curveband.curve_model import wrap_delta
 from curveband.experiments import (_recovery_error, child_seed,
-                                   curve_with_zero_set, offcurve_probes,
-                                   overcomplete_trial, union_curve)
+                                   curve_with_zero_set, known_support_trial,
+                                   offcurve_probes, overcomplete_trial,
+                                   phase_transition, union_curve)
 from curveband.recovery import _feature_svd
 from oracles import (count_common_zeros, evaluate, feature_svd_reference,
                      minimal_rectangle_by_svd, recover_curve_reference,
@@ -64,6 +65,18 @@ class TestEstimateCoefficients:
         with pytest.raises(ContractViolation):
             estimate_coefficients(PointSet(2, np.zeros((2, 0))),
                                   FrequencySupport(3, 3), 512)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+    def test_small_loop_is_recovered(self):
+        # a 0.13 x 0.12 loop: s2/s_max is 1.3e-4, under the known-support
+        # cut (2e-3 at grid 256), yet the smallest singular vector lies
+        # 0.016 px from the truth
+        seed = child_seed(5, 3, 0)
+        _, truth = curve_with_zero_set(FrequencySupport(3, 3), seed, 256)
+        pts = sample_curve(truth, 40, seed=child_seed(seed, 1))
+        est = estimate_coefficients(pts, FrequencySupport(3, 3), 256)
+        assert chamfer_distance(extract_zero_level_set(est, 256),
+                                truth) <= 3 / 256
 
 
 class TestShiftSet:
@@ -506,6 +519,60 @@ class TestTrialFailures:
                             lambda pts, support, grid_res: self.CONSTANT)
         assert _recovery_error(sample_curve(truth, 20, seed=1),
                                FrequencySupport(3, 3), truth, 256) == np.inf
+
+
+class TestPhaseTransition:
+    K_VALUES, N_VALUES, TRIALS, SEED, GRID_RES = [3, 5], [10, 30, 60], 3, 4, 64
+
+    def sweep(self, threads=1):
+        return phase_transition(self.K_VALUES, self.N_VALUES, self.TRIALS,
+                                self.SEED, self.GRID_RES, threads)
+
+    def test_one_curve_per_k_and_trial(self, monkeypatch):
+        seeds = []
+
+        def counting(support, seed, grid_res):
+            seeds.append((support.k1, seed))
+            return curve_with_zero_set(support, seed, grid_res)
+        monkeypatch.setattr(experiments, "curve_with_zero_set", counting)
+        self.sweep(threads=2)
+        assert sorted(seeds) == [(k, child_seed(self.SEED, k, 60, t))
+                                 for k in self.K_VALUES
+                                 for t in range(self.TRIALS)]
+
+    def test_last_column_is_the_largest_n_trial(self):
+        expected = [np.mean([known_support_trial(
+            FrequencySupport(k, k), 60, child_seed(self.SEED, k, 60, t),
+            self.GRID_RES, None) <= 3 / self.GRID_RES
+            for t in range(self.TRIALS)]) for k in self.K_VALUES]
+        assert np.array_equal(self.sweep()[:, -1], expected)
+
+    def test_cell_n_scores_the_first_n_samples(self, monkeypatch):
+        calls = []
+
+        def recording(pts, support, truth, grid_res):
+            err = _recovery_error(pts, support, truth, grid_res)
+            calls.append((support.k1, pts.points, truth, err))
+            return err
+        monkeypatch.setattr(experiments, "_recovery_error", recording)
+        freq = self.sweep()
+        # one pool thread runs the calls in (k, trial, N) order
+        calls = np.array(calls, dtype=object).reshape(
+            len(self.K_VALUES), self.TRIALS, len(self.N_VALUES), 4)
+        for ki, k in enumerate(self.K_VALUES):
+            for t in range(self.TRIALS):
+                seed = child_seed(self.SEED, k, 60, t)
+                _, truth = curve_with_zero_set(FrequencySupport(k, k), seed,
+                                               self.GRID_RES)
+                full = sample_curve(truth, 60, seed=child_seed(seed, 1))
+                for ni, n in enumerate(self.N_VALUES):
+                    got_k, got, got_truth, _ = calls[ki, t, ni]
+                    assert got_k == k
+                    assert np.array_equal(got_truth.vertex_array(),
+                                          truth.vertex_array())
+                    assert np.array_equal(got, full.points[:, :n])
+        ok = calls[..., 3].astype(float) <= 3 / self.GRID_RES
+        assert np.array_equal(freq, ok.mean(axis=1))
 
 
 class TestRecoverCurve:
