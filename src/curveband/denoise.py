@@ -219,6 +219,7 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig
     if noisy.n_points < 2:
         raise ContractViolation("denoising needs at least 2 points")
     y = noisy.points
+    # a C-order copy: y from io.load_points is F order; norm rounds by layout
     x = y.copy()
     gamma = cfg.gamma0
     trace = DenoiseTrace()

@@ -171,10 +171,11 @@ def segment(h: GrayImage, rank: int, lam: float,
     lies in [min h, max h]: the clip removes rounding, or the error of a
     solve that an extreme lam leaves ill-conditioned, which GrayImage would
     reject. Returns the last evaluated iterate, flagged if not converged;
-    `iterations` counts updates. Logs a warning when its Gram has an
-    eigen-gap lam[rank - 1] / lam[rank] under _NARROW_GAP. Rejects a lam
-    that is not positive and finite, or a negative max_iters, before any
-    work, and raises NumericalFailure when lam overflows the update system.
+    `iterations`, len(objective_history) - 1, counts updates. Logs a
+    warning when its Gram has an eigen-gap lam[rank - 1] / lam[rank] under
+    _NARROW_GAP. Rejects a lam that is not positive and finite, or a
+    negative max_iters, before any work, and raises NumericalFailure when
+    lam overflows the update system.
     """
     if not 0 < lam < np.inf:
         raise ContractViolation(f"lam must be positive and finite, got {lam}")
@@ -191,7 +192,6 @@ def segment(h: GrayImage, rank: int, lam: float,
     f = h.pixels.copy()
     history = []
     converged = False
-    iterations = 0
     while True:
         s2, v = _gram_spectrum(f, filter_support.shape)
         # a Python float product overflows to inf without a warning
@@ -200,9 +200,8 @@ def segment(h: GrayImage, rank: int, lam: float,
         history.append(objective)
         sos = SumOfSquares(filter_support, v[:, rank:].T)
         weights = np.maximum(sos.evaluate_grid((hh, ww)), 0.0)
-        if converged or iterations >= max_iters:
+        if converged or len(history) > max_iters:
             break
-        iterations += 1
         s_diag = sp.diags(np.tile(weights.ravel(), 2))
         with np.errstate(over="ignore", invalid="ignore"):
             system = sp.eye(hh * ww) + (lam * scale) * (g.T @ s_diag @ g)
@@ -220,7 +219,8 @@ def segment(h: GrayImage, rank: int, lam: float,
         _log.warning("segment: eigen-gap %.4f at rank %d is under %g, so the "
                      "edge map rests on a near-degenerate rank cut",
                      gap, rank, _NARROW_GAP)
-    peak = weights.max()
-    edge = weights / peak if peak > 0 else weights
-    return SegmentResult(GrayImage(f), GrayImage(edge), converged, iterations,
-                         history)
+    # The q >= 1 trailing filters are orthonormal and no two of their
+    # frequencies alias on the grid (build_lift rejects a filter larger
+    # than the image), so by Parseval the weights average q: max > 0.
+    return SegmentResult(GrayImage(f), GrayImage(weights / weights.max()),
+                         converged, len(history) - 1, history)

@@ -220,6 +220,12 @@ class TestSolveQuadratic:
         b = solve_quadratic(y, lap, 0.9) + t
         assert np.abs(a - b).max() <= 1e-10
 
+    def test_singular_system_raises(self):
+        # I + lam (L + L^T) / 2 with L = -I and lam = 1 is the zero matrix
+        with pytest.raises(NumericalFailure,
+                           match="quadratic update is singular"):
+            solve_quadratic(np.ones((2, 3)), -np.eye(3), 1.0)
+
 
 class TestKlrDenoise:
     def test_tiny_lambda_leaves_points_nearly_unchanged(self):

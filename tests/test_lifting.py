@@ -42,6 +42,10 @@ class TestFeatureMatrix:
                            FrequencySupport(3, 3))
         assert m.data.shape == (9, 0)
 
+    def test_dim_other_than_2_rejected(self):
+        with pytest.raises(ContractViolation, match="needs dim 2, got 3"):
+            feature_matrix(random_points(4, 0, dim=3), FrequencySupport(3, 3))
+
     def test_analytic_annihilation(self):
         # points on cos(2 pi x1) = 0 with c = (1/2, 0, 1/2)
         support = FrequencySupport(3, 1)
@@ -70,6 +74,10 @@ class TestFeatureMatrix:
 
 
 class TestDirichletGram:
+    def test_dim_other_than_2_rejected(self):
+        with pytest.raises(ContractViolation, match="needs dim 2, got 3"):
+            dirichlet_gram(random_points(4, 0, dim=3), FrequencySupport(3, 3))
+
     def test_diagonal_is_support_size(self):
         k = dirichlet_gram(random_points(20, 1), FrequencySupport(5, 7))
         assert np.allclose(k.data.diagonal(), 35.0)

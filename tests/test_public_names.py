@@ -15,6 +15,12 @@ benchmark tracer names what it patches in strings. Imports and docstrings
 do not count. Matching is by name alone, so a method that shares its name
 with an unrelated attribute (say `shape`) always passes; calls are matched
 the same way.
+
+The package root re-exports only what is imported from it: every name that
+src/curveband/__init__.py imports from a module is imported from the root,
+as `from curveband import NAME` or the attribute `curveband.NAME`, by some
+other .py file under src/, tests/, perfbench/ or tools/. An alias nothing
+imports is a second copy of the name to keep.
 """
 
 import ast
@@ -134,3 +140,32 @@ def test_every_default_is_taken_by_some_call_outside_unit_tests():
     assert untaken == [], (
         "defaulted parameters that every call outside the unit tests sets; "
         "drop the default")
+
+
+def _root_imports(path: Path) -> set[str]:
+    """Names the file takes from the package root: `from curveband import
+    NAME` and the attribute `curveband.NAME`."""
+    names = set()
+    for sub in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(sub, ast.ImportFrom) and sub.level == 0
+                and sub.module == "curveband"):
+            names.update(a.name for a in sub.names)
+        elif (isinstance(sub, ast.Attribute)
+              and isinstance(sub.value, ast.Name)
+              and sub.value.id == "curveband"):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_root_export_is_imported_from_the_root():
+    init = ROOT / "src" / "curveband" / "__init__.py"
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.module
+                for alias in node.names}
+    users = [p for d in ("src", "tests", "perfbench", "tools")
+             for p in sorted((ROOT / d).rglob("*.py")) if p != init]
+    unused = sorted(exported - set().union(*map(_root_imports, users)))
+    assert unused == [], (
+        f"re-exported by the package root but imported from it nowhere: "
+        f"{', '.join(unused)}; drop them from __init__.py")

@@ -528,6 +528,12 @@ class TestPhaseTransition:
         return phase_transition(self.K_VALUES, self.N_VALUES, self.TRIALS,
                                 self.SEED, self.GRID_RES, threads)
 
+    @pytest.mark.parametrize("k_values, n_values", [([], [10]), ([3], [])])
+    def test_empty_range_rejected(self, k_values, n_values):
+        with pytest.raises(ContractViolation, match="non-empty ranges"):
+            phase_transition(k_values, n_values, self.TRIALS, self.SEED,
+                             self.GRID_RES, 1)
+
     def test_one_curve_per_k_and_trial(self, monkeypatch):
         seeds = []
 

@@ -314,6 +314,32 @@ class TestSegment:
         np.testing.assert_allclose(result.edge_map.pixels,
                                    weights / weights.max(), rtol=0, atol=1e-9)
 
+    # the q = |support| - rank trailing filters are orthonormal and a filter
+    # no larger than the image puts no two frequencies on one grid point, so
+    # by Parseval the weights that segment normalizes average q: never all
+    # zero, and the peak pixel of the edge map is exactly 1 (at rank 0 the
+    # map is constant)
+    @pytest.mark.parametrize("image, shape, rank", [
+        pytest.param(lambda: disk_phantom(16, radius=0.3), (15, 15), 5,
+                     id="15x15-on-16px"),
+        pytest.param(lambda: GrayImage(np.random.default_rng(6).uniform(
+            0, 1, (24, 40))), (7, 5), 10, id="24x40-7x5"),
+        pytest.param(lambda: disk_phantom(32, radius=0.25), (5, 5), 0,
+                     id="rank0"),
+    ])
+    def test_edge_weights_average_q(self, image, shape, rank):
+        img = image()
+        support = FrequencySupport(*shape)
+        result = segment(img, rank=rank, lam=1e-2, filter_support=support,
+                         max_iters=2)
+        weights = edge_weights_by_svd(build_lift(result.f_star, support),
+                                      rank, img.pixels.shape)
+        q = len(support) - rank
+        assert abs(weights.mean() - q) <= 1e-9 * q
+        assert result.edge_map.pixels.max() == 1.0
+        if rank == 0:
+            assert np.ptp(weights) <= 1e-9 * q
+
     # the 32 px disk's own Gram (5x5) cuts at rank 6 between eigenvalues
     # 1.0027 apart; two updates widen that gap to 1.14 at the iterate that
     # segment returns, so only the run with no update warns
