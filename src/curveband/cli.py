@@ -3,9 +3,7 @@
     curveband <synth|recover|phase-transition|denoise|segment|eval> [flags]
 
 Every command is deterministic given its flags (synth and phase-transition
-draw from --seed). Exit codes: 0 success, 2 usage error, 3 data error (an
-unreadable, malformed or empty input, or an output directory or file that
-cannot be written), 4 numerical failure (or an array too large to allocate).
+draw from --seed). The README's table lists the exit codes.
 """
 
 from __future__ import annotations

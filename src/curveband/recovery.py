@@ -301,8 +301,7 @@ def _resolvable_level(grid: np.ndarray, pts: PointSet) -> float:
     slightly above a high quantile of these corner maxima.
     """
     n = grid.shape[0]
-    ij = np.floor(pts.points * n).astype(int) % n
-    i, j = ij[0], ij[1]
+    i, j = np.floor(pts.points * n).astype(int) % n
     ip, jp = (i + 1) % n, (j + 1) % n
     corner_max = np.max(
         np.stack([grid[i, j], grid[ip, j], grid[i, jp], grid[ip, jp]]), axis=0)

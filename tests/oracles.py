@@ -3,7 +3,9 @@
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.signal import convolve2d
+from scipy.sparse.linalg import spsolve
 
 from curveband import (FrequencySupport, GrayImage, PointSet, SumOfSquares,
                        TrigPolynomial, evaluate_on_grid, extract_zero_level_set,
@@ -11,6 +13,7 @@ from curveband import (FrequencySupport, GrayImage, PointSet, SumOfSquares,
 from curveband.curve_model import _ZERO_NUDGE, contour_periodic_grid
 from curveband.errors import ContractViolation, NumericalFailure
 from curveband.recovery import _resolvable_level
+from curveband.segmentation import _SEGMENT_REL_TOL, _gram_spectrum
 
 
 def support_indices(support):
@@ -353,6 +356,46 @@ def edge_weights_by_svd(lift, rank, shape):
     phases = np.exp(2j * np.pi * (support_indices(support) @ grid))
     values = np.conj(vh[rank:]) @ phases
     return np.sum(np.abs(values) ** 2, axis=0).reshape(n1, n2)
+
+
+def gradient_operator(h, w):
+    """G of shape (2 h w, h w): G f.ravel() stacks the raveled periodic
+    forward differences of an h x w image f along axis 0, then axis 1, the
+    arrays `curveband.segmentation._gradients(f)` returns."""
+    def diff(n):  # periodic forward difference x[i + 1 mod n] - x[i]
+        return sp.diags([-1.0, 1.0, 1.0], [0, 1, 1 - n], shape=(n, n))
+    return sp.vstack([sp.kron(diff(h), sp.eye(w)),
+                      sp.kron(sp.eye(h), diff(w))], format="csr")
+
+
+def update_system_by_products(weights, c):
+    """segment's update system I + c G^T S G by sparse products, S the edge
+    weights on both channels of G; CSC, as the products give it. The
+    reference for `curveband.segmentation._update_system`."""
+    g = gradient_operator(*weights.shape)
+    s_diag = sp.diags(np.tile(weights.ravel(), 2))
+    return sp.eye(weights.size) + c * (g.T @ s_diag @ g)
+
+
+def segment_by_spsolve(h, rank, lam, support, max_iters):
+    """`curveband.segment`'s loop with each update system built by sparse
+    products and solved by `spsolve` (MMD on A^T + A, SuperLU's default
+    supernodes); (f_star pixels, objective history)."""
+    hh, ww = h.pixels.shape
+    f, history, converged = h.pixels.copy(), [], False
+    while True:
+        s2, v = _gram_spectrum(f, support.shape)
+        history.append(float(np.linalg.norm(f - h.pixels) ** 2
+                             + lam * float(np.sum(s2[rank:]))))
+        weights = np.maximum(
+            SumOfSquares(support, v[:, rank:].T).evaluate_grid((hh, ww)), 0.0)
+        if converged or len(history) > max_iters:
+            return f, history
+        system = update_system_by_products(weights, lam * hh * ww)
+        x = spsolve(system, h.pixels.ravel(), permc_spec="MMD_AT_PLUS_A")
+        f_new = np.clip(x.reshape(hh, ww), 0.0, 1.0)
+        step = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1e-30)
+        f, converged = f_new, step < _SEGMENT_REL_TOL
 
 
 def sum_of_squares_by_rows(support, rows):

@@ -9,7 +9,7 @@ import pytest
 
 import curveband
 from curveband import io as cio
-from curveband import FrequencySupport, sample_curve, segment
+from curveband import FrequencySupport, PointSet, sample_curve, segment
 from curveband.cli import build_parser, main
 from curveband.experiments import (child_seed, disk_phantom,
                                    noisy_curve_samples, union_curve)
@@ -598,6 +598,29 @@ def test_empty_input_exits_3(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "data error" in err and str(empty) in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+# A point on the torus is its coordinates mod 1, but a float far off the
+# unit square keeps few fractional bits (3 at 1e15, which moves the rank
+# `recover` decides), and +-1e308 overflows `recover`'s SVD and `denoise`'s
+# kernel; point files hold magnitudes up to 2^20 (README).
+@pytest.mark.parametrize("far", [
+    pytest.param(lambda p: p + 1e15, id="shift-1e15"),
+    pytest.param(lambda p: np.where(np.arange(p.shape[1]) == 0,
+                                    [[1e308], [-1e308]], p), id="1e308"),
+])
+@pytest.mark.parametrize("command", [["recover", "--gamma", "5x5"],
+                                     ["denoise"]], ids=["recover", "denoise"])
+def test_coordinates_over_the_stated_range_exit_3(tmp_path, capsys,
+                                                  sample_points, command, far):
+    path = tmp_path / "far.csv"
+    pts = cio.load_points(sample_points[1])
+    cio.save_points(PointSet(2, far(pts.points)), path)
+    out = tmp_path / "out"
+    assert run([command[0], path, *command[1:], "--out-dir", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "2^20" in err and str(path) in err
+    assert not out.exists()
 
 
 def subcommands():

@@ -58,6 +58,19 @@ class TestPointsCsv:
         with pytest.raises(DataError):
             cio.load_points(tmp_path / "absent.csv")
 
+    # the stated range is closed: 2^20 loads, the next float up does not
+    def test_magnitude_bound_is_2_pow_20(self, tmp_path):
+        path = tmp_path / "p.csv"
+        bound = 2.0 ** 20
+        cio.save_points(PointSet(2, np.array([[bound, 0.5], [-bound, 0.5]])),
+                        path)
+        assert np.array_equal(cio.load_points(path).points[:, 0],
+                              [bound, -bound])
+        cio.save_points(PointSet(2, np.array([[np.nextafter(bound, np.inf)],
+                                              [0.5]])), path)
+        with pytest.raises(DataError, match="2\\^20"):
+            cio.load_points(path)
+
 
 class TestPolylineFiles:
     def test_csv_roundtrip(self, tmp_path):
@@ -174,10 +187,16 @@ class TestBlockWriters:
         values = rng.standard_normal((dim, 30)) * 10.0 ** rng.integers(
             -300, 300, (dim, 30))
         values[:, :len(EDGE_VALUES)] = EDGE_VALUES
-        pts = PointSet(dim, values)
-        cio.save_points(pts, tmp_path / "p.csv")
-        back = cio.load_points(tmp_path / "p.csv", dim=dim)
-        assert back.points.tobytes() == pts.points.tobytes()
+        cio.save_points(PointSet(dim, values), tmp_path / "p.csv")
+        # load_points takes magnitudes up to 2^20 only, so the whole range
+        # of exponents is read back by the parser it uses
+        back = np.loadtxt(tmp_path / "p.csv", delimiter=",", ndmin=2).T
+        assert back.tobytes() == values.tobytes()
+        in_range = values[:, np.abs(values).max(axis=0) <= 2.0 ** 20]
+        assert in_range.shape[1] > len(EDGE_VALUES)
+        cio.save_points(PointSet(dim, in_range), tmp_path / "q.csv")
+        back = cio.load_points(tmp_path / "q.csv", dim=dim)
+        assert back.points.tobytes() == in_range.tobytes()
 
     def test_polyline_roundtrip_bit_identical(self, tmp_path):
         curve = writer_polylines()["components"]

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from curveband import (ContractViolation, FrequencySupport, GrayImage,
                        PointSet, chamfer_distance, segment)
@@ -12,11 +12,13 @@ from curveband.experiments import (circle_polyline, curve_with_zero_set,
                                    disk_phantom, edge_contours,
                                    multi_disk_phantom)
 from curveband.recovery import rank_bound
-from curveband.segmentation import (ToeplitzLift, _gradient_operator,
-                                    _gradients, _gram_spectrum, build_lift,
-                                    trailing_energy)
+from curveband.segmentation import (ToeplitzLift, _gradients,
+                                    _gram_spectrum, _update_system,
+                                    build_lift, trailing_energy)
 from oracles import (curve_phantom, edge_weights_by_svd, evaluate,
-                     gradient_channels, lift_spectrum_by_svd, support_indices)
+                     gradient_channels, gradient_operator,
+                     lift_spectrum_by_svd, segment_by_spsolve,
+                     support_indices, update_system_by_products)
 
 
 def materialize_by_oracle(lift):
@@ -377,13 +379,26 @@ class TestSegment:
         lift = build_lift(disk_phantom(64, radius=0.3), FrequencySupport(9, 9))
         assert trailing_energy(lift, 30) > 0
 
-    # the one stacked operator of the update system against the two
+    # the stacked operator of the reference update system against the two
     # np.roll differences of the Gram, on non-square images
     @pytest.mark.parametrize("shape", [(16, 24), (25, 17)])
     def test_gradient_operator_equals_stacked_gradients(self, shape):
         f = np.random.default_rng(6).uniform(0, 1, shape)
         stacked = np.concatenate([g.ravel() for g in _gradients(f)])
-        assert np.array_equal(_gradient_operator(*shape) @ f.ravel(), stacked)
+        assert np.array_equal(gradient_operator(*shape) @ f.ravel(), stacked)
+
+    # the 5-point stencil against I + c G^T S G by sparse products, entry
+    # by entry, with weights that include exact zeros
+    @pytest.mark.parametrize("shape", [(16, 24), (25, 17), (64, 64)])
+    def test_update_system_equals_the_sparse_products(self, shape):
+        rng = np.random.default_rng(9)
+        weights = rng.uniform(0, 81, shape) * (rng.uniform(size=shape) > 0.2)
+        for c in (1e-3 * weights.size, 100.0):
+            system = _update_system(weights, c)
+            assert system.format == "csc"
+            expected = update_system_by_products(weights, c).toarray()
+            assert np.abs(system.toarray() - expected).max() <= (
+                1e-14 * np.abs(expected).max())
 
     # segment's update system I + c G^T S G is an M-matrix with unit row
     # sums, so its solution lies in the range of the right-hand side and
@@ -391,19 +406,43 @@ class TestSegment:
     # filter's sum-of-squares of unit vectors lie in [0, 81]
     @pytest.mark.parametrize("shape", [(16, 24), (25, 17), (64, 64)])
     def test_update_system_keeps_the_solution_in_range(self, shape):
-        hh, ww = shape
         rng = np.random.default_rng(8)
-        g = _gradient_operator(hh, ww)
-        for c in (1e-3 * hh * ww, 1e-2 * hh * ww, 100.0):
-            s_diag = sp.diags(np.tile(rng.uniform(0, 81, hh * ww), 2))
-            # CSC as built: spsolve would warn on any other format
-            system = sp.eye(hh * ww) + c * (g.T @ s_diag @ g)
+        for c in (1e-3 * np.prod(shape), 1e-2 * np.prod(shape), 100.0):
+            # CSC as built: splu would warn on any other format
+            system = _update_system(rng.uniform(0, 81, shape), c)
             assert (system - sp.diags(system.diagonal())).max() <= 0
             row_sums = np.asarray(system.sum(axis=1)).ravel()
             assert np.abs(row_sums - 1).max() <= 1e-10
-            h = rng.uniform(0, 1, hh * ww)
-            f = spsolve(system, h, permc_spec="MMD_AT_PLUS_A")
+            h = rng.uniform(0, 1, np.prod(shape))
+            f = splu(system, permc_spec="MMD_AT_PLUS_A", relax=1,
+                     panel_size=4).solve(h)
             assert h.min() - 1e-12 <= f.min() and f.max() <= h.max() + 1e-12
+
+    # the SuperLU factor with unrelaxed supernodes on the 5-point system
+    # against the earlier update: spsolve with default supernodes on the
+    # system of sparse products; the criterion-9 disk and one multi-disk
+    # rank. Each solve differs by rounding (under 1e-13). The Gram of the
+    # lam 1e-2 disk's seventh iterate has an eigen-gap of 1.0013, so its
+    # trailing filters turn with that rounding: f_star moves by 5.2e-11
+    @pytest.mark.parametrize("image, rank, lam, max_iters, f_tol", [
+        pytest.param(disk_phantom(64, radius=0.3), 30, 1e-5, 8, 1e-12,
+                     id="disk-1e-5"),
+        pytest.param(disk_phantom(64, radius=0.3), 30, 1e-2, 8, 1e-10,
+                     id="disk-1e-2"),
+        pytest.param(multi_disk_phantom(64), 30, 1e-3, 6, 1e-12,
+                     id="multi-disk-30"),
+    ])
+    def test_segment_matches_the_spsolve_loop(self, image, rank, lam,
+                                              max_iters, f_tol):
+        support = FrequencySupport(9, 9)
+        result = segment(image, rank=rank, lam=lam, filter_support=support,
+                         max_iters=max_iters)
+        f_ref, history_ref = segment_by_spsolve(image, rank, lam, support,
+                                                max_iters)
+        assert result.iterations == len(history_ref) - 1
+        assert np.abs(result.f_star.pixels - f_ref).max() <= f_tol
+        np.testing.assert_allclose(result.objective_history, history_ref,
+                                   rtol=1e-12, atol=0)
 
     def test_invalid_rank_rejected(self):
         img = disk_phantom(32, radius=0.3)
