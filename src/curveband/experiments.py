@@ -172,10 +172,9 @@ def overcomplete_trial(seed, outer: FrequencySupport, n_samples: int,
               "margin_below": margin_below}
     if basis.q >= 1:
         sos = SumOfSquares(outer, basis.vectors)
-        on_vals = sos(pts)
-        off_vals = sos(offcurve_probes(truth, 2000, child_seed(seed, 3)))
-        result["on_p95"] = float(np.quantile(on_vals, 0.95))
-        result["off_median"] = float(np.median(off_vals))
+        off = offcurve_probes(truth, 2000, child_seed(seed, 3))
+        result["on_p95"] = float(np.quantile(sos(pts), 0.95))
+        result["off_median"] = float(np.median(sos(off)))
     return result
 
 

@@ -76,12 +76,18 @@ def save_points(pts: PointSet, path) -> None:
 
 
 def load_points(path, dim: int | None = None) -> PointSet:
-    lines = [text for _, text in _data_lines(path, "point")]
+    lines = _data_lines(path, "point")
     if not lines:
         raise DataError(f"point file {path} holds no points")
     try:
-        rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+        rows = np.loadtxt([text for _, text in lines], delimiter=",", ndmin=2)
     except ValueError as exc:
+        for ln, text in lines:  # numpy counts data rows, not file lines
+            try:  # each line must parse, and to as many values as the first
+                np.loadtxt([lines[0][1], text], delimiter=",")
+            except ValueError:
+                exc = f"line {ln} is not {lines[0][1].count(',') + 1} numbers"
+                break
         raise DataError(f"malformed point file {path}: {exc}")
     if dim is not None and rows.shape[1] != dim:
         raise DataError(
@@ -150,7 +156,7 @@ def save_polyline_svg(curve: Polyline, path,
 
 
 def save_pgm(img: GrayImage, path) -> None:
-    data = np.clip(np.round(img.pixels * 255.0), 0, 255).astype(np.uint8)
+    data = np.round(img.pixels * 255.0).astype(np.uint8)  # pixels in [0, 1]
     header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + data.tobytes())
 

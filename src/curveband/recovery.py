@@ -69,15 +69,17 @@ class NullspaceBasis:
 
     `vectors` has shape (Q, |support|): row i holds the coefficients of one
     annihilating polynomial. `cut` is the relative singular-value cut the
-    rank was decided at, and `margins` = (above, below) how far that
-    decision is from flipping (inf when nothing bounds it). Decided by a
-    rectangle: the smallest s / s_max that must stay above the cut over it,
-    and the cut over the rectangle's s_min / s_max. Decided by the spectrum:
-    s[rank-1] / s_max over the cut, and the cut over s[rank] / s_max.
+    rank was decided at, `rect` the rectangle that decided it (None when the
+    spectrum did), and `margins` = (above, below) how far that decision is
+    from flipping (inf when nothing bounds it). Decided by a rectangle: the
+    smallest s / s_max that must stay above the cut over it, and the cut
+    over the rectangle's s_min / s_max. Decided by the spectrum: s[rank-1] /
+    s_max over the cut, and the cut over s[rank] / s_max.
     """
 
     vectors: np.ndarray
     cut: float
+    rect: FrequencySupport | None
     margins: tuple[float, float]
 
     @property
@@ -169,13 +171,14 @@ def _rectangles_by_area(k1: int, k2: int
 
 def _minimal_rectangle(gram: np.ndarray, support: FrequencySupport,
                        n_points: int, cut: float
-                       ) -> tuple[FrequencySupport, tuple[float, float]] | None:
+                       ) -> tuple[FrequencySupport | None,
+                                  tuple[float, float] | None]:
     """(rectangle, margins) for the smallest rectangle, in area order up to
     n_points, whose feature matrix has a 1-D null space at the cut: its
     smallest s / s_max is below the cut and its second is not. Each spectrum
     is read off a principal sub-block of gram = m^H m, one eigvalsh call per
     area. Every rectangle of an area is visited, since the nearest miss need
-    not nest in the answer. None when no rectangle decides."""
+    not nest in the answer. (None, None) when no rectangle decides."""
     closest = np.inf  # smallest s_min / s_max over the smaller areas
     for area, rects, idx in _rectangles_by_area(*support.shape):
         if area > n_points:
@@ -189,38 +192,30 @@ def _minimal_rectangle(gram: np.ndarray, support: FrequencySupport,
             below = cut / s_min if s_min > 0 else np.inf
             return rects[j], (float(min(closest, s_next) / cut), float(below))
         closest = min(closest, ratio[:, 0].min())
-    return None
+    return None, None
 
 
 def nullspace_basis(pts: PointSet, support: FrequencySupport,
                     grid_res: int) -> NullspaceBasis:
     """Orthonormal numerical null space of the transposed feature matrix of
     samples read off a grid_res rasterization. Its rank is rank_bound of the
-    smallest annihilating rectangle (at most N), or, when no rectangle
-    decides, the count of singular values above the cut times sigma_max,
-    with a logged warning."""
+    smallest annihilating rectangle, capped by the samples' floating-point
+    rank (at most N: repeated samples count once), or, when no rectangle
+    decides, the count of singular values above the cut times sigma_max."""
     cut = _RANK_CUT * _grid_scale(grid_res) ** 2
     s_full, vh = _feature_svd(pts, support)
     gram = (np.conj(vh.T) * s_full ** 2) @ vh
-    found = _minimal_rectangle(gram, support, pts.n_points, cut)
-    if found is not None:
-        rect, margins = found
-        rank = min(rank_bound(support, rect), pts.n_points)
-        if min(margins) < _NARROW_MARGIN:
-            _log.warning("rectangle %dx%d decides rank %d at cut %g by narrow "
-                         "margins %.3g above and %.3g below", *rect.shape,
-                         rank, cut, *margins)
+    rect, margins = _minimal_rectangle(gram, support, pts.n_points, cut)
+    if rect is not None:
+        tol = s_full[0] * max(pts.n_points, len(support)) * np.finfo(float).eps
+        rank = min(rank_bound(support, rect), np.count_nonzero(s_full > tol))
     else:
         # rank >= 1: rel[0] = 1 and the cut is at most 1.5e-4 * 32^2 < 0.16
         rel = s_full / s_full[0]
-        rank = int(np.count_nonzero(rel > cut))
-        above = rel[rank - 1] / cut
+        rank = np.count_nonzero(rel > cut)
         below = cut / rel[rank] if rank < rel.size and rel[rank] else np.inf
-        margins = (float(above), float(below))
-        _log.warning("no rectangle decides the rank at cut %g: spectral "
-                     "rank %d, margins %.3g above and %.3g below", cut, rank,
-                     *margins)
-    return NullspaceBasis(np.conj(vh[rank:]), cut, margins)
+        margins = (float(rel[rank - 1] / cut), float(below))
+    return NullspaceBasis(np.conj(vh[rank:]), cut, rect, margins)
 
 
 class SumOfSquares:
@@ -273,10 +268,16 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
     odd, that vector is a real polynomial and is contoured directly,
     otherwise the sum-of-squares polynomial is contoured at the smallest
     level the grid resolves around the samples (_resolvable_level). Rejects
-    grid_res < 16 before any work and logs a warning when N < |support| - 1
-    (underdetermined null space).
+    grid_res < 16 before any work. Logs a warning when no rectangle decides
+    the rank or one decides it by a margin under _NARROW_MARGIN, and when
+    N < |support| - 1 (underdetermined null space).
     """
     basis = nullspace_basis(pts, support, grid_res)
+    if basis.rect is None or min(basis.margins) < _NARROW_MARGIN:
+        how = ("no rectangle decides; spectral" if basis.rect is None
+               else "rectangle %dx%d decides" % basis.rect.shape)
+        _log.warning("%s rank %d at cut %g, margins %.3g above and %.3g below",
+                     how, basis.rank, basis.cut, *basis.margins)
     if pts.n_points < len(support) - 1:
         _log.warning("%d samples < |support| - 1 = %d: underdetermined null "
                      "space", pts.n_points, len(support) - 1)

@@ -7,13 +7,15 @@ import scipy.sparse as sp
 from scipy.signal import convolve2d
 from scipy.sparse.linalg import spsolve
 
-from curveband import (FrequencySupport, GrayImage, PointSet, SumOfSquares,
-                       TrigPolynomial, evaluate_on_grid, extract_zero_level_set,
-                       feature_matrix, nullspace_basis)
-from curveband.curve_model import _ZERO_NUDGE, contour_periodic_grid
+from curveband import (FrequencySupport, PointSet, TrigPolynomial,
+                       extract_zero_level_set, feature_matrix)
+from curveband.curve_model import (_ZERO_NUDGE, contour_periodic_grid,
+                                   evaluate_on_grid)
 from curveband.errors import ContractViolation, NumericalFailure
-from curveband.recovery import _resolvable_level
-from curveband.segmentation import _SEGMENT_REL_TOL, _gram_spectrum
+from curveband.recovery import (SumOfSquares, _resolvable_level,
+                                nullspace_basis)
+from curveband.segmentation import (_SEGMENT_REL_TOL, GrayImage,
+                                    _gram_spectrum)
 
 
 def support_indices(support):

@@ -9,10 +9,12 @@ import pytest
 
 import curveband
 from curveband import io as cio
-from curveband import FrequencySupport, PointSet, sample_curve, segment
+from curveband import FrequencySupport, PointSet, sample_curve
 from curveband.cli import build_parser, main
 from curveband.experiments import (child_seed, disk_phantom,
                                    noisy_curve_samples, union_curve)
+from curveband.lifting import feature_matrix
+from curveband.segmentation import GrayImage, segment
 
 
 def run(args):
@@ -26,6 +28,35 @@ def run_process(args, cwd):
         [sys.executable, "-m", "curveband.cli", *map(str, args)],
         cwd=cwd, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": src})
+
+
+# two distinct points; the repeated-sample inputs index them
+REPEATED = np.array([[0.3, 0.7], [0.6, 0.2]])
+
+
+def write_points(directory, points):
+    """Save a (2, N) array as `in.csv` in the directory; returns the path."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "in.csv"
+    cio.save_points(PointSet(2, np.asarray(points, dtype=float)), path)
+    return path
+
+
+def write_pgm(directory, pixels):
+    path = directory / "in.pgm"
+    cio.save_pgm(GrayImage(pixels), path)
+    return path
+
+
+def union0_samples():
+    """Criterion-3 curve 0's 220 samples at grid 512, as a (2, 220) array."""
+    _, truth, _, _ = union_curve(0, 512)
+    return sample_curve(truth, 220, seed=child_seed(0, 1)).points
+
+
+def reported_rank(out):
+    header, row = (out / "rank_report.csv").read_text().split()
+    return int(dict(zip(header.split(","), row.split(",")))["measured_rank"])
 
 
 @pytest.fixture
@@ -163,6 +194,34 @@ class TestRecover:
         header, row = (out / "rank_report.csv").read_text().split()
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["measured_rank"] == cells["bound"] == "72"
+
+    # a 1x2 rectangle decides, so the shift bound of 3x3 is 3, but repeated
+    # samples are one row each: the feature matrix has rank 1 or 2
+    @pytest.mark.parametrize("copies, rank", [
+        ([0, 0, 0], 1), ([0] * 20, 1), ([0, 0, 1], 2)],
+        ids=["3-copies", "20-copies", "2-of-3-distinct"])
+    def test_repeated_samples_report_the_rank_of_the_distinct_ones(
+            self, tmp_path, copies, rank):
+        pts_path = write_points(tmp_path, REPEATED[:, copies])
+        out = tmp_path / "rec"
+        assert run(["recover", pts_path, "--gamma", "3x3",
+                    "--out-dir", out]) == 0
+        assert reported_rank(out) == rank
+
+    def test_rank_decision_warns_once(self, tmp_path):
+        # criterion-3 curve 1 with noise of std 0.005: no rectangle decides
+        # and the spectral count is full, so the run ends with no null vector
+        _, truth, _, _ = union_curve(1, 512)
+        pts = sample_curve(truth, 220, seed=child_seed(1, 1))
+        noise = 0.005 * np.random.default_rng(1).standard_normal((2, 220))
+        write_points(tmp_path, pts.points + noise)
+        proc = run_process(["recover", "in.csv", "--gamma", "11x11",
+                            "--out-dir", "rec"], tmp_path)
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("no rectangle decides; spectral rank 121 ")
+        assert lines[1].startswith("numerical failure:")
 
     @pytest.mark.parametrize("inner", ["bogus", "7x7"])
     def test_bad_inner_exits_2_before_any_output(self, tmp_path, capsys,
@@ -621,6 +680,81 @@ def test_coordinates_over_the_stated_range_exit_3(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "2^20" in err and str(path) in err
     assert not out.exists()
+
+
+# ROADMAP item 12's degenerate inputs: each exits with its documented
+# code, and a run that exits 0 keeps its command's invariant.
+SEGMENT = ["--rank", 12, "--lambda", 1e-3, "--filter", "5x5"]
+
+
+def segment_wrote_its_files(out, args):
+    for name in ("fstar.pgm", "edges.pgm", "edges.svg"):
+        assert (out / name).exists()
+
+
+def denoise_stopped_after_1_iteration(out, args):
+    assert "iterations,1\n" in (out / "snr_report.csv").read_text()
+
+
+def recover_rank_within_the_float_rank(out, args):
+    # the rank a recovery reports is at most the feature matrix's
+    # floating-point rank, matrix_rank's count of s > s_max max(M, N) u
+    support = FrequencySupport(*map(int, args[3].split("x")))
+    data = feature_matrix(cio.load_points(args[1]), support).data
+    assert reported_rank(out) <= np.linalg.matrix_rank(data.T)
+
+
+def recover_ignores_a_whole_shift(out, args):
+    # a point on the torus is its coordinates mod 1
+    recover_rank_within_the_float_rank(out, args)
+    assert reported_rank(out) == 72
+    plain = args[1].parent / "plain"
+    assert run(["recover", write_points(plain, union0_samples()), *args[2:],
+                "--out-dir", plain]) == 0
+    shifted = cio.load_polyline_csv(out / "recovered.csv").components
+    unshifted = cio.load_polyline_csv(plain / "recovered.csv").components
+    assert len(shifted) == len(unshifted)
+    for a, b in zip(shifted, unshifted):
+        assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12
+
+
+DEGENERATE = {
+    "segment-constant": (lambda d: ["segment", write_pgm(
+        d, np.full((32, 32), 0.5)), *SEGMENT], 0, segment_wrote_its_files),
+    "segment-all-zero": (lambda d: ["segment", write_pgm(
+        d, np.zeros((32, 32))), *SEGMENT], 0, segment_wrote_its_files),
+    "segment-filter-as-large-as-the-image": (lambda d: [
+        "segment", write_pgm(d, disk_phantom(16, radius=0.3).pixels),
+        "--rank", 12, "--lambda", 1e-3, "--filter", "16x16"], 0,
+        segment_wrote_its_files),
+    "segment-max-iters-0": (lambda d: [
+        "segment", write_pgm(d, disk_phantom(32, radius=0.3).pixels),
+        *SEGMENT, "--max-iters", 0], 0, segment_wrote_its_files),
+    "synth-even-support": (lambda d: ["synth", "--support", "4x4"], 2, None),
+    "denoise-20-copies": (lambda d: [
+        "denoise", write_points(d, REPEATED[:, [0] * 20])], 0,
+        denoise_stopped_after_1_iteration),
+    "recover-shift-by-1": (lambda d: [
+        "recover", write_points(d, union0_samples() + 1.0), "--gamma",
+        "11x11"], 0, recover_ignores_a_whole_shift),
+    **{f"recover-{name}": (lambda d, copies=copies: [
+        "recover", write_points(d, REPEATED[:, copies]), "--gamma", "3x3"],
+        0, recover_rank_within_the_float_rank)
+       for name, copies in [("3-copies", [0, 0, 0]), ("20-copies", [0] * 20),
+                            ("2-of-3-distinct", [0, 0, 1])]},
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE)
+def test_degenerate_input_keeps_its_contract(tmp_path, case):
+    make, code, invariant = DEGENERATE[case]
+    args = make(tmp_path)
+    out = tmp_path / "out"
+    assert run([*args, "--out-dir", out]) == code
+    if code == 0:
+        invariant(out, args)
+    else:
+        assert not out.exists()
 
 
 def subcommands():

@@ -8,11 +8,12 @@ import pytest
 from scipy.signal import convolve2d
 
 import curveband
-from curveband import (ContractViolation, FrequencySupport, PointSet,
-                       Polyline, TrigPolynomial, evaluate_on_grid,
-                       extract_zero_level_set, feature_matrix, multiply,
-                       random_curve, sample_curve)
-from curveband.curve_model import contour_periodic_grid, wrap_delta
+from curveband import (FrequencySupport, PointSet, TrigPolynomial,
+                       extract_zero_level_set, feature_matrix, random_curve,
+                       sample_curve)
+from curveband.curve_model import (Polyline, contour_periodic_grid,
+                                   evaluate_on_grid, multiply, wrap_delta)
+from curveband.errors import ContractViolation
 from curveband.experiments import (disk_phantom, known_support_trial,
                                    multi_disk_phantom, union_curve)
 from oracles import (contour_periodic_grid_reference, evaluate,

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from curveband import (ContractViolation, IrlsConfig, NumericalFailure,
-                       PointSet, graph_laplacian, irls_weights, klr_denoise,
-                       point_cloud_mse, point_cloud_snr)
-from curveband.denoise import _update, solve_quadratic
+from curveband import PointSet, point_cloud_snr
+from curveband.denoise import (IrlsConfig, _update, graph_laplacian,
+                               irls_weights, klr_denoise, point_cloud_mse,
+                               solve_quadratic)
+from curveband.errors import ContractViolation, NumericalFailure
 from curveband.experiments import denoise_trial, noisy_curve_samples
 from curveband.lifting import gaussian_kernel_matrix
 

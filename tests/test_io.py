@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from curveband import (DataError, FrequencySupport, GrayImage, PointSet,
-                       Polyline, random_curve)
+from curveband import FrequencySupport, PointSet, random_curve
 from curveband import io as cio
+from curveband.curve_model import Polyline
 from curveband.denoise import DenoiseTrace, IrlsConfig
+from curveband.errors import DataError
 from curveband.experiments import curve_with_zero_set, disk_phantom
+from curveband.segmentation import GrayImage
 from oracles import (save_heatmap_svg_reference, save_polyline_csv_reference,
                      save_polyline_svg_reference, svg_paths_reference)
 
@@ -69,6 +71,14 @@ class TestPointsCsv:
         cio.save_points(PointSet(2, np.array([[np.nextafter(bound, np.inf)],
                                               [0.5]])), path)
         with pytest.raises(DataError, match="2\\^20"):
+            cio.load_points(path)
+
+    def test_ragged_line_is_named(self, tmp_path):
+        # the first line sets the width; numpy would name the third data row
+        # and advise `usecols`
+        path = tmp_path / "p.csv"
+        path.write_text("0.1,0.2\n# note\n0.3,0.4\n\n0.5,0.6,0.7\n0.8,0.9\n")
+        with pytest.raises(DataError, match="line 5 is not 2 numbers$"):
             cio.load_points(path)
 
 
@@ -217,6 +227,15 @@ class TestPgm:
         back = cio.load_pgm(path)
         assert back.pixels.shape == (32, 32)
         assert np.abs(back.pixels - img.pixels).max() <= 1.0 / 255 + 1e-12
+
+    def test_pixels_within_rounding_of_the_range_write_0_and_255(self,
+                                                                  tmp_path):
+        # GrayImage clips what it accepts to [0, 1], so save_pgm needs no clip
+        pixels = np.full((16, 16), 0.5)
+        pixels[0, :2] = -1e-10, 1 + 1e-10
+        cio.save_pgm(GrayImage(pixels), tmp_path / "e.pgm")
+        data = (tmp_path / "e.pgm").read_bytes()[-256:]
+        assert (data[0], data[1], data[2]) == (0, 255, 128)
 
     def test_header_with_comment(self, tmp_path):
         path = tmp_path / "c.pgm"
@@ -442,7 +461,8 @@ def test_comments_and_blank_lines_read_as_the_plain_file(tmp_path, name):
 @pytest.mark.parametrize("load, bad", [
     (cio.load_polyline_csv, "0,oops,0.3"),
     (cio.load_irls_config, "bogus = 1"),
-], ids=["polyline", "config"])
+    (cio.load_points, "0.3,oops"),
+], ids=["polyline", "config", "points"])
 def test_error_line_counts_comment_and_blank_lines(tmp_path, load, bad):
     path = tmp_path / "input"
     path.write_text(f"# header\n\n   \n{bad}\n")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from curveband import (ContractViolation, FrequencySupport, PointSet,
-                       TrigPolynomial, dirichlet_gram, extract_zero_level_set,
-                       feature_matrix, gaussian_kernel_matrix, multiply,
+from curveband import (FrequencySupport, PointSet, TrigPolynomial,
+                       dirichlet_gram, extract_zero_level_set, feature_matrix,
                        random_curve, sample_curve)
+from curveband.curve_model import multiply
+from curveband.errors import ContractViolation
+from curveband.lifting import gaussian_kernel_matrix
 from curveband.recovery import rank_bound
 from oracles import support_indices
 

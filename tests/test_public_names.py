@@ -16,11 +16,13 @@ do not count. Matching is by name alone, so a method that shares its name
 with an unrelated attribute (say `shape`) always passes; calls are matched
 the same way.
 
-The package root re-exports only what is imported from it: every name that
-src/curveband/__init__.py imports from a module is imported from the root,
-as `from curveband import NAME` or the attribute `curveband.NAME`, by some
-other .py file under src/, tests/, perfbench/ or tools/. An alias nothing
-imports is a second copy of the name to keep.
+The package root re-exports only what is imported from it outside the
+unit tests: every name that src/curveband/__init__.py imports from a module
+is imported from the root, as `from curveband import NAME` or the attribute
+`curveband.NAME`, by the library, the benchmark scripts and their tests
+(perfbench/), the tools (tools/) or the acceptance tests. An alias that
+only unit tests import is a second copy of the name to keep; they import
+the name from its module.
 """
 
 import ast
@@ -163,9 +165,10 @@ def test_every_root_export_is_imported_from_the_root():
                 for node in ast.parse(init.read_text()).body
                 if isinstance(node, ast.ImportFrom) and node.module
                 for alias in node.names}
-    users = [p for d in ("src", "tests", "perfbench", "tools")
-             for p in sorted((ROOT / d).rglob("*.py")) if p != init]
+    users = [p for p in CALLERS + sorted(ROOT.glob("perfbench/tests/*.py"))
+             + sorted(ROOT.glob("tools/*.py")) if p != init]
     unused = sorted(exported - set().union(*map(_root_imports, users)))
     assert unused == [], (
-        f"re-exported by the package root but imported from it nowhere: "
-        f"{', '.join(unused)}; drop them from __init__.py")
+        "re-exported by the package root but imported from it only by unit "
+        f"tests, if at all: {', '.join(unused)}; drop them from __init__.py "
+        "and import them from their modules")

@@ -4,19 +4,18 @@ import logging
 import numpy as np
 import pytest
 
-from curveband import (ContractViolation, FrequencySupport, NumericalFailure,
-                       PointSet, Polyline, SumOfSquares,
-                       TrigPolynomial, chamfer_distance, estimate_coefficients,
-                       evaluate_on_grid, extract_zero_level_set,
-                       nullspace_basis, random_curve, rank_bound,
-                       recover_curve, sample_curve)
+from curveband import (FrequencySupport, PointSet, TrigPolynomial,
+                       extract_zero_level_set, random_curve, sample_curve)
 from curveband import experiments
-from curveband.curve_model import wrap_delta
+from curveband.curve_model import Polyline, evaluate_on_grid, wrap_delta
+from curveband.errors import ContractViolation, NumericalFailure
 from curveband.experiments import (_recovery_error, child_seed,
                                    curve_with_zero_set, known_support_trial,
                                    offcurve_probes, overcomplete_trial,
                                    phase_transition, union_curve)
-from curveband.recovery import _feature_svd
+from curveband.recovery import (SumOfSquares, _feature_svd, chamfer_distance,
+                                estimate_coefficients, nullspace_basis,
+                                rank_bound, recover_curve)
 from oracles import (count_common_zeros, evaluate, feature_svd_reference,
                      minimal_rectangle_by_svd, recover_curve_reference,
                      refine_to_zero_set, shift_set_reference,
@@ -28,6 +27,18 @@ def line_pair_points(n=12, seed=0):
     rng = np.random.default_rng(seed)
     x1 = np.where(np.arange(n) % 2 == 0, 0.25, 0.75)
     return PointSet(2, np.stack([x1, rng.uniform(0, 1, n)]))
+
+
+def noisy_union6(noise_seed):
+    """Criterion-3 curve 6's 220 samples at grid 512, plus Gaussian noise of
+    std 0.002 (about 1 px) drawn from default_rng(noise_seed) unless that is
+    None."""
+    _, truth, _, _ = union_curve(6, 512)
+    pts = sample_curve(truth, 220, seed=child_seed(6, 1))
+    if noise_seed is None:
+        return pts
+    rng = np.random.default_rng(noise_seed)
+    return PointSet(2, pts.points + 0.002 * rng.standard_normal((2, 220)))
 
 
 class TestEstimateCoefficients:
@@ -225,43 +236,18 @@ class TestNullspaceBasis:
         assert set(r) == {"q", "rank", "margin_above", "margin_below",
                           "on_p95", "off_median"}
 
-    def test_fallback_to_the_spectral_count_warns(self, caplog):
-        # criterion-3 curve 6 with noise of about 1 px at 512: on this draw
-        # no rectangle decides, and the rank is the spectral count
-        _, truth, _, _ = union_curve(6, 512)
-        pts = sample_curve(truth, 220, seed=child_seed(6, 1))
-        noise = 0.002 * np.random.default_rng(36).standard_normal((2, 220))
+    @pytest.mark.parametrize("noise_seed, rect", [
+        (None, FrequencySupport(5, 5)), (36, None),
+        (19, FrequencySupport(11, 8))], ids=["clean", "fallback", "narrow"])
+    def test_decides_and_records_the_rectangle_silently(self, caplog,
+                                                        noise_seed, rect):
+        # the warning belongs to recover_curve, the one function that acts
+        # on the decision; the CLI's rank report and overcomplete_trial
+        # read the basis without it
         with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
-            basis = nullspace_basis(PointSet(2, pts.points + noise),
+            basis = nullspace_basis(noisy_union6(noise_seed),
                                     FrequencySupport(11, 11), 512)
-        assert basis.rank == 106
-        assert [r.getMessage() for r in caplog.records] == [
-            "no rectangle decides the rank at cut 0.00015: spectral rank "
-            "106, margins %.3g above and %.3g below" % basis.margins]
-        assert 1.0 < min(basis.margins) < 1.5
-
-    def test_narrow_rectangle_decision_warns(self, caplog):
-        # on this draw of the same noise an 11x8 rectangle decides, with a
-        # smaller one read below the cut: a margin under 1
-        _, truth, _, _ = union_curve(6, 512)
-        pts = sample_curve(truth, 220, seed=child_seed(6, 1))
-        noise = 0.002 * np.random.default_rng(19).standard_normal((2, 220))
-        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
-            basis = nullspace_basis(PointSet(2, pts.points + noise),
-                                    FrequencySupport(11, 11), 512)
-        assert basis.rank == 117
-        assert min(basis.margins) < 1.0
-        assert [r.getMessage() for r in caplog.records] == [
-            "rectangle 11x8 decides rank 117 at cut 0.00015 by narrow "
-            "margins %.3g above and %.3g below" % basis.margins]
-
-    def test_clean_rectangle_decision_is_silent(self, caplog):
-        _, truth, _, _ = union_curve(6, 512)
-        pts = sample_curve(truth, 220, seed=child_seed(6, 1))
-        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
-            basis = nullspace_basis(pts, FrequencySupport(11, 11), 512)
-        assert basis.rank == 72
-        assert min(basis.margins) >= 12.0
+        assert basis.rect == rect
         assert caplog.records == []
 
     def test_degenerate_undersampling_gives_large_null_space(self):
@@ -663,6 +649,41 @@ class TestRecoverCurve:
         assert len(caplog.records) == 2
         assert "no rectangle decides" in caplog.records[0].getMessage()
         assert "underdetermined" in caplog.records[1].getMessage()
+
+    def test_fallback_to_the_spectral_count_warns(self, caplog):
+        # criterion-3 curve 6 with noise of about 1 px at 512: on this draw
+        # no rectangle decides, and the rank is the spectral count
+        pts, outer = noisy_union6(36), FrequencySupport(11, 11)
+        basis = nullspace_basis(pts, outer, 512)
+        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
+            recover_curve(pts, outer, 512)
+        assert basis.rank == 106
+        assert [r.getMessage() for r in caplog.records] == [
+            "no rectangle decides; spectral rank 106 at cut 0.00015, "
+            "margins %.3g above and %.3g below" % basis.margins]
+        assert 1.0 < min(basis.margins) < 1.5
+
+    def test_narrow_rectangle_decision_warns(self, caplog):
+        # on this draw of the same noise an 11x8 rectangle decides, with a
+        # smaller one read below the cut: a margin under 1
+        pts, outer = noisy_union6(19), FrequencySupport(11, 11)
+        basis = nullspace_basis(pts, outer, 512)
+        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
+            recover_curve(pts, outer, 512)
+        assert basis.rank == 117
+        assert min(basis.margins) < 1.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "rectangle 11x8 decides rank 117 at cut 0.00015, "
+            "margins %.3g above and %.3g below" % basis.margins]
+
+    def test_clean_rectangle_decision_is_silent(self, caplog):
+        pts, outer = noisy_union6(None), FrequencySupport(11, 11)
+        basis = nullspace_basis(pts, outer, 512)
+        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
+            recover_curve(pts, outer, 512)
+        assert basis.rank == 72
+        assert min(basis.margins) >= 12.0
+        assert caplog.records == []
 
 
 class TestChamferDistance:

@@ -6,15 +6,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from curveband import (ContractViolation, FrequencySupport, GrayImage,
-                       PointSet, chamfer_distance, segment)
+from curveband import FrequencySupport, PointSet
+from curveband.errors import ContractViolation
 from curveband.experiments import (circle_polyline, curve_with_zero_set,
                                    disk_phantom, edge_contours,
                                    multi_disk_phantom)
-from curveband.recovery import rank_bound
-from curveband.segmentation import (ToeplitzLift, _gradients,
+from curveband.recovery import chamfer_distance, rank_bound
+from curveband.segmentation import (GrayImage, ToeplitzLift, _gradients,
                                     _gram_spectrum, _update_system,
-                                    build_lift, trailing_energy)
+                                    build_lift, segment, trailing_energy)
 from oracles import (curve_phantom, edge_weights_by_svd, evaluate,
                      gradient_channels, gradient_operator,
                      lift_spectrum_by_svd, segment_by_spsolve,
