@@ -25,8 +25,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.spatial import cKDTree
 
 from .curve_model import PointSet
 from .errors import ContractViolation, NumericalFailure
@@ -188,6 +186,7 @@ def _update(y: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
     that is not positive definite (the update is then no minimizer), raise
     NumericalFailure.
     """
+    import scipy.linalg  # here: importing denoise loads no scipy
     a = -lam * w
     a[np.diag_indices_from(a)] += 1.0 + lam * w.sum(axis=1)
     cond_floor = a.diagonal().max()
@@ -270,6 +269,7 @@ def point_cloud_mse(truth: PointSet, pred: PointSet) -> float:
         raise ContractViolation("MSE needs non-empty point sets")
     if truth.dim != pred.dim:
         raise ContractViolation("point sets must share a dimension")
+    from scipy.spatial import cKDTree  # here: importing denoise loads no scipy
     a, b = truth.points.T, pred.points.T
     d_ab = cKDTree(b).query(a)[0]
     d_ba = cKDTree(a).query(b)[0]

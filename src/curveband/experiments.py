@@ -12,7 +12,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curve_model import (FrequencySupport, PointSet, Polyline,
                           TrigPolynomial, contour_periodic_grid,
@@ -142,6 +141,7 @@ def offcurve_probes(curve: Polyline, n: int, seed) -> PointSet:
     """Uniform points in the unit square at least _PROBE_MIN_DISTANCE from
     the curve, in minimum-image distance on the torus. A contour vertex can
     read exactly 1.0, which cKDTree's periodic box rejects: mod 1 it is 0."""
+    from scipy.spatial import cKDTree  # here: the CLI imports experiments
     tree = cKDTree(curve.vertex_array() % 1.0, boxsize=1.0)
     rng = np.random.default_rng(seed)
     kept = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .curve_model import FrequencySupport, PointSet, wrap_delta
 from .errors import ContractViolation
@@ -73,5 +72,6 @@ def gaussian_kernel_matrix(x: np.ndarray, sigma: float) -> np.ndarray:
     coordinates in any dimension, shape (N, N), unit diagonal."""
     if sigma <= 0:
         raise ContractViolation("sigma must be positive")
+    from scipy.spatial.distance import cdist  # here: only denoise calls it
     d2 = cdist(x.T, x.T, "sqeuclidean")
     return np.exp(-d2 / (2.0 * sigma * sigma))

@@ -22,9 +22,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse.linalg import splu
 
 from .curve_model import FrequencySupport
 from .errors import ContractViolation, NumericalFailure
@@ -35,13 +33,14 @@ _log = logging.getLogger(__name__)
 # segment stops once an update moves f by less than this (relative).
 _SEGMENT_REL_TOL = 1e-3
 
-# segment warns when the eigen-gap lam[rank - 1] / lam[rank] of the returned
-# iterate's Gram is under this factor, as its edge map then moves with
-# rounding: at a gap of 1.008 a ~1e-15 relative change of the Gram moved 4 of
-# 4096 edge pixels of a 64 px disk. The criterion-9 disk reads 1.070 at
-# lambda 1e-5 and 1.172 at 1e-2, its multi-disk ranks 1.58 to 3.75, the
-# benchmark's segment ops 1.061 to 3.75 on seeds 1-5, and the other test
-# inputs 1.017 and up.
+# segment warns when the eigen-gap lam[rank - 1] / lam[rank] of any evaluated
+# iterate's Gram is under this factor, as its edge weights, and the update or
+# edge map read off them, then move with rounding: at a gap of 1.008 a ~1e-15
+# relative change of the Gram moved 4 of 4096 edge pixels of a 64 px disk. At
+# the returned iterate the criterion-9 disk reads 1.070 at lambda 1e-5 and
+# 1.172 at 1e-2 (its iterate 7 there reads 1.0013), its multi-disk ranks 1.58
+# to 3.75, the benchmark's segment ops 1.061 to 3.75 on seeds 1-5, and the
+# other test inputs 1.017 and up.
 _NARROW_GAP = 1.01
 
 
@@ -145,10 +144,11 @@ class SegmentResult:
     objective_history: list[float]
 
 
-def _update_system(weights: np.ndarray, c: float) -> sp.csc_matrix:
+def _update_system(weights: np.ndarray, c: float) -> "sp.csc_matrix":
     """I + c G^T S G in CSC, G the periodic differences of `_gradients`, S
     the weights w on both: 1 + c (2 w(p) + w(p - e0) + w(p - e1)) at (p, p),
     -c w(p) at (p, p + e) and -c w(p - e) at (p, p - e), for e = e0, e1."""
+    import scipy.sparse as sp  # here: the CLI imports segmentation
     idx = np.arange(weights.size).reshape(weights.shape)
     w_back = [np.roll(weights, 1, axis=a) for a in (0, 1)]  # w(p - e)
     data = [1.0 + c * (2.0 * weights + w_back[0] + w_back[1]), -c * weights,
@@ -175,9 +175,10 @@ def segment(h: GrayImage, rank: int, lam: float,
     [min h, max h]: the clip removes rounding, or the error of a solve that
     an extreme lam leaves ill-conditioned, which GrayImage would reject.
     Returns the last evaluated iterate, flagged if not converged;
-    `iterations`, len(objective_history) - 1, counts updates. Logs a
-    warning when its Gram has an eigen-gap lam[rank - 1] / lam[rank] under
-    _NARROW_GAP. Rejects a lam that is not positive and finite, or a
+    `iterations`, len(objective_history) - 1, counts updates. Logs one
+    warning, naming the smallest eigen-gap lam[rank - 1] / lam[rank] over
+    the evaluated iterates' Grams and its iterate (0 is h), when that gap is
+    under _NARROW_GAP. Rejects a lam that is not positive and finite, or a
     negative max_iters, before any work, and raises NumericalFailure when
     lam overflows the update system.
     """
@@ -193,8 +194,11 @@ def segment(h: GrayImage, rank: int, lam: float,
     f = h.pixels.copy()
     history = []
     converged = False
+    narrowest = (np.inf, 0)  # smallest eigen-gap over the iterates, and where
     while True:
         s2, v = _gram_spectrum(f, filter_support.shape)
+        gap = s2[rank - 1] / s2[rank] if rank and s2[rank] > 0 else np.inf
+        narrowest = min(narrowest, (gap, len(history)))
         # a Python float product overflows to inf without a warning
         objective = float(np.linalg.norm(f - h.pixels) ** 2
                           + lam * float(np.sum(s2[rank:])))
@@ -208,6 +212,7 @@ def segment(h: GrayImage, rank: int, lam: float,
         if not np.isfinite(system.data).all():
             raise NumericalFailure(
                 f"lam = {lam:g} (--lambda) overflows the update system")
+        from scipy.sparse.linalg import splu  # here, as in _update_system
         # MMD on A^T + A, unrelaxed supernodes, panel 4: 4.9 / 199 ms per
         # solve at 64 / 256 px, 7.8 / 300 ms at default relax (2-vCPU box)
         x = splu(system, permc_spec="MMD_AT_PLUS_A", relax=1,
@@ -216,11 +221,11 @@ def segment(h: GrayImage, rank: int, lam: float,
         step = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1e-30)
         f, converged = f_new, bool(step < _SEGMENT_REL_TOL)
 
-    gap = s2[rank - 1] / s2[rank] if rank and s2[rank] > 0 else np.inf
+    gap, at = narrowest
     if gap < _NARROW_GAP:
-        _log.warning("segment: eigen-gap %.4f at rank %d is under %g, so the "
-                     "edge map rests on a near-degenerate rank cut",
-                     gap, rank, _NARROW_GAP)
+        _log.warning("segment: eigen-gap %.4f at rank %d is under %g at "
+                     "iterate %d, so what follows it rests on a "
+                     "near-degenerate rank cut", gap, rank, _NARROW_GAP, at)
     # The q >= 1 trailing filters are orthonormal and no two of their
     # frequencies alias on the grid (build_lift rejects a filter larger
     # than the image), so by Parseval the weights average q: max > 0.

@@ -873,3 +873,16 @@ def test_every_error_class_maps_to_its_readme_exit_code(
     err = capsys.readouterr().err
     assert err == f"{prefix} injected\n"
     assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # recover and synth run no scipy code, so each module imports its scipy
+    # parts where they are called, and a CLI process skips their import
+    src = str(Path(curveband.__file__).resolve().parents[1])
+    code = ("import sys, curveband.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -599,16 +599,93 @@ class TestRecoverCurve:
         for ca, cb in zip(a.components, b.components):
             assert np.array_equal(ca, cb)
 
+    @staticmethod
+    def spy_paths(monkeypatch):
+        """Counts of the SVDs and sum-of-squares builds that follow."""
+        counts = {"svd": 0, "sos": 0}
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return svd(*args, **kwargs)
+
+        class CountedSumOfSquares(SumOfSquares):
+            def __init__(self, *args):
+                counts["sos"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr("curveband.recovery.SumOfSquares",
+                            CountedSumOfSquares)
+        return counts
+
+    # the sum-of-squares fallback, reached on these inputs by failing the
+    # rectangle's own estimate: the former level, 3x the median of gamma
+    # over the samples, never rose above the resolvable floor, so dropping
+    # it moves no vertex
     @pytest.mark.parametrize("shape", [(11, 11), (10, 10)])
     @pytest.mark.parametrize("curve", range(4))
-    def test_level_matches_the_median_rule_on_criterion3(self, curve, shape):
-        # the former level, 3x the median of gamma over the samples, never
-        # rose above the resolvable floor, so dropping it moves no vertex
+    def test_level_matches_the_median_rule_on_criterion3(self, curve, shape,
+                                                         monkeypatch):
+        def fails(*args):
+            raise NumericalFailure("null space has dimension > 1")
+
+        monkeypatch.setattr("curveband.recovery.estimate_coefficients", fails)
         _, truth, _, _ = union_curve(curve, 512)
         pts = sample_curve(truth, 220, seed=child_seed(curve, 1))
         support = FrequencySupport(*shape)
         self.assert_same_polyline(recover_curve(pts, support, 512),
                                   recover_curve_reference(pts, support, 512))
+
+    # ROADMAP item 3 measured 0.0025-0.0112 px; the sum-of-squares band
+    # read 1.72-2.34 px
+    @pytest.mark.parametrize("curve", range(10))
+    def test_odd_rectangle_contours_its_own_polynomial(self, curve,
+                                                       monkeypatch):
+        _, truth, _, _ = union_curve(curve, 512)
+        pts = sample_curve(truth, 220, seed=child_seed(curve, 1))
+        rect = nullspace_basis(pts, FrequencySupport(11, 11), 512).rect
+        expected = extract_zero_level_set(
+            estimate_coefficients(pts, rect, 512), 512)
+        counts = self.spy_paths(monkeypatch)
+        recovered = recover_curve(pts, FrequencySupport(11, 11), 512)
+        assert rect == FrequencySupport(5, 5)
+        assert counts == {"svd": 2, "sos": 0}
+        self.assert_same_polyline(recovered, expected)
+        assert chamfer_distance(recovered, truth) * 512 <= 0.05
+
+    def test_known_support_takes_one_svd(self, monkeypatch):
+        grid_res, support = 256, FrequencySupport(3, 3)
+        _, truth = curve_with_zero_set(support, 12, grid_res)
+        pts = sample_curve(truth, 36, seed=13)
+        basis = nullspace_basis(pts, support, grid_res)
+        expected = extract_zero_level_set(
+            TrigPolynomial(support, basis.vectors[0], hermitian=True),
+            grid_res)
+        counts = self.spy_paths(monkeypatch)
+        recovered = recover_curve(pts, support, grid_res)
+        assert basis.q == 1
+        assert counts == {"svd": 1, "sos": 0}
+        self.assert_same_polyline(recovered, expected)
+
+    # repeated samples of one point: a 1x2 rectangle decides, and no odd
+    # rectangle is minimal for them
+    @pytest.mark.parametrize("copies", [3, 20])
+    def test_even_rectangle_takes_the_sum_of_squares(self, copies,
+                                                     monkeypatch):
+        pts = PointSet(2, np.tile([[0.3], [0.6]], copies))
+        support = FrequencySupport(3, 3)
+        assert nullspace_basis(pts, support, 512).rect == FrequencySupport(1, 2)
+        counts = self.spy_paths(monkeypatch)
+        assert not recover_curve(pts, support, 512).is_empty
+        assert counts == {"svd": 1, "sos": 1}
+
+    def test_spectral_fallback_takes_the_sum_of_squares(self, monkeypatch):
+        pts, support = noisy_union6(36), FrequencySupport(11, 11)
+        assert nullspace_basis(pts, support, 512).rect is None
+        counts = self.spy_paths(monkeypatch)
+        assert not recover_curve(pts, support, 512).is_empty
+        assert counts == {"svd": 1, "sos": 1}
 
     def test_level_matches_the_median_rule_on_noisy_samples(self):
         # of curves 0 and 6 with noise std 0.0005, 0.002 and 0.005 (draws

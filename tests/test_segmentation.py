@@ -342,22 +342,42 @@ class TestSegment:
         if rank == 0:
             assert np.ptp(weights) <= 1e-9 * q
 
-    # the 32 px disk's own Gram (5x5) cuts at rank 6 between eigenvalues
-    # 1.0027 apart; two updates widen that gap to 1.14 at the iterate that
-    # segment returns, so only the run with no update warns
-    @pytest.mark.parametrize("max_iters, warns", [(0, True), (2, False)])
-    def test_narrow_eigen_gap_warns(self, caplog, max_iters, warns):
+    # the smallest eigen-gap over every evaluated iterate is named, once.
+    # The 32 px disk's own Gram (5x5) cuts at rank 6 between eigenvalues
+    # 1.0027 apart; two updates widen that gap to 1.14 at the returned
+    # iterate, but the updates rest on iterate 0, so both runs warn. The
+    # criterion-9 disk at lam 1e-2 reads 1.0622, 1.0791, 1.0715, 1.0511,
+    # 1.0312, 1.0159, 1.0055, 1.0013 and 1.1718 over its nine iterates
+    @pytest.mark.parametrize("image, rank, lam, size, max_iters, message", [
+        pytest.param(disk_phantom(32, radius=0.28), 6, 1e-4, 5, 0,
+                     "eigen-gap 1.0027 at rank 6 is under 1.01 at iterate 0",
+                     id="disk32-0"),
+        pytest.param(disk_phantom(32, radius=0.28), 6, 1e-4, 5, 2,
+                     "eigen-gap 1.0027 at rank 6 is under 1.01 at iterate 0",
+                     id="disk32-2"),
+        pytest.param(disk_phantom(64, radius=0.3), 30, 1e-2, 9, 8,
+                     "eigen-gap 1.0013 at rank 30 is under 1.01 at iterate 7",
+                     id="criterion9-disk"),
+    ])
+    def test_narrow_eigen_gap_warns(self, caplog, image, rank, lam, size,
+                                    max_iters, message):
         with caplog.at_level(logging.WARNING,
                              logger="curveband.segmentation"):
-            segment(disk_phantom(32, radius=0.28), rank=6, lam=1e-4,
-                    filter_support=FrequencySupport(5, 5),
+            segment(image, rank=rank, lam=lam,
+                    filter_support=FrequencySupport(size, size),
                     max_iters=max_iters)
         messages = [r.getMessage() for r in caplog.records]
-        if warns:
-            assert len(messages) == 1
-            assert "eigen-gap 1.0027 at rank 6 is under 1.01" in messages[0]
-        else:
-            assert messages == []
+        assert len(messages) == 1
+        assert message in messages[0]
+
+    def test_wide_eigen_gaps_are_silent(self, caplog):
+        # the criterion-9 disk at lam 1e-5 converges after two updates, its
+        # iterates reading 1.0622, 1.0697 and 1.0700
+        with caplog.at_level(logging.WARNING,
+                             logger="curveband.segmentation"):
+            segment(disk_phantom(64, radius=0.3), rank=30, lam=1e-5,
+                    filter_support=FrequencySupport(9, 9), max_iters=8)
+        assert caplog.records == []
 
     def test_segment_calls_no_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
