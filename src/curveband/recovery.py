@@ -19,6 +19,12 @@ changes the singular values or the right singular subspaces. On a support
 with both sides odd the centre is 0, so every right singular vector comes
 back exactly hermitian, c[-k] = conj(c[k]), by construction: it is the
 coefficient vector of a real polynomial and is contoured as it is.
+
+The rank is decided from the Gram of the feature columns that the searched
+rectangles cover. When a rectangle with both sides odd, smaller than the
+support, decides, only the full support's singular values are taken (for
+the floating-point rank cap), and its null-space basis only if a route
+reads it; otherwise the rank decision takes the SVD with all its vectors.
 """
 
 from __future__ import annotations
@@ -66,45 +72,46 @@ def _grid_scale(grid_res: int) -> float:
 
 @dataclass
 class NullspaceBasis:
-    """Orthonormal basis of the numerical null space of a feature matrix.
+    """Orthonormal basis of the numerical null space of the transposed
+    feature matrix of `pts` on `support`.
 
-    `vectors` has shape (Q, |support|): row i holds the coefficients of one
-    annihilating polynomial. `cut` is the relative singular-value cut the
-    rank was decided at, `rect` the rectangle that decided it (None when the
-    spectrum did), and `margins` = (above, below) how far that decision is
-    from flipping (inf when nothing bounds it). Decided by a rectangle: the
-    smallest s / s_max that must stay above the cut over it, and the cut
-    over the rectangle's s_min / s_max. Decided by the spectrum: s[rank-1] /
-    s_max over the cut, and the cut over s[rank] / s_max.
+    `rank` is the decided rank and `q` = |support| - rank the null-space
+    dimension. `vectors` has shape (q, |support|): row i holds the
+    coefficients of one annihilating polynomial. Unless nullspace_basis
+    kept them, they are computed on first read (_feature_svd). `cut` is the
+    relative singular-value cut the rank was decided at, `rect` the
+    rectangle that decided it (None when the spectrum did), and `margins` =
+    (above, below) how far that decision is from flipping (inf when nothing
+    bounds it). Decided by a rectangle: the smallest s / s_max that must
+    stay above the cut over it, and the cut over the rectangle's s_min /
+    s_max. Decided by the spectrum: s[rank-1] / s_max over the cut, and the
+    cut over s[rank] / s_max.
     """
 
-    vectors: np.ndarray
+    pts: PointSet
+    support: FrequencySupport
+    rank: int
     cut: float
     rect: FrequencySupport | None
     margins: tuple[float, float]
 
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        return np.conj(_feature_svd(self.pts, self.support)[1][self.rank:])
+
     @property
     def q(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.vectors.shape[1] - self.q
+        return len(self.support) - self.rank
 
 
-def _feature_svd(pts: PointSet, support: FrequencySupport
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of the transposed feature matrix m (descending,
-    zero-padded to |support|) and all of its right singular vectors. A wide
-    m needs the full SVD for that; the thin SVD of a tall m returns all.
-    Taken in real arithmetic: m = D r T^H, where D scales row i by the unit
-    phase exp(2j pi c.x_i) of the support's centre c (0 on an odd axis, -1/2
-    on an even one), and the unitary T pairs index i (frequency k - c) with
-    n-1-i (c - k) into sqrt(2) cos and sqrt(2) sin features, and takes the
-    centre of an odd support to the constant. So vh = vr T^H. On an odd
-    support index n-1-i is frequency -k, so the slice assignments below
-    make every row of vh exactly hermitian, c[-k] = conj(c[k]), and its
-    centre entry real: not up to rounding, since they copy it."""
+def _feature_lift(pts: PointSet, support: FrequencySupport
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(m, r): the transposed feature matrix with row i scaled by the unit
+    phase exp(-2j pi c.x_i) of the support's centre c (0 on an odd axis,
+    -1/2 on an even one), and its real lift r = m T, where the unitary T
+    pairs index i (frequency k - c) with n-1-i (c - k) into sqrt(2) cos and
+    sqrt(2) sin features, and takes the centre of an odd support to the
+    constant. Neither the row phases nor T change the singular values."""
     if pts.n_points < 1:
         raise ContractViolation("the feature-matrix SVD needs at least 1 point")
     n, h = len(support), len(support) // 2
@@ -113,6 +120,24 @@ def _feature_svd(pts: PointSet, support: FrequencySupport
          * np.exp(-2j * np.pi * (centre @ pts.points))).T
     r = np.sqrt(2.0) * np.where(np.arange(n) < n - h, m.real, m.imag)
     r[:, h:n - h] = 1.0
+    return m, r
+
+
+def _feature_svd(pts: PointSet, support: FrequencySupport
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of the transposed feature matrix (descending,
+    zero-padded to |support|) and all of its right singular vectors."""
+    return _lift_svd(_feature_lift(pts, support)[1])
+
+
+def _lift_svd(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_feature_svd from the real lift r (_feature_lift). A wide r needs
+    the full SVD for all the right singular vectors; the thin SVD of a tall
+    r returns all. Those of r are vr, so vh = vr T^H. On an odd support
+    index n-1-i is frequency -k, so the slice assignments below make every
+    row of vh exactly hermitian, c[-k] = conj(c[k]), and its centre entry
+    real: not up to rounding, since they copy it."""
+    n, h = r.shape[1], r.shape[1] // 2
     _, s, vr = np.linalg.svd(r, full_matrices=r.shape[0] < n)
     vh = vr.astype(complex)
     vh[:, :h] = (vr[:, :h] - 1j * vr[:, ::-1][:, :h]) / np.sqrt(2.0)
@@ -170,21 +195,30 @@ def _rectangles_by_area(k1: int, k2: int
             for area, group in sorted(shapes.items())]
 
 
-def _minimal_rectangle(gram: np.ndarray, support: FrequencySupport,
+def _minimal_rectangle(m: np.ndarray, support: FrequencySupport,
                        n_points: int, cut: float
                        ) -> tuple[FrequencySupport | None,
                                   tuple[float, float] | None]:
     """(rectangle, margins) for the smallest rectangle, in area order up to
     n_points, whose feature matrix has a 1-D null space at the cut: its
-    smallest s / s_max is below the cut and its second is not. Each spectrum
-    is read off a principal sub-block of gram = m^H m, one eigvalsh call per
-    area. Every rectangle of an area is visited, since the nearest miss need
-    not nest in the answer. (None, None) when no rectangle decides."""
+    smallest s / s_max is below the cut and its second is not. m is the
+    transposed feature matrix on the support, rows scaled by any unit
+    phases. Each spectrum is read off a principal sub-block of the Gram
+    m_U^H m_U of the columns U the searched rectangles cover, the corner
+    indices (i1, i2) with (i1 + 1)(i2 + 1) <= n_points, one eigvalsh call
+    per area. Every rectangle of an area is visited, since the nearest miss
+    need not nest in the answer. (None, None) when no rectangle decides."""
+    i1, i2 = np.divmod(np.arange(len(support)), support.k2)
+    in_u = (i1 + 1) * (i2 + 1) <= n_points
+    pos = np.cumsum(in_u) - 1  # column of U that holds each index in U
+    m_u = m[:, in_u]
+    gram = np.conj(m_u.T) @ m_u
     closest = np.inf  # smallest s_min / s_max over the smaller areas
     for area, rects, idx in _rectangles_by_area(*support.shape):
         if area > n_points:
             break
-        lam = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        sub = pos[idx]
+        lam = np.linalg.eigvalsh(gram[sub[:, :, None], sub[:, None, :]])
         ratio = np.sqrt(np.maximum(lam[:, :2], 0.0) / lam[:, -1:])
         decides = (ratio[:, 0] < cut) & (ratio[:, 1] >= cut)
         if decides.any():
@@ -202,11 +236,18 @@ def nullspace_basis(pts: PointSet, support: FrequencySupport,
     samples read off a grid_res rasterization. Its rank is rank_bound of the
     smallest annihilating rectangle, capped by the samples' floating-point
     rank (at most N: repeated samples count once), or, when no rectangle
-    decides, the count of singular values above the cut times sigma_max."""
+    decides, the count of singular values above the cut times sigma_max.
+    When a rectangle with both sides odd, smaller than the support,
+    decides, the vectors wait for their first read."""
     cut = _RANK_CUT * _grid_scale(grid_res) ** 2
-    s_full, vh = _feature_svd(pts, support)
-    gram = (np.conj(vh.T) * s_full ** 2) @ vh
-    rect, margins = _minimal_rectangle(gram, support, pts.n_points, cut)
+    m, r = _feature_lift(pts, support)
+    rect, margins = _minimal_rectangle(m, support, pts.n_points, cut)
+    odd_rect = (rect is not None and rect != support
+                and rect.k1 % 2 and rect.k2 % 2)
+    if odd_rect:
+        s_full = np.linalg.svd(r, compute_uv=False)
+    else:
+        s_full, vh = _lift_svd(r)
     if rect is not None:
         tol = s_full[0] * max(pts.n_points, len(support)) * np.finfo(float).eps
         rank = min(rank_bound(support, rect), np.count_nonzero(s_full > tol))
@@ -216,7 +257,10 @@ def nullspace_basis(pts: PointSet, support: FrequencySupport,
         rank = np.count_nonzero(rel > cut)
         below = cut / rel[rank] if rank < rel.size and rel[rank] else np.inf
         margins = (float(rel[rank - 1] / cut), float(below))
-    return NullspaceBasis(np.conj(vh[rank:]), cut, rect, margins)
+    basis = NullspaceBasis(pts, support, rank, cut, rect, margins)
+    if not odd_rect:
+        basis.vectors = np.conj(vh[rank:])
+    return basis
 
 
 class SumOfSquares:
@@ -272,9 +316,11 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
     inputs) unless that raises NumericalFailure; else the sum-of-squares
     polynomial at the smallest level the grid resolves around the samples
     (_resolvable_level, about 2 px from the truth on the same inputs).
-    Rejects grid_res < 16 before any work. Logs a warning when no rectangle
-    decides the rank or one decides it by a margin under _NARROW_MARGIN,
-    and when N < |support| - 1 (underdetermined null space).
+    The second route reads no vector of the support's null space. Rejects
+    grid_res < 16 before any work. Logs a warning when no rectangle decides
+    the rank or one decides it by a margin under _NARROW_MARGIN, and, on
+    the sum-of-squares route, when N < |support| - 1 (underdetermined null
+    space).
     """
     basis = nullspace_basis(pts, support, grid_res)
     if basis.rect is None or min(basis.margins) < _NARROW_MARGIN:
@@ -282,9 +328,6 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
                else "rectangle %dx%d decides" % basis.rect.shape)
         _log.warning("%s rank %d at cut %g, margins %.3g above and %.3g below",
                      how, basis.rank, basis.cut, *basis.margins)
-    if pts.n_points < len(support) - 1:
-        _log.warning("%d samples < |support| - 1 = %d: underdetermined null "
-                     "space", pts.n_points, len(support) - 1)
     if basis.q == 0:
         raise NumericalFailure(
             "no null-space vector at tolerance; the support may be too small "
@@ -300,6 +343,9 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
                 estimate_coefficients(pts, rect, grid_res), grid_res)
         except NumericalFailure:
             pass
+    if pts.n_points < len(support) - 1:
+        _log.warning("%d samples < |support| - 1 = %d: underdetermined null "
+                     "space", pts.n_points, len(support) - 1)
     grid = SumOfSquares(support, basis.vectors).evaluate_grid(grid_res)
     return contour_periodic_grid(grid - _resolvable_level(grid, pts))
 

@@ -1,6 +1,7 @@
 """Independent reference implementations shared by the test modules."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,8 +13,9 @@ from curveband import (FrequencySupport, PointSet, TrigPolynomial,
 from curveband.curve_model import (_ZERO_NUDGE, contour_periodic_grid,
                                    evaluate_on_grid)
 from curveband.errors import ContractViolation, NumericalFailure
-from curveband.recovery import (SumOfSquares, _resolvable_level,
-                                nullspace_basis)
+from curveband.recovery import (_RANK_CUT, SumOfSquares, _feature_svd,
+                                _rectangles_by_area, _resolvable_level,
+                                nullspace_basis, rank_bound)
 from curveband.segmentation import (_SEGMENT_REL_TOL, GrayImage,
                                     _gram_spectrum)
 
@@ -147,6 +149,41 @@ def feature_svd_reference(pts, support):
     s_full = np.zeros(m.shape[1])
     s_full[:s.size] = s
     return s_full, vh
+
+
+def nullspace_basis_reference(pts, support, grid_res):
+    """`curveband.recovery.nullspace_basis` as it was before the rank
+    decision read the Gram off the searched columns: the full-support SVD
+    with all its vectors, the |support| x |support| Gram built from it, and
+    the same area-ordered sub-block search on that Gram. Returns the basis's
+    fields (vectors, cut, rect, margins, rank, q) as a namespace."""
+    cut = _RANK_CUT * (512.0 / grid_res) ** 2
+    s_full, vh = _feature_svd(pts, support)
+    gram = (np.conj(vh.T) * s_full ** 2) @ vh
+    rect, margins, closest = None, None, np.inf
+    for area, rects, idx in _rectangles_by_area(*support.shape):
+        if area > pts.n_points:
+            break
+        lam = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        ratio = np.sqrt(np.maximum(lam[:, :2], 0.0) / lam[:, -1:])
+        decides = (ratio[:, 0] < cut) & (ratio[:, 1] >= cut)
+        if decides.any():
+            j = np.flatnonzero(decides)[np.argmin(ratio[decides, 0])]
+            s_min, s_next = ratio[j]
+            below = cut / s_min if s_min > 0 else np.inf
+            rect, margins = rects[j], (min(closest, s_next) / cut, below)
+            break
+        closest = min(closest, ratio[:, 0].min())
+    if rect is not None:
+        tol = s_full[0] * max(pts.n_points, len(support)) * np.finfo(float).eps
+        rank = min(rank_bound(support, rect), np.count_nonzero(s_full > tol))
+    else:
+        rel = s_full / s_full[0]
+        rank = np.count_nonzero(rel > cut)
+        below = cut / rel[rank] if rank < rel.size and rel[rank] else np.inf
+        margins = (rel[rank - 1] / cut, below)
+    return SimpleNamespace(vectors=np.conj(vh[rank:]), cut=cut, rect=rect,
+                           margins=margins, rank=rank, q=len(support) - rank)
 
 
 def recover_curve_reference(pts, support, grid_res):

@@ -17,9 +17,10 @@ from curveband.recovery import (SumOfSquares, _feature_svd, chamfer_distance,
                                 estimate_coefficients, nullspace_basis,
                                 rank_bound, recover_curve)
 from oracles import (count_common_zeros, evaluate, feature_svd_reference,
-                     minimal_rectangle_by_svd, recover_curve_reference,
-                     refine_to_zero_set, shift_set_reference,
-                     sum_of_squares_by_rows, support_indices)
+                     minimal_rectangle_by_svd, nullspace_basis_reference,
+                     recover_curve_reference, refine_to_zero_set,
+                     shift_set_reference, sum_of_squares_by_rows,
+                     support_indices)
 
 
 def line_pair_points(n=12, seed=0):
@@ -27,6 +28,25 @@ def line_pair_points(n=12, seed=0):
     rng = np.random.default_rng(seed)
     x1 = np.where(np.arange(n) % 2 == 0, 0.25, 0.75)
     return PointSet(2, np.stack([x1, rng.uniform(0, 1, n)]))
+
+
+def criterion3_points(curve):
+    """Criterion-3 curve `curve`'s 220 samples at grid 512."""
+    _, truth, _, _ = union_curve(curve, 512)
+    return sample_curve(truth, 220, seed=child_seed(curve, 1))
+
+
+def svd_spy(monkeypatch):
+    """(columns, returns vectors) of each np.linalg.svd call that follows."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recorder(a, *args, **kwargs):
+        calls.append((np.shape(a)[-1], kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorder)
+    return calls
 
 
 def noisy_union6(noise_seed):
@@ -250,6 +270,39 @@ class TestNullspaceBasis:
         assert basis.rect == rect
         assert caplog.records == []
 
+    # the rank decision from the searched columns' Gram against the one
+    # from the Gram the full-support SVD rebuilds: rounding moves the
+    # margins, not the decision, and both take the vectors from _feature_svd
+    @pytest.mark.parametrize("curve, k", [
+        *((c, k) for k in (11, 15, 21) for c in range(10)),
+        ("spectral", 11), ("repeated", 3)])
+    def test_decision_matches_the_gram_from_the_svd(self, curve, k):
+        if curve == "spectral":
+            pts = noisy_union6(36)
+        elif curve == "repeated":
+            pts = PointSet(2, np.tile([[0.3], [0.6]], 3))
+        else:
+            pts = criterion3_points(curve)
+        support = FrequencySupport(k, k)
+        basis = nullspace_basis(pts, support, 512)
+        ref = nullspace_basis_reference(pts, support, 512)
+        assert (basis.rank, basis.rect, basis.q) == (ref.rank, ref.rect, ref.q)
+        assert basis.cut == ref.cut
+        assert np.allclose(basis.margins, ref.margins, rtol=1e-3, atol=0)
+        assert np.array_equal(basis.vectors, ref.vectors)
+
+    def test_vectors_are_computed_on_first_read(self, monkeypatch):
+        # an odd rectangle smaller than the support decides: the decision
+        # takes the singular values alone, the first read the full SVD
+        calls = svd_spy(monkeypatch)
+        basis = nullspace_basis(criterion3_points(0), FrequencySupport(11, 11),
+                                512)
+        assert basis.rect == FrequencySupport(5, 5)
+        assert calls == [(121, False)]
+        assert basis.vectors.shape == (basis.q, 121) == (49, 121)
+        assert basis.vectors is basis.vectors
+        assert calls == [(121, False), (121, True)]
+
     def test_degenerate_undersampling_gives_large_null_space(self):
         pts = PointSet(2, np.random.default_rng(0).uniform(0, 1, (2, 10)))
         basis = nullspace_basis(pts, FrequencySupport(7, 7), 512)
@@ -453,17 +506,12 @@ class TestRealNullVectors:
                         assert "dimension > 1" in str(exc)
         return tuple(estimates)
 
-    @staticmethod
-    def criterion3_points(curve):
-        _, truth, _, _ = union_curve(curve, 512)
-        return sample_curve(truth, 220, seed=child_seed(curve, 1))
-
     # the null-space rows of each support, the criterion-3 estimate on the
     # known 5x5 support and the phase sweep's estimates
     @pytest.mark.parametrize("curve", range(4))
     @pytest.mark.parametrize("shape", [(5, 5), (7, 7), (11, 11), (9, 11)])
     def test_nullspace_rows_are_exactly_hermitian(self, curve, shape):
-        pts = self.criterion3_points(curve)
+        pts = criterion3_points(curve)
         basis = nullspace_basis(pts, FrequencySupport(*shape), 512)
         assert basis.q >= 1
         sweep = self.phase_sweep_estimates()
@@ -653,6 +701,25 @@ class TestRecoverCurve:
         assert counts == {"svd": 2, "sos": 0}
         self.assert_same_polyline(recovered, expected)
         assert chamfer_distance(recovered, truth) * 512 <= 0.05
+
+    # at 41x41 the rank decision reads only the columns of the rectangles of
+    # area <= N: the full support's singular values, never its vectors
+    def test_wide_support_contours_the_rectangle_polynomial(self,
+                                                            monkeypatch):
+        pts = criterion3_points(0)
+        expected = recover_curve(pts, FrequencySupport(11, 11), 512)
+        calls = svd_spy(monkeypatch)
+        self.assert_same_polyline(
+            recover_curve(pts, FrequencySupport(41, 41), 512), expected)
+        assert (41 * 41, False) in calls
+        assert all(cols <= 25 for cols, vectors in calls if vectors)
+
+    def test_wide_support_decision_is_silent(self, caplog):
+        # 220 samples < |support| - 1 = 1680, but the 5x5 rectangle that
+        # decides is determined by them (margins 309 and 19)
+        with caplog.at_level(logging.WARNING, logger="curveband.recovery"):
+            recover_curve(criterion3_points(0), FrequencySupport(41, 41), 512)
+        assert caplog.records == []
 
     def test_known_support_takes_one_svd(self, monkeypatch):
         grid_res, support = 256, FrequencySupport(3, 3)
