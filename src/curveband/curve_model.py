@@ -231,6 +231,19 @@ def _nudged(values: np.ndarray) -> np.ndarray:
     return np.where(values == 0.0, _ZERO_NUDGE, values)
 
 
+def _edge_vertices(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Zero crossings on the crossed grid `edges` of `v` (ids as in
+    contour_periodic_grid), one (x1, x2) row each, by linear interpolation
+    along each edge; t moves only the coordinate along the edge's axis (the
+    other gets an exact 0)."""
+    n1, n2 = v.shape
+    axis1, ei, ej = np.unravel_index(edges, (2, n1, n2))
+    v0, v1 = _nudged(v[[ei, (ei + 1 - axis1) % n1], [ej, (ej + axis1) % n2]])
+    t = v0 / (v0 - v1)
+    return np.stack([((ei + t * (1 - axis1)) / n1) % 1.0,
+                     ((ej + t * axis1) / n2) % 1.0], axis=1)
+
+
 def contour_periodic_grid(values: np.ndarray) -> Polyline:
     """Zero contour of a real scalar field sampled on a periodic grid.
 
@@ -280,13 +293,7 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
     rank[order] = np.arange(order.size) // 2
     first, second = rank[order ^ 1].reshape(-1, 2).T.tolist()
 
-    # Crossing positions by linear interpolation along each edge; t moves
-    # only the coordinate along the edge's axis (the other gets an exact 0).
-    axis1, ei, ej = np.unravel_index(edges, (2, n1, n2))
-    v0, v1 = _nudged(v[[ei, (ei + 1 - axis1) % n1], [ej, (ej + axis1) % n2]])
-    t = v0 / (v0 - v1)
-    xy = np.stack([((ei + t * (1 - axis1)) / n1) % 1.0,
-                   ((ej + t * axis1) / n2) % 1.0], axis=1)
+    xy = _edge_vertices(v, edges)
 
     # Walk each loop once, from its first edge in start order, then drop
     # vertices that repeat their predecessor.

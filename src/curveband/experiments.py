@@ -14,7 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .curve_model import (FrequencySupport, PointSet, Polyline,
-                          TrigPolynomial, contour_periodic_grid,
+                          TrigPolynomial, _edge_vertices,
+                          contour_periodic_grid, evaluate_on_grid,
                           extract_zero_level_set, multiply, random_curve,
                           sample_curve)
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
@@ -80,17 +81,69 @@ def known_support_trial(support: FrequencySupport, n_samples: int, seed,
     return _recovery_error(pts, support, truth, grid_res)
 
 
+def _crossings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The crossed edges of a grid, by one sign test along each axis
+    (sorted ids, as in contour_periodic_grid), and their vertices. These are
+    the contour's vertices, each once, unless one sits exactly on a grid
+    node, where the loop walk can drop it as a repeat of its neighbour."""
+    pos = values > 0
+    edges = np.flatnonzero([pos != np.roll(pos, -1, axis=0),
+                            pos != np.roll(pos, -1, axis=1)])
+    return edges, _edge_vertices(values, edges)
+
+
+def _on_a_node(xy: np.ndarray, shape: tuple[int, int]) -> bool:
+    """Whether a vertex sits exactly on a grid node (i/n1, j/n2); a
+    coordinate can equal only the node coordinate nearest to it."""
+    on = [(np.arange(n) / n)[np.rint(x * n).astype(int) % n] == x
+          for x, n in zip(xy.T, shape)]
+    return bool(np.any(on[0] & on[1]))
+
+
+def _chamfer_bound(rec, truth, truth_tree) -> float:
+    """Upper bound on chamfer_distance between the vertex sets of two
+    crossing sets (edges, vertices), with `truth_tree` a KD-tree of the
+    truth's vertices. A vertex's nearest neighbour on the other curve is no
+    farther than that curve's vertex on the same grid edge. A recovered
+    vertex with no such partner takes its exact distance; a truth vertex
+    with none takes its distance to the unpartnered recovered vertices (a
+    subset, so no nearer; inf when every one has a partner)."""
+    from scipy.spatial import cKDTree  # here: the CLI imports experiments
+    (r_edges, r_xy), (t_edges, t_xy) = rec, truth
+    at = np.minimum(np.searchsorted(t_edges, r_edges), t_edges.size - 1)
+    paired = t_edges[at] == r_edges
+    pair_sum = np.hypot(*(r_xy[paired] - t_xy[at[paired]]).T).sum()
+    t_alone = np.ones(t_edges.size, dtype=bool)
+    t_alone[at[paired]] = False
+    r_alone = r_xy[~paired]
+    r_sum = pair_sum + truth_tree.query(r_alone)[0].sum()
+    t_sum = pair_sum + cKDTree(r_alone).query(t_xy[t_alone])[0].sum()
+    return 0.5 * (r_sum / r_edges.size + t_sum / t_edges.size)
+
+
 def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
                      threads: int) -> np.ndarray:
     """Success frequency per (support size, sample count) cell.
 
     Success means the recovered curve lies within 3 grid cells (3/grid_res)
-    of the truth. Each (k, trial) pair draws one truth curve and one
-    sequence of max(n_values) samples, seeded as the largest-N cell, and
-    scores every N on the first N samples; the cells of a row share those
-    draws. Every pair runs on one pool of `threads` workers with its own
-    seed, so the result does not depend on `threads`. Returns an array of
-    shape (len(k_values), len(n_values)).
+    of the truth, in chamfer_distance. Each (k, trial) pair draws one truth
+    curve and one sequence of max(n_values) samples, seeded as the
+    largest-N cell, and scores every N on the first N samples; the cells of
+    a row share those draws. Every pair runs on one pool of `threads`
+    workers with its own seed, so the result does not depend on `threads`.
+    Returns an array of shape (len(k_values), len(n_values)). Every k must
+    be odd and at least 3: a 1x1 support is a constant.
+
+    A cell is decided without contouring the estimate when an upper bound
+    on its Chamfer distance is below 3/grid_res (less 1e-9 of it, for the
+    rounding of the means): each vertex's nearest neighbour on the other
+    curve is no farther than that curve's vertex on the same grid edge, so
+    only vertices with no such partner take a KD-tree distance. The exact
+    contour and Chamfer run where the bound cannot decide: when it is
+    above the threshold (a pair straddling the seam is about 1 apart in the
+    plane), when the estimate has no crossing, when one of its vertices
+    sits exactly on a grid node, or when the truth's contour dropped such a
+    vertex. So each cell equals the exact decision.
     """
     if len(k_values) == 0 or len(n_values) == 0:
         raise ContractViolation("phase transition needs non-empty ranges")
@@ -98,17 +151,44 @@ def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
         raise ContractViolation(
             f"phase transition needs trials >= 1, threads >= 1 and sample "
             f"counts >= 0, got {trials}, {threads} and {min(n_values)}")
+    bad_k = [k for k in k_values if k < 3 or k % 2 == 0]
+    if bad_k:
+        raise ContractViolation(
+            f"phase transition needs odd support sizes k >= 3, got {bad_k}")
+    from scipy.spatial import cKDTree  # here: the CLI imports experiments
     n_max = int(max(n_values))
     jobs = [(int(k), t) for k in k_values for t in range(trials)]
+    threshold = 3.0 / grid_res
 
     def run(job):
         k, t = job
         support = FrequencySupport(k, k)
         trial_seed = child_seed(seed, k, n_max, t)
-        _, truth = curve_with_zero_set(support, trial_seed, grid_res)
+        poly, truth = curve_with_zero_set(support, trial_seed, grid_res)
         pts = sample_curve(truth, n_max, seed=child_seed(trial_seed, 1)).points
-        return [_recovery_error(PointSet(2, pts[:, :int(n)]), support, truth,
-                                grid_res) <= 3.0 / grid_res for n in n_values]
+        truth_cross = _crossings(evaluate_on_grid(poly, grid_res).real)
+        bounded = truth_cross[0].size == truth.num_vertices()
+        tree = cKDTree(truth_cross[1]) if bounded else None
+
+        def cell(n):
+            try:
+                est = estimate_coefficients(PointSet(2, pts[:, :n]), support,
+                                            grid_res)
+            except (NumericalFailure, ContractViolation):
+                return False
+            values = evaluate_on_grid(est, grid_res).real
+            rec = _crossings(values)
+            if (bounded and rec[0].size
+                    and not _on_a_node(rec[1], values.shape)
+                    and _chamfer_bound(rec, truth_cross, tree)
+                    <= threshold * (1.0 - 1e-9)):
+                return True
+            try:
+                return chamfer_distance(contour_periodic_grid(values),
+                                        truth) <= threshold
+            except ContractViolation:  # an empty recovered curve
+                return False
+        return [cell(int(n)) for n in n_values]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ok = list(pool.map(run, jobs))

@@ -731,6 +731,10 @@ DEGENERATE = {
         "segment", write_pgm(d, disk_phantom(32, radius=0.3).pixels),
         *SEGMENT, "--max-iters", 0], 0, segment_wrote_its_files),
     "synth-even-support": (lambda d: ["synth", "--support", "4x4"], 2, None),
+    # a 1x1 support is a constant: rejected before any of its 64 draws
+    "phase-transition-k-1": (lambda d: [
+        "phase-transition", "--k-range", 1, "--n-range", 40, "--trials", 1],
+        2, None),
     "denoise-20-copies": (lambda d: [
         "denoise", write_points(d, REPEATED[:, [0] * 20])], 0,
         denoise_stopped_after_1_iteration),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from curveband import (FrequencySupport, PointSet, TrigPolynomial,
 from curveband.curve_model import (Polyline, contour_periodic_grid,
                                    evaluate_on_grid, multiply, wrap_delta)
 from curveband.errors import ContractViolation
-from curveband.experiments import (disk_phantom, known_support_trial,
-                                   multi_disk_phantom, union_curve)
+from curveband.experiments import (_crossings, _on_a_node, disk_phantom,
+                                   known_support_trial, multi_disk_phantom,
+                                   union_curve)
 from oracles import (contour_periodic_grid_reference, evaluate,
                      random_curve_reference, support_indices)
 
@@ -319,6 +321,30 @@ class TestContourPeriodicGrid:
         checker = contour_periodic_grid(fields["checkerboard"])
         assert checker.num_vertices() == 2 * 32 * 32
         assert np.any(fields["rounded-noise-(40, 40)-0"] == 0.0)
+
+    def test_crossings_are_the_contour_vertices_unless_one_is_on_a_node(
+            self):
+        """The phase sweep's crossing points (one sign test per axis, no
+        walk) are the contour's vertices, each once, whenever no vertex sits
+        exactly on a grid node; where one does, the contour only drops."""
+        rng = np.random.default_rng(1)
+        fields = list(contour_fields()) + [
+            (f"normal-{shape}", rng.standard_normal(shape))
+            for shape in ((2, 7), (16, 16), (64, 48), (256, 256))]
+        on_node, dropped = 0, 0
+        for name, values in fields:
+            edges, xy = _crossings(values)
+            assert np.all(np.diff(edges) > 0), name
+            got = Counter(map(tuple, xy.tolist()))
+            want = Counter(map(tuple, contour_periodic_grid(
+                values).vertex_array().tolist()))
+            if _on_a_node(xy, values.shape):
+                on_node += 1
+                dropped += got != want
+                assert not want - got, name
+            else:
+                assert got == want, name
+        assert 0 < dropped < on_node < len(fields)
 
     @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1), (0, 4), (8,)])
     def test_grid_below_2x2_rejected(self, shape):

@@ -7,7 +7,8 @@ import pytest
 from curveband import (FrequencySupport, PointSet, TrigPolynomial,
                        extract_zero_level_set, random_curve, sample_curve)
 from curveband import experiments
-from curveband.curve_model import Polyline, evaluate_on_grid, wrap_delta
+from curveband.curve_model import (Polyline, contour_periodic_grid,
+                                   evaluate_on_grid, wrap_delta)
 from curveband.errors import ContractViolation, NumericalFailure
 from curveband.experiments import (_recovery_error, child_seed,
                                    curve_with_zero_set, known_support_trial,
@@ -590,29 +591,133 @@ class TestPhaseTransition:
     def test_cell_n_scores_the_first_n_samples(self, monkeypatch):
         calls = []
 
-        def recording(pts, support, truth, grid_res):
-            err = _recovery_error(pts, support, truth, grid_res)
-            calls.append((support.k1, pts.points, truth, err))
-            return err
-        monkeypatch.setattr(experiments, "_recovery_error", recording)
+        def recording(pts, support, grid_res):
+            calls.append((support.k1, pts.points))
+            return estimate_coefficients(pts, support, grid_res)
+        monkeypatch.setattr(experiments, "estimate_coefficients", recording)
         freq = self.sweep()
+        monkeypatch.undo()
         # one pool thread runs the calls in (k, trial, N) order
         calls = np.array(calls, dtype=object).reshape(
-            len(self.K_VALUES), self.TRIALS, len(self.N_VALUES), 4)
+            len(self.K_VALUES), self.TRIALS, len(self.N_VALUES), 2)
+        ok = np.zeros(calls.shape[:3], dtype=bool)
         for ki, k in enumerate(self.K_VALUES):
+            support = FrequencySupport(k, k)
             for t in range(self.TRIALS):
                 seed = child_seed(self.SEED, k, 60, t)
-                _, truth = curve_with_zero_set(FrequencySupport(k, k), seed,
-                                               self.GRID_RES)
+                _, truth = curve_with_zero_set(support, seed, self.GRID_RES)
                 full = sample_curve(truth, 60, seed=child_seed(seed, 1))
                 for ni, n in enumerate(self.N_VALUES):
-                    got_k, got, got_truth, _ = calls[ki, t, ni]
+                    got_k, got = calls[ki, t, ni]
                     assert got_k == k
-                    assert np.array_equal(got_truth.vertex_array(),
-                                          truth.vertex_array())
                     assert np.array_equal(got, full.points[:, :n])
-        ok = calls[..., 3].astype(float) <= 3 / self.GRID_RES
+                    ok[ki, t, ni] = _recovery_error(
+                        PointSet(2, got), support, truth,
+                        self.GRID_RES) <= 3 / self.GRID_RES
         assert np.array_equal(freq, ok.mean(axis=1))
+
+    @pytest.mark.parametrize("k", [2, 1, 0, -3])
+    def test_even_or_small_k_rejected_before_any_work(self, k, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a curve was drawn")
+        monkeypatch.setattr(experiments, "curve_with_zero_set", no_draws)
+        with pytest.raises(ContractViolation, match="odd support sizes"):
+            phase_transition([3, k], [10], 1, 0, 64, 1)
+
+    # the benchmark's op shapes: N at multiples of the (2k)^2 bound
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cells_equal_the_exact_decision_on_the_benchmark_shapes(self,
+                                                                     seed):
+        for k in (3, 5, 7):
+            support = FrequencySupport(k, k)
+            n_values = [round(f * (2 * k) ** 2)
+                        for f in (0.25, 0.5, 0.75, 1.25, 1.5, 2.0)]
+            exact = []
+            for t in range(4):
+                trial_seed = child_seed(seed, k, n_values[-1], t)
+                _, truth = curve_with_zero_set(support, trial_seed, 256)
+                full = sample_curve(truth, n_values[-1],
+                                    seed=child_seed(trial_seed, 1)).points
+                exact.append([_recovery_error(PointSet(2, full[:, :n]),
+                                              support, truth, 256) <= 3 / 256
+                              for n in n_values])
+            assert np.array_equal(
+                phase_transition([k], n_values, 4, seed, 256, 1)[0],
+                np.mean(exact, axis=0)), k
+
+
+def seam_line(offset):
+    """The real 3x3 polynomial -sin(2 pi (x1 - offset)), zero on the lines
+    x1 = offset and x1 = offset + 1/2."""
+    coeffs = np.zeros(9, dtype=complex)
+    coeffs[7] = -np.exp(-2j * np.pi * offset) / 2j  # frequency (1, 0)
+    coeffs[1] = np.conj(coeffs[7])                  # frequency (-1, 0)
+    return TrigPolynomial(FrequencySupport(3, 3), coeffs, hermitian=True)
+
+
+class TestPhaseTransitionFallback:
+    """Cells that the crossing-point bound cannot decide take the exact
+    contour and Chamfer, and give the exact decision."""
+
+    GRID_RES, N = 64, 20
+
+    def sweep_cell(self, monkeypatch, truth_poly, estimate):
+        """(the one-cell sweep's decision, the exact decision, the calls of
+        the exact path) for a set truth and estimate."""
+        def drawn(support, seed, grid_res):
+            return truth_poly, extract_zero_level_set(truth_poly, grid_res)
+        monkeypatch.setattr(experiments, "curve_with_zero_set", drawn)
+        monkeypatch.setattr(experiments, "estimate_coefficients",
+                            lambda pts, support, grid_res: estimate)
+        truth = extract_zero_level_set(truth_poly, self.GRID_RES)
+        pts = PointSet(2, np.zeros((2, self.N)))  # unread: the estimate is set
+        exact = _recovery_error(pts, FrequencySupport(3, 3), truth,
+                                self.GRID_RES) <= 3 / self.GRID_RES
+        counts = {"contour": 0, "chamfer": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+        monkeypatch.setattr(experiments, "contour_periodic_grid",
+                            counted("contour", contour_periodic_grid))
+        monkeypatch.setattr(experiments, "chamfer_distance",
+                            counted("chamfer", chamfer_distance))
+        freq = phase_transition([3], [self.N], 1, 0, self.GRID_RES, 1)
+        return bool(freq[0, 0]), exact, counts
+
+    def test_bound_decides_a_close_recovery(self, monkeypatch):
+        assert self.sweep_cell(monkeypatch, seam_line(0.1 / self.GRID_RES),
+                               seam_line(0.2 / self.GRID_RES)) == (
+            True, True, {"contour": 0, "chamfer": 0})
+
+    def test_vertex_on_a_grid_node(self, monkeypatch):
+        # the estimate is exactly 0 on row 0, so its crossings from row
+        # n-1 land on the nodes (0, j/n); the truth lies 0.3 px away
+        estimate = seam_line(0.0)
+        assert np.all(evaluate_on_grid(estimate, self.GRID_RES).real[0] == 0)
+        assert self.sweep_cell(monkeypatch, seam_line(0.3 / self.GRID_RES),
+                               estimate) == (
+            True, True, {"contour": 1, "chamfer": 1})
+
+    def test_pairs_straddling_the_seam(self, monkeypatch):
+        # the truth's vertices sit at x1 = 0.0, the estimate's on the same
+        # grid edges at x1 = 1 - 0.2 px: about 1 apart in the plane
+        assert self.sweep_cell(monkeypatch, seam_line(0.0),
+                               seam_line(-0.2 / self.GRID_RES)) == (
+            False, False, {"contour": 1, "chamfer": 1})
+
+    def test_recovery_far_from_the_truth(self, monkeypatch):
+        assert self.sweep_cell(monkeypatch, seam_line(0.1),
+                               seam_line(0.3)) == (
+            False, False, {"contour": 1, "chamfer": 1})
+
+    def test_empty_recovered_zero_set(self, monkeypatch):
+        constant = TrigPolynomial(FrequencySupport(3, 3),
+                                  np.eye(9)[4].astype(complex), hermitian=True)
+        assert self.sweep_cell(monkeypatch, seam_line(0.1), constant) == (
+            False, False, {"contour": 1, "chamfer": 1})
 
 
 class TestRecoverCurve:
