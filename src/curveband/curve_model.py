@@ -23,8 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ContractViolation
 
 # Values exactly 0 on the sampling grid count as negative, and are nudged onto
-# that side where they are interpolated, so every sign change falls strictly
-# inside a grid edge.
+# that side where they are interpolated. A crossing can still round onto a
+# grid node; it is kept, so every crossed grid edge gives one vertex.
 _ZERO_NUDGE = -1e-300
 
 
@@ -110,8 +110,10 @@ class Polyline:
     """Ordered vertex lists approximating a curve in the periodic unit square.
 
     Each component is an (M, 2) array of coordinates in [0,1)^2 forming a
-    closed loop. Segments that cross the domain seam are stored with wrapped
-    coordinates; geometric helpers use minimum-image deltas.
+    closed loop. A contour's loops have M >= 2, and consecutive vertices
+    coincide only where crossings round onto a grid node. Segments that
+    cross the domain seam are stored with wrapped coordinates; geometric
+    helpers use minimum-image deltas.
     """
 
     components: list[np.ndarray]
@@ -215,7 +217,8 @@ def extract_zero_level_set(poly: TrigPolynomial, grid_res: int) -> Polyline:
 
     Vertices are linear interpolations along grid-cell edges, so each
     satisfies |psi| up to the grid-cell variation of psi. An empty level
-    set yields an empty Polyline.
+    set yields an empty Polyline; an isolated exact-zero grid node, a
+    zero-length loop at that node.
     """
     if grid_res < 16:
         raise ContractViolation("grid_res must be at least 16")
@@ -244,13 +247,24 @@ def _edge_vertices(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
                      ((ej + t * axis1) / n2) % 1.0], axis=1)
 
 
+def _crossings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The crossed edges of a grid, by one sign test along each axis
+    (sorted ids, as in contour_periodic_grid), and their vertices: the
+    contour's vertex multiset, with no loop walk."""
+    pos = values > 0
+    edges = np.flatnonzero([pos != np.roll(pos, -1, axis=0),
+                            pos != np.roll(pos, -1, axis=1)])
+    return edges, _edge_vertices(values, edges)
+
+
 def contour_periodic_grid(values: np.ndarray) -> Polyline:
     """Zero contour of a real scalar field sampled on a periodic grid.
 
     Grid point (i, j) sits at coordinates (i/n1, j/n2); the grid must be at
-    least 2x2. All components are closed loops on the torus. Components
-    start at crossed grid edges in the order a row-major scan of the cells
-    first links them, and head towards the edge each was first linked to.
+    least 2x2. All components are closed loops on the torus, with one
+    vertex per crossed grid edge in loop order. Components start at crossed
+    grid edges in the order a row-major scan of the cells first links them,
+    and head towards the edge each was first linked to.
     """
     v = np.asarray(values)
     if v.ndim != 2 or min(v.shape) < 2:
@@ -295,8 +309,7 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
 
     xy = _edge_vertices(v, edges)
 
-    # Walk each loop once, from its first edge in start order, then drop
-    # vertices that repeat their predecessor.
+    # Walk each loop once, from its first edge in start order.
     components = []
     visited = np.zeros(edges.size, dtype=bool)
     for start in np.argsort(order[::2]).tolist():
@@ -310,10 +323,7 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
             loop.append(nxt)
             prev, cur = cur, nxt
         visited[loop] = True
-        verts = xy[loop]
-        verts = verts[np.any(verts != np.roll(verts, 1, axis=0), axis=1)]
-        if verts.shape[0] >= 2:
-            components.append(verts)
+        components.append(xy[loop])
     return Polyline(components)
 
 

@@ -14,10 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .curve_model import (FrequencySupport, PointSet, Polyline,
-                          TrigPolynomial, _edge_vertices,
-                          contour_periodic_grid, evaluate_on_grid,
-                          extract_zero_level_set, multiply, random_curve,
-                          sample_curve)
+                          TrigPolynomial, _crossings, contour_periodic_grid,
+                          evaluate_on_grid, extract_zero_level_set, multiply,
+                          random_curve, sample_curve)
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
 from .errors import ContractViolation, NumericalFailure
 from .recovery import (SumOfSquares, chamfer_distance, estimate_coefficients,
@@ -81,33 +80,10 @@ def known_support_trial(support: FrequencySupport, n_samples: int, seed,
     return _recovery_error(pts, support, truth, grid_res)
 
 
-def _crossings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The crossed edges of a grid, by one sign test along each axis
-    (sorted ids, as in contour_periodic_grid), and their vertices. These are
-    the contour's vertices, each once, unless one sits exactly on a grid
-    node, where the loop walk can drop it as a repeat of its neighbour."""
-    pos = values > 0
-    edges = np.flatnonzero([pos != np.roll(pos, -1, axis=0),
-                            pos != np.roll(pos, -1, axis=1)])
-    return edges, _edge_vertices(values, edges)
-
-
-def _on_a_node(xy: np.ndarray, shape: tuple[int, int]) -> bool:
-    """Whether a vertex sits exactly on a grid node (i/n1, j/n2); a
-    coordinate can equal only the node coordinate nearest to it."""
-    on = [(np.arange(n) / n)[np.rint(x * n).astype(int) % n] == x
-          for x, n in zip(xy.T, shape)]
-    return bool(np.any(on[0] & on[1]))
-
-
 def _chamfer_bound(rec, truth, truth_tree) -> float:
-    """Upper bound on chamfer_distance between the vertex sets of two
-    crossing sets (edges, vertices), with `truth_tree` a KD-tree of the
-    truth's vertices. A vertex's nearest neighbour on the other curve is no
-    farther than that curve's vertex on the same grid edge. A recovered
-    vertex with no such partner takes its exact distance; a truth vertex
-    with none takes its distance to the unpartnered recovered vertices (a
-    subset, so no nearer; inf when every one has a partner)."""
+    """Upper bound on chamfer_distance between two contours, each given by
+    its crossing set (curve_model._crossings), with `truth_tree` a planar
+    KD-tree of the truth's vertices; phase_transition states the bound."""
     from scipy.spatial import cKDTree  # here: the CLI imports experiments
     (r_edges, r_xy), (t_edges, t_xy) = rec, truth
     at = np.minimum(np.searchsorted(t_edges, r_edges), t_edges.size - 1)
@@ -136,14 +112,17 @@ def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
 
     A cell is decided without contouring the estimate when an upper bound
     on its Chamfer distance is below 3/grid_res (less 1e-9 of it, for the
-    rounding of the means): each vertex's nearest neighbour on the other
-    curve is no farther than that curve's vertex on the same grid edge, so
-    only vertices with no such partner take a KD-tree distance. The exact
-    contour and Chamfer run where the bound cannot decide: when it is
-    above the threshold (a pair straddling the seam is about 1 apart in the
-    plane), when the estimate has no crossing, when one of its vertices
-    sits exactly on a grid node, or when the truth's contour dropped such a
-    vertex. So each cell equals the exact decision.
+    rounding of the means). The bound reads both grids' crossing sets
+    (curve_model._crossings), which are the contours' vertices. A vertex's
+    nearest neighbour on the other curve is no farther than that curve's
+    vertex on the same grid edge, in the plane; a recovered vertex with no
+    such partner takes its planar KD-tree distance to the truth, and a
+    truth vertex with none its distance to the unpartnered recovered
+    vertices (a subset, so no nearer; inf when there are none). Where the
+    bound is above the threshold (a pair straddling the seam is about 1
+    apart in the plane) or the estimate has no crossing, the cell takes
+    known_support_trial's exact decision (_recovery_error), so each cell
+    equals it.
     """
     if len(k_values) == 0 or len(n_values) == 0:
         raise ContractViolation("phase transition needs non-empty ranges")
@@ -167,27 +146,19 @@ def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
         poly, truth = curve_with_zero_set(support, trial_seed, grid_res)
         pts = sample_curve(truth, n_max, seed=child_seed(trial_seed, 1)).points
         truth_cross = _crossings(evaluate_on_grid(poly, grid_res).real)
-        bounded = truth_cross[0].size == truth.num_vertices()
-        tree = cKDTree(truth_cross[1]) if bounded else None
+        tree = cKDTree(truth_cross[1])
 
         def cell(n):
+            sub = PointSet(2, pts[:, :n])
             try:
-                est = estimate_coefficients(PointSet(2, pts[:, :n]), support,
-                                            grid_res)
+                est = estimate_coefficients(sub, support, grid_res)
             except (NumericalFailure, ContractViolation):
                 return False
-            values = evaluate_on_grid(est, grid_res).real
-            rec = _crossings(values)
-            if (bounded and rec[0].size
-                    and not _on_a_node(rec[1], values.shape)
-                    and _chamfer_bound(rec, truth_cross, tree)
+            rec = _crossings(evaluate_on_grid(est, grid_res).real)
+            if (rec[0].size and _chamfer_bound(rec, truth_cross, tree)
                     <= threshold * (1.0 - 1e-9)):
                 return True
-            try:
-                return chamfer_distance(contour_periodic_grid(values),
-                                        truth) <= threshold
-            except ContractViolation:  # an empty recovered curve
-                return False
+            return _recovery_error(sub, support, truth, grid_res) <= threshold
         return [cell(int(n)) for n in n_values]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:

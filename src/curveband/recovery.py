@@ -5,12 +5,9 @@ right singular vector of the transposed feature matrix. With the support
 over-estimated, the feature matrix has a multi-dimensional null space,
 spanned by the shifts of the curve's minimal polynomial. Its rank is decided
 from the smallest rectangle whose feature matrix annihilates the samples,
-and is then the shift count `rank_bound`. When both sides of that rectangle
-are odd, the curve is contoured from the rectangle's own null vector, about
-0.01 px from the truth on the criterion-3 inputs; otherwise from the
-sum-of-squares of the null-space polynomials, which vanishes exactly on the
-curve (about 2 px). This module implements these routes plus that count and
-the curve-error metric used to score recoveries.
+and is then the shift count `rank_bound`; recover_curve states which
+polynomial each case contours. This module implements the recovery, that
+count and the curve-error metric used to score recoveries.
 
 Both take the feature-matrix SVD in real arithmetic: centring the support
 scales each sample row by a unit phase, and pairing each frequency with its
@@ -314,8 +311,10 @@ def recover_curve(pts: PointSet, support: FrequencySupport,
     with both sides odd decides the rank, its own polynomial
     (estimate_coefficients, about 0.01 px from the truth on the criterion-3
     inputs) unless that raises NumericalFailure; else the sum-of-squares
-    polynomial at the smallest level the grid resolves around the samples
-    (_resolvable_level, about 2 px from the truth on the same inputs).
+    polynomial, which vanishes exactly on the curve, at the smallest level
+    the grid resolves around the samples (_resolvable_level: a thin band
+    with two loops per curve component, about 2 px from the truth on the
+    same inputs).
     The second route reads no vector of the support's null space. Rejects
     grid_res < 16 before any work. Logs a warning when no rectangle decides
     the rank or one decides it by a margin under _NARROW_MARGIN, and, on
@@ -368,14 +367,16 @@ def _resolvable_level(grid: np.ndarray, pts: PointSet) -> float:
 
 def chamfer_distance(a: Polyline, b: Polyline) -> float:
     """Symmetric mean nearest-neighbor distance between the vertex sets, in
-    the plane: vertices on either side of the seam count as about 1 apart.
+    minimum-image distance on the unit torus.
 
     The mean (rather than sum) keeps the metric invariant to vertex density.
     """
     if a.is_empty or b.is_empty:
         raise ContractViolation("chamfer distance needs non-empty polylines")
     from scipy.spatial import cKDTree  # here: `recover` loads no scipy
-    va, vb = a.vertex_array(), b.vertex_array()
-    d_ab = cKDTree(vb).query(va)[0]
-    d_ba = cKDTree(va).query(vb)[0]
+    # The periodic box takes [0, 1) only: x % 1.0 reads 1.0 for x = -1e-20,
+    # and a second % 1.0 maps that to 0.
+    va, vb = (c.vertex_array() % 1.0 % 1.0 for c in (a, b))
+    d_ab = cKDTree(vb, boxsize=1.0).query(va)[0]
+    d_ba = cKDTree(va, boxsize=1.0).query(vb)[0]
     return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))

@@ -342,15 +342,19 @@ def contour_periodic_grid_reference(values):
             loop.append(nxt)
             visited.add(nxt)
             prev, cur = cur, nxt
-        verts = np.array([edge_position(e) for e in loop])
-        keep = np.ones(len(verts), dtype=bool)
-        if len(verts) > 1:
-            same = np.all(verts == np.roll(verts, 1, axis=0), axis=1)
-            keep &= ~same
-        verts = verts[keep]
-        if verts.shape[0] >= 2:
-            components.append((verts, closed))
+        components.append((np.array([edge_position(e) for e in loop]),
+                           closed))
     return components
+
+
+def chamfer_distance_reference(a, b):
+    """Symmetric mean nearest-neighbor distance between the vertex sets of
+    two polylines over every vertex pair, in minimum-image distance on the
+    unit torus; the reference for `curveband.recovery.chamfer_distance`."""
+    gap = np.abs(a.vertex_array()[:, None, :] - b.vertex_array()[None, :, :])
+    gap = np.minimum(gap % 1.0, 1.0 - gap % 1.0)
+    d = np.sqrt(np.sum(gap ** 2, axis=2))
+    return 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())
 
 
 def irls_weights_reference(k, sigma, gamma):

@@ -42,6 +42,14 @@ def write_points(directory, points):
     return path
 
 
+def write_polyline(directory, name, text):
+    """Save polyline CSV text as `name` in the directory; returns the path."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / name
+    path.write_text(text)
+    return path
+
+
 def write_pgm(directory, pixels):
     path = directory / "in.pgm"
     cio.save_pgm(GrayImage(pixels), path)
@@ -718,6 +726,11 @@ def recover_ignores_a_whole_shift(out, args):
         assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12
 
 
+def eval_reads_chamfer_0(out, args):
+    # on the torus -1e-20 is 0, though -1e-20 % 1.0 reads 1.0
+    assert "chamfer,0\n" in (out / "eval.csv").read_text()
+
+
 DEGENERATE = {
     "segment-constant": (lambda d: ["segment", write_pgm(
         d, np.full((32, 32), 0.5)), *SEGMENT], 0, segment_wrote_its_files),
@@ -731,6 +744,10 @@ DEGENERATE = {
         "segment", write_pgm(d, disk_phantom(32, radius=0.3).pixels),
         *SEGMENT, "--max-iters", 0], 0, segment_wrote_its_files),
     "synth-even-support": (lambda d: ["synth", "--support", "4x4"], 2, None),
+    "eval-vertex-just-below-0": (lambda d: [
+        "eval", write_polyline(d, "a.csv", "0,-1e-20,0.5\n0,0.5,0.5\n"),
+        write_polyline(d, "b.csv", "0,0.0,0.5\n0,0.5,0.5\n"), "--kind",
+        "curves"], 0, eval_reads_chamfer_0),
     # a 1x1 support is a constant: rejected before any of its 64 draws
     "phase-transition-k-1": (lambda d: [
         "phase-transition", "--k-range", 1, "--n-range", 40, "--trials", 1],

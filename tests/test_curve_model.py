@@ -12,12 +12,12 @@ import curveband
 from curveband import (FrequencySupport, PointSet, TrigPolynomial,
                        extract_zero_level_set, feature_matrix, random_curve,
                        sample_curve)
-from curveband.curve_model import (Polyline, contour_periodic_grid,
-                                   evaluate_on_grid, multiply, wrap_delta)
+from curveband.curve_model import (Polyline, _crossings,
+                                   contour_periodic_grid, evaluate_on_grid,
+                                   multiply, wrap_delta)
 from curveband.errors import ContractViolation
-from curveband.experiments import (_crossings, _on_a_node, disk_phantom,
-                                   known_support_trial, multi_disk_phantom,
-                                   union_curve)
+from curveband.experiments import (disk_phantom, known_support_trial,
+                                   multi_disk_phantom, union_curve)
 from oracles import (contour_periodic_grid_reference, evaluate,
                      random_curve_reference, support_indices)
 
@@ -322,29 +322,46 @@ class TestContourPeriodicGrid:
         assert checker.num_vertices() == 2 * 32 * 32
         assert np.any(fields["rounded-noise-(40, 40)-0"] == 0.0)
 
-    def test_crossings_are_the_contour_vertices_unless_one_is_on_a_node(
-            self):
+    def test_crossings_are_the_contour_vertices(self):
         """The phase sweep's crossing points (one sign test per axis, no
-        walk) are the contour's vertices, each once, whenever no vertex sits
-        exactly on a grid node; where one does, the contour only drops."""
+        walk) are the contour's vertices, each once, also where a crossing
+        rounds onto a grid node; every loop has at least 2 of them."""
         rng = np.random.default_rng(1)
         fields = list(contour_fields()) + [
             (f"normal-{shape}", rng.standard_normal(shape))
             for shape in ((2, 7), (16, 16), (64, 48), (256, 256))]
-        on_node, dropped = 0, 0
+        on_node = 0
         for name, values in fields:
             edges, xy = _crossings(values)
             assert np.all(np.diff(edges) > 0), name
-            got = Counter(map(tuple, xy.tolist()))
-            want = Counter(map(tuple, contour_periodic_grid(
-                values).vertex_array().tolist()))
-            if _on_a_node(xy, values.shape):
-                on_node += 1
-                dropped += got != want
-                assert not want - got, name
-            else:
-                assert got == want, name
-        assert 0 < dropped < on_node < len(fields)
+            curve = contour_periodic_grid(values)
+            assert Counter(map(tuple, xy.tolist())) == Counter(
+                map(tuple, curve.vertex_array().tolist())), name
+            assert all(c.shape[0] >= 2 for c in curve.components), name
+            # a vertex on a node (i/n1, j/n2): a coordinate can equal only
+            # the node coordinate nearest to it
+            on = [(np.arange(n) / n)[np.rint(x * n).astype(int) % n] == x
+                  for x, n in zip(xy.T, values.shape)]
+            on_node += bool(np.any(on[0] & on[1]))
+        assert 0 < on_node < len(fields)
+
+    def test_isolated_zero_node_is_a_zero_length_loop(self):
+        # zeros count as negative: the four edges at the node cross, and
+        # each crossing rounds onto the node
+        values = np.ones((16, 16))
+        values[3, 4] = 0.0
+        curve = contour_periodic_grid(values)
+        assert len(curve.components) == 1
+        assert np.array_equal(curve.components[0],
+                              np.tile([3 / 16, 4 / 16], (4, 1)))
+        assert curve.total_length() == 0.0
+        with pytest.raises(ContractViolation, match="no curve to sample"):
+            sample_curve(curve, 5, seed=0)
+        line = Polyline([np.stack([np.full(64, 0.7),
+                                   np.arange(64) / 64], axis=1)])
+        both = sample_curve(Polyline(curve.components + line.components),
+                            200, seed=0)
+        assert np.all(both.points[0] == 0.7)
 
     @pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1), (0, 4), (8,)])
     def test_grid_below_2x2_rejected(self, shape):

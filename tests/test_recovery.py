@@ -7,8 +7,7 @@ import pytest
 from curveband import (FrequencySupport, PointSet, TrigPolynomial,
                        extract_zero_level_set, random_curve, sample_curve)
 from curveband import experiments
-from curveband.curve_model import (Polyline, contour_periodic_grid,
-                                   evaluate_on_grid, wrap_delta)
+from curveband.curve_model import Polyline, evaluate_on_grid, wrap_delta
 from curveband.errors import ContractViolation, NumericalFailure
 from curveband.experiments import (_recovery_error, child_seed,
                                    curve_with_zero_set, known_support_trial,
@@ -17,7 +16,8 @@ from curveband.experiments import (_recovery_error, child_seed,
 from curveband.recovery import (SumOfSquares, _feature_svd, chamfer_distance,
                                 estimate_coefficients, nullspace_basis,
                                 rank_bound, recover_curve)
-from oracles import (count_common_zeros, evaluate, feature_svd_reference,
+from oracles import (chamfer_distance_reference, count_common_zeros,
+                     evaluate, feature_svd_reference,
                      minimal_rectangle_by_svd, nullspace_basis_reference,
                      recover_curve_reference, refine_to_zero_set,
                      shift_set_reference, sum_of_squares_by_rows,
@@ -657,7 +657,7 @@ def seam_line(offset):
 
 class TestPhaseTransitionFallback:
     """Cells that the crossing-point bound cannot decide take the exact
-    contour and Chamfer, and give the exact decision."""
+    decision of known_support_trial, `_recovery_error`, and only those."""
 
     GRID_RES, N = 64, 20
 
@@ -673,24 +673,19 @@ class TestPhaseTransitionFallback:
         pts = PointSet(2, np.zeros((2, self.N)))  # unread: the estimate is set
         exact = _recovery_error(pts, FrequencySupport(3, 3), truth,
                                 self.GRID_RES) <= 3 / self.GRID_RES
-        counts = {"contour": 0, "chamfer": 0}
+        calls = []
 
-        def counted(name, fn):
-            def call(*args):
-                counts[name] += 1
-                return fn(*args)
-            return call
-        monkeypatch.setattr(experiments, "contour_periodic_grid",
-                            counted("contour", contour_periodic_grid))
-        monkeypatch.setattr(experiments, "chamfer_distance",
-                            counted("chamfer", chamfer_distance))
+        def counted(*args):
+            calls.append(args)
+            return _recovery_error(*args)
+        monkeypatch.setattr(experiments, "_recovery_error", counted)
         freq = phase_transition([3], [self.N], 1, 0, self.GRID_RES, 1)
-        return bool(freq[0, 0]), exact, counts
+        return bool(freq[0, 0]), exact, len(calls)
 
     def test_bound_decides_a_close_recovery(self, monkeypatch):
         assert self.sweep_cell(monkeypatch, seam_line(0.1 / self.GRID_RES),
                                seam_line(0.2 / self.GRID_RES)) == (
-            True, True, {"contour": 0, "chamfer": 0})
+            True, True, 0)
 
     def test_vertex_on_a_grid_node(self, monkeypatch):
         # the estimate is exactly 0 on row 0, so its crossings from row
@@ -698,26 +693,25 @@ class TestPhaseTransitionFallback:
         estimate = seam_line(0.0)
         assert np.all(evaluate_on_grid(estimate, self.GRID_RES).real[0] == 0)
         assert self.sweep_cell(monkeypatch, seam_line(0.3 / self.GRID_RES),
-                               estimate) == (
-            True, True, {"contour": 1, "chamfer": 1})
+                               estimate) == (True, True, 0)
 
     def test_pairs_straddling_the_seam(self, monkeypatch):
         # the truth's vertices sit at x1 = 0.0, the estimate's on the same
-        # grid edges at x1 = 1 - 0.2 px: about 1 apart in the plane
+        # grid edges at x1 = 1 - 0.2 px: about 1 apart in the plane, which
+        # the bound measures, and 0.2 px apart on the torus
         assert self.sweep_cell(monkeypatch, seam_line(0.0),
                                seam_line(-0.2 / self.GRID_RES)) == (
-            False, False, {"contour": 1, "chamfer": 1})
+            True, True, 1)
 
     def test_recovery_far_from_the_truth(self, monkeypatch):
         assert self.sweep_cell(monkeypatch, seam_line(0.1),
-                               seam_line(0.3)) == (
-            False, False, {"contour": 1, "chamfer": 1})
+                               seam_line(0.3)) == (False, False, 1)
 
     def test_empty_recovered_zero_set(self, monkeypatch):
         constant = TrigPolynomial(FrequencySupport(3, 3),
                                   np.eye(9)[4].astype(complex), hermitian=True)
         assert self.sweep_cell(monkeypatch, seam_line(0.1), constant) == (
-            False, False, {"contour": 1, "chamfer": 1})
+            False, False, 1)
 
 
 class TestRecoverCurve:
@@ -943,19 +937,17 @@ class TestChamferDistance:
     def test_parallel_lines_offset(self):
         d = 0.07
         x2 = np.linspace(0, 1, 400, endpoint=False)
-        a = Polyline([np.stack([np.full(400, 0.3), x2], axis=1)])
-        b = Polyline([np.stack([np.full(400, 0.3 + d), x2], axis=1)])
-        assert abs(chamfer_distance(a, b) - d) <= 0.01 * d
+        for x1 in (0.3, 0.965):  # the second pair straddles the seam
+            a = Polyline([np.stack([np.full(400, x1), x2], axis=1)])
+            b = Polyline([np.stack([np.full(400, x1 + d), x2], axis=1)])
+            assert abs(chamfer_distance(a, b) - d) <= 0.01 * d, x1
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(17)
         a = Polyline([rng.uniform(0, 1, (50, 2))])
         b = Polyline([rng.uniform(0, 1, (50, 2))])
-        va, vb = a.vertex_array(), b.vertex_array()
-        d2 = np.sum((va[:, None, :] - vb[None, :, :]) ** 2, axis=2)
-        expected = 0.5 * (np.sqrt(d2.min(axis=1)).mean()
-                          + np.sqrt(d2.min(axis=0)).mean())
-        assert abs(chamfer_distance(a, b) - expected) <= 1e-12
+        assert abs(chamfer_distance(a, b)
+                   - chamfer_distance_reference(a, b)) <= 1e-12
 
     def test_empty_input_rejected(self):
         _, curve = curve_with_zero_set(FrequencySupport(3, 3), 16, 128)
