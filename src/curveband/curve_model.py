@@ -15,6 +15,7 @@ that error into account.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,10 +163,18 @@ def evaluate_on_grid(poly: TrigPolynomial, grid_res) -> np.ndarray:
     separable structure, so large grids stay cheap.
     """
     n1, n2 = (grid_res, grid_res) if np.isscalar(grid_res) else grid_res
-    f1, f2 = poly.support.frequencies(0), poly.support.frequencies(1)
-    e1 = np.exp(2j * np.pi * np.outer(np.arange(n1) / n1, f1))
-    e2 = np.exp(2j * np.pi * np.outer(np.arange(n2) / n2, f2))
-    return e1 @ poly.coeff_grid() @ e2.T
+    return (_exp_table(n1, poly.support, 0) @ poly.coeff_grid()
+            @ _exp_table(n2, poly.support, 1).T)
+
+
+@functools.lru_cache(maxsize=32)
+def _exp_table(n: int, support: FrequencySupport, axis: int) -> np.ndarray:
+    """exp(2j pi (i/n) f) for i < n and f the support's frequencies along
+    `axis`: one factor of evaluate_on_grid. Read-only, as threads share it."""
+    e = np.exp(2j * np.pi * np.outer(np.arange(n) / n,
+                                     support.frequencies(axis)))
+    e.flags.writeable = False
+    return e
 
 
 def multiply(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:

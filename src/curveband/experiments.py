@@ -19,8 +19,8 @@ from .curve_model import (FrequencySupport, PointSet, Polyline,
                           random_curve, sample_curve)
 from .denoise import IrlsConfig, klr_denoise, point_cloud_snr
 from .errors import ContractViolation, NumericalFailure
-from .recovery import (SumOfSquares, chamfer_distance, estimate_coefficients,
-                       nullspace_basis)
+from .recovery import (SumOfSquares, _feature_lift, chamfer_distance,
+                       estimate_coefficients, gram_estimate, nullspace_basis)
 from .segmentation import GrayImage
 
 # Random polynomials drawn per curve before giving up on a non-empty zero set.
@@ -110,6 +110,12 @@ def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
     Returns an array of shape (len(k_values), len(n_values)). Every k must
     be odd and at least 3: a 1x1 support is a constant.
 
+    A pair lifts its samples once (recovery._feature_lift); each N
+    estimates from the Gram of the lift's first N rows (gram_estimate: one
+    eigh, the same cut and, but within rounding of the cut, the same
+    decision as estimate_coefficients' SVD, and its vector up to sign
+    within about 3e-11 at grid 256). N = 0 fails, as that SVD rejects it.
+
     A cell is decided without contouring the estimate when an upper bound
     on its Chamfer distance is below 3/grid_res (less 1e-9 of it, for the
     rounding of the means). The bound reads both grids' crossing sets
@@ -145,20 +151,23 @@ def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
         trial_seed = child_seed(seed, k, n_max, t)
         poly, truth = curve_with_zero_set(support, trial_seed, grid_res)
         pts = sample_curve(truth, n_max, seed=child_seed(trial_seed, 1)).points
+        r = _feature_lift(PointSet(2, pts), support)[1] if n_max else None
         truth_cross = _crossings(evaluate_on_grid(poly, grid_res).real)
         tree = cKDTree(truth_cross[1])
 
         def cell(n):
-            sub = PointSet(2, pts[:, :n])
+            if n == 0:  # estimate_coefficients rejects an empty sample
+                return False
             try:
-                est = estimate_coefficients(sub, support, grid_res)
-            except (NumericalFailure, ContractViolation):
+                est = gram_estimate(r[:n].T @ r[:n], support, grid_res)
+            except NumericalFailure:
                 return False
             rec = _crossings(evaluate_on_grid(est, grid_res).real)
             if (rec[0].size and _chamfer_bound(rec, truth_cross, tree)
                     <= threshold * (1.0 - 1e-9)):
                 return True
-            return _recovery_error(sub, support, truth, grid_res) <= threshold
+            return _recovery_error(PointSet(2, pts[:, :n]), support, truth,
+                                   grid_res) <= threshold
         return [cell(int(n)) for n in n_values]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:

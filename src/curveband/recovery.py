@@ -9,13 +9,15 @@ and is then the shift count `rank_bound`; recover_curve states which
 polynomial each case contours. This module implements the recovery, that
 count and the curve-error metric used to score recoveries.
 
-Both take the feature-matrix SVD in real arithmetic: centring the support
+Both work on the feature matrix in real arithmetic: centring the support
 scales each sample row by a unit phase, and pairing each frequency with its
 negative is a unitary change of columns to cos/sin features, so neither
 changes the singular values or the right singular subspaces. On a support
 with both sides odd the centre is 0, so every right singular vector comes
 back exactly hermitian, c[-k] = conj(c[k]), by construction: it is the
-coefficient vector of a real polynomial and is contoured as it is.
+coefficient vector of a real polynomial and is contoured as it is. The
+known-support estimate takes the SVD of that real lift, or, where a caller
+holds the lift's Gram (the phase sweep), the Gram's eigh (gram_estimate).
 
 The rank is decided from the Gram of the feature columns that the searched
 rectangles cover. When a rectangle with both sides odd, smaller than the
@@ -130,16 +132,22 @@ def _feature_svd(pts: PointSet, support: FrequencySupport
 def _lift_svd(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_feature_svd from the real lift r (_feature_lift). A wide r needs
     the full SVD for all the right singular vectors; the thin SVD of a tall
-    r returns all. Those of r are vr, so vh = vr T^H. On an odd support
+    r returns all."""
+    _, s, vr = np.linalg.svd(r, full_matrices=r.shape[0] < r.shape[1])
+    return np.pad(s, (0, r.shape[1] - s.size)), _hermitian_rows(vr)
+
+
+def _hermitian_rows(vr: np.ndarray) -> np.ndarray:
+    """vh = vr T^H: rows vr of the real lift's coefficient space (as
+    _feature_lift defines T) mapped back to the support. On an odd support
     index n-1-i is frequency -k, so the slice assignments below make every
     row of vh exactly hermitian, c[-k] = conj(c[k]), and its centre entry
     real: not up to rounding, since they copy it."""
-    n, h = r.shape[1], r.shape[1] // 2
-    _, s, vr = np.linalg.svd(r, full_matrices=r.shape[0] < n)
+    n, h = vr.shape[1], vr.shape[1] // 2
     vh = vr.astype(complex)
     vh[:, :h] = (vr[:, :h] - 1j * vr[:, ::-1][:, :h]) / np.sqrt(2.0)
     vh[:, n - h:] = np.conj(vh[:, :h][:, ::-1])
-    return np.pad(s, (0, n - s.size)), vh
+    return vh
 
 
 def estimate_coefficients(pts: PointSet, support: FrequencySupport,
@@ -161,6 +169,27 @@ def estimate_coefficients(pts: PointSet, support: FrequencySupport,
             f"null space has dimension > 1 at tolerance {tol:g}; use "
             "nullspace_basis for over-estimated supports")
     return TrigPolynomial(support, np.conj(vh[-1]),
+                          hermitian=bool(support.k1 % 2 and support.k2 % 2))
+
+
+def gram_estimate(gram: np.ndarray, support: FrequencySupport,
+                  grid_res: int) -> TrigPolynomial:
+    """estimate_coefficients from the Gram r^T r of the samples' real lift
+    r (_feature_lift), by one eigh: the same cut on s = sqrt(max(lambda, 0))
+    and the eigenvector of lambda_min. The Gram rounds lambda by about
+    u lambda_max (u the unit roundoff); a passing decision has
+    lambda_2 / lambda_max >= cut^2 (4e-6 at grid 256), so the vector lies
+    within about u lambda_max / (lambda_2 - lambda_min) <= 3e-11 of the
+    SVD's, up to sign, and the decision agrees with the SVD's except for
+    readings within rounding of the cut.
+    """
+    tol = _KNOWN_SUPPORT_CUT * _grid_scale(grid_res)
+    lam, v = np.linalg.eigh(gram)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    if s.size >= 2 and s[1] < tol * s[-1]:
+        raise NumericalFailure(
+            f"null space has dimension > 1 at tolerance {tol:g}")
+    return TrigPolynomial(support, np.conj(_hermitian_rows(v[:, :1].T)[0]),
                           hermitian=bool(support.k1 % 2 and support.k2 % 2))
 
 

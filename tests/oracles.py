@@ -47,6 +47,17 @@ def evaluate(poly, pts):
     return poly.coeffs @ np.exp(2j * np.pi * phase)
 
 
+def evaluate_on_grid_reference(poly, grid_res):
+    """evaluate_on_grid as it read before its exp tables were cached: both
+    tables built afresh on every call, by the same expressions, so its
+    values are bit-identical to the library's."""
+    n1, n2 = (grid_res, grid_res) if np.isscalar(grid_res) else grid_res
+    f1, f2 = poly.support.frequencies(0), poly.support.frequencies(1)
+    e1 = np.exp(2j * np.pi * np.outer(np.arange(n1) / n1, f1))
+    e2 = np.exp(2j * np.pi * np.outer(np.arange(n2) / n2, f2))
+    return e1 @ poly.coeff_grid() @ e2.T
+
+
 def shift_set_reference(outer, inner):
     """All integer shifts l such that inner translated by l stays in outer,
     shape (count, 2); the shift list that `curveband.rank_bound` counts in

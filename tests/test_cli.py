@@ -726,6 +726,12 @@ def recover_ignores_a_whole_shift(out, args):
         assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12
 
 
+def phase_transition_one_0_cell(out, args):
+    # no samples: the one cell fails, as estimate_coefficients rejects them
+    assert (out / "phase_transition.csv").read_text() == (
+        "k,N,frequency\n3,0,0\n")
+
+
 def eval_reads_chamfer_0(out, args):
     # on the torus -1e-20 is 0, though -1e-20 % 1.0 reads 1.0
     assert "chamfer,0\n" in (out / "eval.csv").read_text()
@@ -752,6 +758,9 @@ DEGENERATE = {
     "phase-transition-k-1": (lambda d: [
         "phase-transition", "--k-range", 1, "--n-range", 40, "--trials", 1],
         2, None),
+    "phase-transition-n-0": (lambda d: [
+        "phase-transition", "--k-range", 3, "--n-range", 0, "--trials", 1],
+        0, phase_transition_one_0_cell),
     "denoise-20-copies": (lambda d: [
         "denoise", write_points(d, REPEATED[:, [0] * 20])], 0,
         denoise_stopped_after_1_iteration),

@@ -12,14 +12,17 @@ import curveband
 from curveband import (FrequencySupport, PointSet, TrigPolynomial,
                        extract_zero_level_set, feature_matrix, random_curve,
                        sample_curve)
-from curveband.curve_model import (Polyline, _crossings,
+from curveband.curve_model import (Polyline, _crossings, _exp_table,
                                    contour_periodic_grid, evaluate_on_grid,
                                    multiply, wrap_delta)
 from curveband.errors import ContractViolation
 from curveband.experiments import (disk_phantom, known_support_trial,
-                                   multi_disk_phantom, union_curve)
+                                   multi_disk_phantom, phase_transition,
+                                   union_curve)
+from curveband.recovery import SumOfSquares
 from oracles import (contour_periodic_grid_reference, evaluate,
-                     random_curve_reference, support_indices)
+                     evaluate_on_grid_reference, random_curve_reference,
+                     support_indices)
 
 
 def naive_evaluate(poly, x):
@@ -126,6 +129,52 @@ class TestEvaluate:
         poly = TrigPolynomial(FrequencySupport(1, 1), [1.0])
         with pytest.raises(ContractViolation):
             evaluate(poly, PointSet(3, np.zeros((3, 4))))
+
+
+class TestExpTables:
+    """evaluate_on_grid's cached exp tables."""
+
+    def test_cached_table_rejects_writes(self):
+        table = _exp_table(64, FrequencySupport(3, 5), 1)
+        assert table is _exp_table(64, FrequencySupport(3, 5), 1)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 7), (6, 5), (2, 2)])
+    @pytest.mark.parametrize("grid_res", [16, 256, (64, 48), (17, 32)])
+    def test_values_equal_the_uncached_build(self, shape, grid_res):
+        rng = np.random.default_rng(sum(shape))
+        support = FrequencySupport(*shape)
+        poly = TrigPolynomial(support, rng.standard_normal(len(support))
+                              + 1j * rng.standard_normal(len(support)))
+        for _ in range(2):  # the second call reads the cached tables
+            assert np.array_equal(evaluate_on_grid(poly, grid_res),
+                                  evaluate_on_grid_reference(poly, grid_res))
+
+    @pytest.mark.parametrize("grid_res", [128, (96, 80)])
+    def test_sum_of_squares_on_the_doubled_support(self, grid_res):
+        # two 3x3 rows give a hermitian 5x5 polynomial
+        rows = np.stack([random_curve(FrequencySupport(3, 3), s).coeffs
+                         for s in (1, 2)])
+        sos = SumOfSquares(FrequencySupport(3, 3), rows)
+        assert sos.polynomial.support == FrequencySupport(5, 5)
+        assert np.array_equal(
+            sos.evaluate_grid(grid_res),
+            evaluate_on_grid_reference(sos.polynomial, grid_res).real)
+
+    def test_sweep_threads_give_the_one_thread_cells(self):
+        # the pool threads share the tables: four of them, more than the
+        # cores, race to fill the emptied cache, switching every 1 us
+        args = [3, 5, 7], [10, 30, 60, 120], 4, 7, 64
+        serial = phase_transition(*args, 1)
+        _exp_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = phase_transition(*args, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(threaded, serial)
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -13,9 +13,10 @@ from curveband.experiments import (_recovery_error, child_seed,
                                    curve_with_zero_set, known_support_trial,
                                    offcurve_probes, overcomplete_trial,
                                    phase_transition, union_curve)
-from curveband.recovery import (SumOfSquares, _feature_svd, chamfer_distance,
-                                estimate_coefficients, nullspace_basis,
-                                rank_bound, recover_curve)
+from curveband.recovery import (SumOfSquares, _feature_lift, _feature_svd,
+                                chamfer_distance, estimate_coefficients,
+                                gram_estimate, nullspace_basis, rank_bound,
+                                recover_curve)
 from oracles import (chamfer_distance_reference, count_common_zeros,
                      evaluate, feature_svd_reference,
                      minimal_rectangle_by_svd, nullspace_basis_reference,
@@ -376,6 +377,45 @@ class TestFeatureSvd:
         assert dtypes == [np.float64]
 
 
+class TestGramEstimate:
+    """The phase sweep's Gram route against estimate_coefficients' SVD."""
+
+    N_VALUES = [5, 10, 15, 20, 25, 30, 36, 40, 50, 60, 75, 90, 110, 130, 150,
+                170, 196, 200, 215, 230]
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_agrees_with_the_svd_on_the_criterion2_draws(self, k):
+        support = FrequencySupport(k, k)
+        cut = 1e-3 * 512 / 256
+        closest = np.inf  # s_2 / s_max over the cut, as a factor >= 1
+        for t in range(10):
+            seed = child_seed(2024, k, self.N_VALUES[-1], t)
+            _, truth = curve_with_zero_set(support, seed, 256)
+            full = sample_curve(truth, self.N_VALUES[-1],
+                                seed=child_seed(seed, 1)).points
+            r = _feature_lift(PointSet(2, full), support)[1]
+            for n in self.N_VALUES:
+                sub = PointSet(2, full[:, :n])
+                s = _feature_svd(sub, support)[0]
+                if s[-2] > 0:
+                    ratio = s[-2] / s[0] / cut
+                    closest = min(closest, max(ratio, 1 / ratio))
+                try:
+                    svd = estimate_coefficients(sub, support, 256)
+                except NumericalFailure:
+                    with pytest.raises(NumericalFailure):
+                        gram_estimate(r[:n].T @ r[:n], support, 256)
+                    continue
+                gram = gram_estimate(r[:n].T @ r[:n], support, 256)
+                assert gram.hermitian
+                err = min(np.abs(gram.coeffs - svd.coeffs).max(),
+                          np.abs(gram.coeffs + svd.coeffs).max())
+                assert err <= 3e-11, (t, n)
+        # no reading within rounding of the cut, so the agreement is no
+        # accident; the closest, k = 7, trial 3, N = 60, is 1.024x the cut
+        assert closest >= 1.01
+
+
 class TestSumOfSquares:
     def test_nonnegative_everywhere(self):
         _, truth, _, _ = union_curve(3, 256)
@@ -591,10 +631,10 @@ class TestPhaseTransition:
     def test_cell_n_scores_the_first_n_samples(self, monkeypatch):
         calls = []
 
-        def recording(pts, support, grid_res):
-            calls.append((support.k1, pts.points))
-            return estimate_coefficients(pts, support, grid_res)
-        monkeypatch.setattr(experiments, "estimate_coefficients", recording)
+        def recording(gram, support, grid_res):
+            calls.append((support.k1, gram))
+            return gram_estimate(gram, support, grid_res)
+        monkeypatch.setattr(experiments, "gram_estimate", recording)
         freq = self.sweep()
         monkeypatch.undo()
         # one pool thread runs the calls in (k, trial, N) order
@@ -609,12 +649,21 @@ class TestPhaseTransition:
                 full = sample_curve(truth, 60, seed=child_seed(seed, 1))
                 for ni, n in enumerate(self.N_VALUES):
                     got_k, got = calls[ki, t, ni]
+                    sub = PointSet(2, full.points[:, :n])
+                    r = _feature_lift(sub, support)[1]
                     assert got_k == k
-                    assert np.array_equal(got, full.points[:, :n])
+                    assert np.array_equal(got, r.T @ r)
                     ok[ki, t, ni] = _recovery_error(
-                        PointSet(2, got), support, truth,
+                        sub, support, truth,
                         self.GRID_RES) <= 3 / self.GRID_RES
         assert np.array_equal(freq, ok.mean(axis=1))
+
+    def test_zero_samples_fail_and_leave_the_other_cells(self):
+        # N = 0 alone lifts no samples; beside other N, its Gram would be
+        # 0, which no cut rejects
+        assert np.array_equal(phase_transition([3], [0], 1, 0, 64, 1), [[0]])
+        assert np.array_equal(phase_transition([3], [0, 9, 40], 1, 0, 64, 1),
+                              [[0, 1, 1]])
 
     @pytest.mark.parametrize("k", [2, 1, 0, -3])
     def test_even_or_small_k_rejected_before_any_work(self, k, monkeypatch):
@@ -667,6 +716,9 @@ class TestPhaseTransitionFallback:
         def drawn(support, seed, grid_res):
             return truth_poly, extract_zero_level_set(truth_poly, grid_res)
         monkeypatch.setattr(experiments, "curve_with_zero_set", drawn)
+        # the cell's Gram route and the exact path both take the estimate
+        monkeypatch.setattr(experiments, "gram_estimate",
+                            lambda gram, support, grid_res: estimate)
         monkeypatch.setattr(experiments, "estimate_coefficients",
                             lambda pts, support, grid_res: estimate)
         truth = extract_zero_level_set(truth_poly, self.GRID_RES)
