@@ -17,6 +17,13 @@ Per iteration, for N points of numerical kernel rank r:
   (see `_update`), where a general LU takes 2 N^3 / 3;
 - the kernel matrix of the new iterate, N^2 exponentials, which is reused
   as the next iteration's kernel.
+
+The working set is two N x N arrays plus r x N factor rows, and the loop
+makes no N x N temporary. K's array is overwritten by W, then by the update
+system and its factor, then by the next K. The second array is first the
+pivoted Cholesky's scratch, shrunk in place to the r rows of the factor, and
+then P, allocated once those rows are rotated and scaled into a new r x N
+array.
 """
 
 from __future__ import annotations
@@ -98,14 +105,16 @@ def _pivoted_cholesky(k: np.ndarray, tol: float) -> np.ndarray:
         resid -= row * row
         resid[i] = 0.0  # eliminated exactly, not left as rounding
         r += 1
-    return rows[:r]
+    rows.resize((r, n), refcheck=False)  # in place: no view of rows is left
+    return rows
 
 
 def irls_weights(k: np.ndarray, sigma: float, gamma: float
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Half-inverse kernel weight P ~ (K + gamma I)^(-1/2) and the derived
     weight matrix W = -(1/sigma^2) K * P (elementwise product), for K the
-    Gaussian kernel matrix of width sigma of the iterate.
+    Gaussian kernel matrix of width sigma of the iterate. W is written over
+    K: the returned W is K's array, and K is lost.
 
     K is factored as L L^T by a diagonal-pivoted Cholesky that stops once
     the dropped remainder E = K - L L^T (PSD) has trace at most
@@ -143,11 +152,17 @@ def irls_weights(k: np.ndarray, sigma: float, gamma: float
     lam = np.maximum(lam, 0.0)  # L^T L is PSD; clamp floating-point leakage
     root, root_gamma = np.sqrt(lam + gamma), np.sqrt(gamma)
     h = -1.0 / (root * root_gamma * (root + root_gamma))
+    c = v.T @ rows
+    del rows, v  # freed before P is allocated
+    c *= np.sqrt(-h)[:, None]
     # h < 0, so the rank-r term is -C^T C, an exactly symmetric syrk
-    c = np.sqrt(-h)[:, None] * (v.T @ rows)
-    p = -(c.T @ c)
+    p = c.T @ c
+    np.negative(p, out=p)
     p[np.diag_indices_from(p)] += 1.0 / root_gamma
-    return p, -(k * p) / (sigma * sigma)
+    w = np.multiply(k, p, out=k)
+    np.negative(w, out=w)
+    w /= sigma * sigma
+    return p, w
 
 
 def graph_laplacian(w: np.ndarray) -> np.ndarray:
@@ -178,7 +193,8 @@ def solve_quadratic(y, laplacian: np.ndarray, lam: float) -> np.ndarray:
 
 def _update(y: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
     """`solve_quadratic(y, graph_laplacian(w), lam)` for a symmetric W, by a
-    Cholesky factorization of A = I + lam (D - W), built in one buffer.
+    Cholesky factorization of A = I + lam (D - W). A is built over W, and
+    its factor over A, so W is lost.
 
     Rows of D - W sum to 0, so A 1 = 1 and cond(A) >= max_i A_ii. Once that
     reaches 1/u, u the machine epsilon, the unit shift is lost to rounding
@@ -187,15 +203,18 @@ def _update(y: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
     NumericalFailure.
     """
     import scipy.linalg  # here: importing denoise loads no scipy
-    a = -lam * w
-    a[np.diag_indices_from(a)] += 1.0 + lam * w.sum(axis=1)
+    diagonal = 1.0 + lam * w.sum(axis=1)
+    a = np.multiply(w, -lam, out=w)
+    a[np.diag_indices_from(a)] += diagonal
     cond_floor = a.diagonal().max()
     if cond_floor * np.finfo(float).eps >= 1.0:
         raise NumericalFailure(
             "update system is singular to working precision: its condition "
             f"number is at least {cond_floor:.3g}")
     try:
-        factor = scipy.linalg.cho_factor(a, overwrite_a=True,
+        # A is exactly symmetric, so its F-order view a.T is A itself, which
+        # LAPACK factors in place where a C-order A would be copied
+        factor = scipy.linalg.cho_factor(a.T, overwrite_a=True,
                                          check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
@@ -224,21 +243,23 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig
     trace = DenoiseTrace()
     it = 1
     try:
-        k_cur = gaussian_kernel_matrix(x, cfg.sigma)
+        k = gaussian_kernel_matrix(x, cfg.sigma)
         for it in range(1, cfg.max_iters + 1):
             if gamma == 0.0:
                 raise NumericalFailure(
                     f"gamma underflowed to 0 at iteration {it} (gamma0 "
                     f"{cfg.gamma0:g} divided by eta {cfg.eta:g} each iteration)")
-            p, w = irls_weights(k_cur, cfg.sigma, gamma)
-            x_new = _update(y, w, cfg.lam)
-            k_new = gaussian_kernel_matrix(x_new, cfg.sigma)
+            p, w = irls_weights(k, cfg.sigma, gamma)
             # P is symmetric, so tr(K P) = sum(K * P) without the matrix
             # product; before the update K * P = -sigma^2 W
             cost_before = float(np.linalg.norm(x - y) ** 2
                                 - cfg.lam * cfg.sigma ** 2 * w.sum())
+            x_new = _update(y, w, cfg.lam)
+            # the next kernel goes over W's spent factor, and is the cost's
+            k = gaussian_kernel_matrix(x_new, cfg.sigma, out=w)
             cost = float(np.linalg.norm(x_new - y) ** 2
-                         + cfg.lam * np.einsum("ij,ij->", k_new, p))
+                         + cfg.lam * np.einsum("ij,ij->", k, p))
+            del p  # freed before the next factor's N x N scratch
             denom = np.linalg.norm(x)
             rel = float(np.linalg.norm(x_new - x) / denom) if denom > 0 else 0.0
             trace.iterations.append(it)
@@ -248,7 +269,7 @@ def klr_denoise(noisy: PointSet, cfg: IrlsConfig
             trace.rel_changes.append(rel)
             if not np.isfinite(cost) or not np.all(np.isfinite(x_new)):
                 raise NumericalFailure("non-finite iterate in IRLS")
-            x, k_cur = x_new, k_new  # the cost's kernel is the next pass's
+            x = x_new
             gamma /= cfg.eta
             if rel < cfg.rel_tol:
                 break

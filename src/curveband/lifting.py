@@ -67,11 +67,18 @@ def dirichlet_gram(pts: PointSet, support: FrequencySupport) -> KernelMatrix:
                         * _dirichlet_1d(d2, support.frequencies(1)))
 
 
-def gaussian_kernel_matrix(x: np.ndarray, sigma: float) -> np.ndarray:
+def gaussian_kernel_matrix(x: np.ndarray, sigma: float,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian kernel exp(-|xi-xj|^2 / 2 sigma^2) of column-per-point
-    coordinates in any dimension, shape (N, N), unit diagonal."""
+    coordinates in any dimension, shape (N, N), unit diagonal.
+
+    Exactly symmetric: entry (j, i) sums the negated differences of entry
+    (i, j), squared, in the same order. Computed in one N x N array, `out`
+    when given (C-contiguous float64, overwritten), with no temporary."""
     if sigma <= 0:
         raise ContractViolation("sigma must be positive")
     from scipy.spatial.distance import cdist  # here: only denoise calls it
-    d2 = cdist(x.T, x.T, "sqeuclidean")
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    k = cdist(x.T, x.T, "sqeuclidean", out=out)
+    np.negative(k, out=k)
+    k /= 2.0 * sigma * sigma
+    return np.exp(k, out=k)

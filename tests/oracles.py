@@ -4,14 +4,17 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.signal import convolve2d
+from scipy.spatial.distance import cdist
 from scipy.sparse.linalg import spsolve
 
 from curveband import (FrequencySupport, PointSet, TrigPolynomial,
                        extract_zero_level_set, feature_matrix)
 from curveband.curve_model import (_ZERO_NUDGE, contour_periodic_grid,
                                    evaluate_on_grid)
+from curveband.denoise import _WEIGHT_REL_TOL, DenoiseTrace, _pivoted_cholesky
 from curveband.errors import ContractViolation, NumericalFailure
 from curveband.recovery import (_RANK_CUT, SumOfSquares, _feature_svd,
                                 _rectangles_by_area, _resolvable_level,
@@ -385,6 +388,70 @@ def irls_weights_reference(k, sigma, gamma):
     w = np.maximum(w, 0.0)  # K is PSD; clamp floating-point leakage
     p = (u * (w + gamma) ** -0.5) @ u.T
     return p, -(k * p) / (sigma * sigma)
+
+
+def _factored_weights_allocating(k, sigma, gamma):
+    """`curveband.denoise.irls_weights` as it was before it wrote W over K:
+    each step a fresh array, K left as it was."""
+    tol = max(2.0 * _WEIGHT_REL_TOL * gamma,
+              k.shape[0] * np.finfo(float).eps * np.diag(k).max())
+    rows = _pivoted_cholesky(k, tol)
+    lam, v = np.linalg.eigh(rows @ rows.T)
+    lam = np.maximum(lam, 0.0)
+    root, root_gamma = np.sqrt(lam + gamma), np.sqrt(gamma)
+    h = -1.0 / (root * root_gamma * (root + root_gamma))
+    c = np.sqrt(-h)[:, None] * (v.T @ rows)
+    p = -(c.T @ c)
+    p[np.diag_indices_from(p)] += 1.0 / root_gamma
+    return p, -(k * p) / (sigma * sigma)
+
+
+def _cholesky_update_allocating(y, w, lam):
+    """`curveband.denoise._update` as it was before it built A over W: A in
+    a fresh array, which the Cholesky factor copies to Fortran order."""
+    a = -lam * w
+    a[np.diag_indices_from(a)] += 1.0 + lam * w.sum(axis=1)
+    factor = scipy.linalg.cho_factor(a, overwrite_a=True, check_finite=False)
+    return scipy.linalg.cho_solve(factor, y.T, check_finite=False).T
+
+
+def _gaussian_kernel_allocating(x, sigma):
+    """`curveband.lifting.gaussian_kernel_matrix` with a fresh array per
+    step."""
+    d2 = cdist(x.T, x.T, "sqeuclidean")
+    return np.exp(-d2 / (2.0 * sigma * sigma))
+
+
+def klr_denoise_reference(noisy, cfg):
+    """`curveband.denoise.klr_denoise`'s IRLS loop as it was before it ran in
+    two reused N x N arrays: about eight fresh N x N arrays per iteration,
+    in the same operations and order, so its points and trace are the
+    in-place loop's to the bit. No checks, warning or error mapping."""
+    y = noisy.points
+    x = y.copy()
+    gamma = cfg.gamma0
+    trace = DenoiseTrace()
+    k_cur = _gaussian_kernel_allocating(x, cfg.sigma)
+    for it in range(1, cfg.max_iters + 1):
+        p, w = _factored_weights_allocating(k_cur, cfg.sigma, gamma)
+        x_new = _cholesky_update_allocating(y, w, cfg.lam)
+        k_new = _gaussian_kernel_allocating(x_new, cfg.sigma)
+        cost_before = float(np.linalg.norm(x - y) ** 2
+                            - cfg.lam * cfg.sigma ** 2 * w.sum())
+        cost = float(np.linalg.norm(x_new - y) ** 2
+                     + cfg.lam * np.einsum("ij,ij->", k_new, p))
+        denom = np.linalg.norm(x)
+        rel = float(np.linalg.norm(x_new - x) / denom) if denom > 0 else 0.0
+        trace.iterations.append(it)
+        trace.costs.append(cost)
+        trace.costs_before.append(cost_before)
+        trace.gammas.append(gamma)
+        trace.rel_changes.append(rel)
+        x, k_cur = x_new, k_new
+        gamma /= cfg.eta
+        if rel < cfg.rel_tol:
+            break
+    return PointSet(noisy.dim, x), trace
 
 
 def lift_spectrum_by_svd(lift):

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from curveband.errors import ContractViolation, NumericalFailure
 from curveband.experiments import denoise_trial, noisy_curve_samples
 from curveband.lifting import gaussian_kernel_matrix
 
-from oracles import irls_weights_reference
+from oracles import irls_weights_reference, klr_denoise_reference
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ class TestIrlsWeights:
         x = rng.uniform(0, 1, size=(2, 5))
         gamma, sigma = 0.05, 0.15
         k = gaussian_kernel_matrix(x, sigma)
-        p, _ = irls_weights(k, sigma, gamma)
+        p, _ = irls_weights(k.copy(), sigma, gamma)
         assert np.abs(p @ p - np.linalg.inv(k + gamma * np.eye(5))).max() <= 1e-8
 
     @pytest.mark.parametrize("gamma", [1e-2, 1e-4, 1e-7])
@@ -64,7 +65,7 @@ class TestIrlsWeights:
         _, noisy = noisy_curve_samples(0, 600, std)
         sigma = IrlsConfig().sigma
         k = gaussian_kernel_matrix(noisy.points, sigma)
-        p, _ = irls_weights(k, sigma, gamma)
+        p, _ = irls_weights(k.copy(), sigma, gamma)
         (rank,) = eigh_sizes
         p_ref, _ = irls_weights_reference(k, sigma, gamma)
         assert rank < 600
@@ -84,7 +85,7 @@ class TestIrlsWeights:
                                2))
         sigma = IrlsConfig().sigma
         k = gaussian_kernel_matrix(points, sigma)
-        p, _ = irls_weights(k, sigma, gamma)
+        p, _ = irls_weights(k.copy(), sigma, gamma)
         (rank,) = eigh_sizes
         p_ref, _ = irls_weights_reference(k, sigma, gamma)
         assert cloud == "curve" or rank <= 150
@@ -100,8 +101,16 @@ class TestIrlsWeights:
         _, noisy = noisy_curve_samples(0, 600, 0.01)
         k = gaussian_kernel_matrix(noisy.points, 0.1)
         for gamma in (600 * np.finfo(float).eps / 2e-6, 1e-10, 1e-14):
-            irls_weights(k, 0.1, gamma)
+            irls_weights(k.copy(), 0.1, gamma)
         assert eigh_sizes[0] == eigh_sizes[1] == eigh_sizes[2] < 600
+
+    def test_weights_are_written_over_the_kernel(self):
+        _, noisy = noisy_curve_samples(0, 100, 0.01)
+        k = gaussian_kernel_matrix(noisy.points, 0.1)
+        p_ref, w_ref = irls_weights(k.copy(), 0.1, 1e-3)
+        p, w = irls_weights(k, 0.1, 1e-3)
+        assert w is k
+        assert np.array_equal(p, p_ref) and np.array_equal(w, w_ref)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ContractViolation):
@@ -118,10 +127,22 @@ class TestUpdate:
         k = gaussian_kernel_matrix(noisy.points, cfg.sigma)
         p, w = irls_weights(k, cfg.sigma, gamma)
         assert np.array_equal(p, p.T) and np.array_equal(w, w.T)
-        got = _update(noisy.points, w, cfg.lam)
+        got = _update(noisy.points, w.copy(), cfg.lam)
         expected = solve_quadratic(noisy.points, graph_laplacian(w), cfg.lam)
         assert (np.abs(got - expected).max()
                 <= 1e-12 * np.abs(expected).max())
+
+    def test_factor_is_written_over_w(self):
+        # A is exactly symmetric, so LAPACK factors it in W's array with no
+        # copy, and the upper triangle of that array's F-order view is U
+        _, noisy = noisy_curve_samples(0, 100, 0.01)
+        cfg = IrlsConfig()
+        k = gaussian_kernel_matrix(noisy.points, cfg.sigma)
+        _, w = irls_weights(k, cfg.sigma, cfg.gamma0)
+        a = np.eye(100) + cfg.lam * graph_laplacian(w)
+        _update(noisy.points, w, cfg.lam)
+        u = np.triu(w.T)
+        assert np.abs(u.T @ u - a).max() <= 1e-12 * np.abs(a).max()
 
     # at lam 1e300 the unit shift rounds away; a bare Cholesky of the
     # rounded system succeeds on some of these clouds and fails on others
@@ -256,7 +277,7 @@ class TestKlrDenoise:
         cfg = IrlsConfig(max_iters=1)
         out, trace = klr_denoise(noisy, cfg)
         k0 = gaussian_kernel_matrix(noisy.points, cfg.sigma)
-        p, _ = irls_weights(k0, cfg.sigma, cfg.gamma0)
+        p, _ = irls_weights(k0.copy(), cfg.sigma, cfg.gamma0)
         k1 = gaussian_kernel_matrix(out.points, cfg.sigma)
         expected = [cfg.lam * np.trace(k0 @ p),
                     np.linalg.norm(out.points - noisy.points) ** 2
@@ -310,6 +331,48 @@ class TestKlrDenoise:
         _, noisy = noisy_curve_samples(9, 300, 0.01)
         _, trace = klr_denoise(noisy, IrlsConfig())
         assert calls == ["cho_factor"] * len(trace.iterations)
+
+    # the last row stops at the iteration cap, the others converge
+    @pytest.mark.parametrize("cloud, max_iters", [
+        ("std 0.005", 100), ("std 0.01", 100), ("std 0.02", 100),
+        ("helix", 100), ("std 0.01", 4),
+    ])
+    def test_matches_allocating_loop_bit_for_bit(self, cloud, max_iters):
+        # the in-place loop runs the same operations in the same order as
+        # the loop that allocated each step, so nothing may move by a bit
+        if cloud == "helix":
+            rng = np.random.default_rng(13)
+            t = rng.uniform(0, 2 * np.pi, 200)
+            helix = np.stack([0.5 + 0.3 * np.cos(t), 0.5 + 0.3 * np.sin(t),
+                              0.5 + 0.1 * np.cos(2 * t)])
+            noisy = PointSet(3, helix + 0.01 * rng.standard_normal((3, 200)))
+        else:
+            _, noisy = noisy_curve_samples(11, 200, float(cloud.split()[1]))
+        cfg = IrlsConfig(max_iters=max_iters)
+        out, trace = klr_denoise(noisy, cfg)
+        ref, ref_trace = klr_denoise_reference(noisy, cfg)
+        assert 1 < len(ref_trace.iterations) < 100
+        assert (ref_trace.rel_changes[-1] >= cfg.rel_tol) == (max_iters == 4)
+        assert np.array_equal(out.points, ref.points)
+        for name in ("iterations", "costs", "costs_before", "gammas",
+                     "rel_changes"):
+            assert np.array_equal(getattr(trace, name),
+                                  getattr(ref_trace, name)), name
+
+    def test_working_set_is_two_kernel_sized_arrays(self):
+        # K's array, P's and the factor rows; the loop that allocated each
+        # step peaked at about 7 N^2 doubles here
+        n = 300
+        _, noisy = noisy_curve_samples(12, n, 0.01)
+        klr_denoise(noisy, IrlsConfig(max_iters=1))  # imports scipy parts
+        tracemalloc.start()
+        try:
+            _, trace = klr_denoise(noisy, IrlsConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.iterations) > 10
+        assert peak <= 4 * 8 * n * n
 
     def test_permutation_equivariance(self):
         _, noisy = noisy_curve_samples(2, 80, 0.01)

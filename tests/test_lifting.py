@@ -174,6 +174,20 @@ class TestGaussianKernel:
         assert np.all(row > 0) and np.all(row <= 1)
         assert np.all(np.diff(row) < 0)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_exactly_symmetric(self, dim):
+        # the denoise update factors the F-order view of a system built
+        # from this kernel, which is only the same matrix if it is symmetric
+        k = gaussian_kernel_matrix(random_points(300, 4, dim=dim).points, 0.1)
+        assert np.array_equal(k, k.T)
+
+    def test_written_into_out(self):
+        x = random_points(40, 5, dim=3).points
+        out = np.full((40, 40), np.nan)
+        k = gaussian_kernel_matrix(x, 0.2, out=out)
+        assert k is out
+        assert np.array_equal(k, gaussian_kernel_matrix(x, 0.2))
+
     def test_invalid_sigma(self):
         with pytest.raises(ContractViolation):
             gaussian_kernel_matrix(random_points(4, 0).points, 0.0)
