@@ -243,27 +243,23 @@ def _nudged(values: np.ndarray) -> np.ndarray:
     return np.where(values == 0.0, _ZERO_NUDGE, values)
 
 
-def _edge_vertices(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Zero crossings on the crossed grid `edges` of `v` (ids as in
-    contour_periodic_grid), one (x1, x2) row each, by linear interpolation
-    along each edge; t moves only the coordinate along the edge's axis (the
-    other gets an exact 0)."""
-    n1, n2 = v.shape
-    axis1, ei, ej = np.unravel_index(edges, (2, n1, n2))
-    v0, v1 = _nudged(v[[ei, (ei + 1 - axis1) % n1], [ej, (ej + axis1) % n2]])
-    t = v0 / (v0 - v1)
-    return np.stack([((ei + t * (1 - axis1)) / n1) % 1.0,
-                     ((ej + t * axis1) / n2) % 1.0], axis=1)
-
-
 def _crossings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The crossed edges of a grid, by one sign test along each axis
-    (sorted ids, as in contour_periodic_grid), and their vertices: the
-    contour's vertex multiset, with no loop walk."""
+    """The crossed edges of a periodic grid, by one sign test along each
+    axis, and one (x1, x2) zero crossing on each, by linear interpolation
+    along the edge; t moves only the coordinate along the edge's axis (the
+    other gets an exact 0). Edge ids, sorted: i*n2 + j for the edge from
+    grid point (i, j) along axis 0, n1*n2 + i*n2 + j along axis 1.
+    contour_periodic_grid links these vertices into its loops."""
+    n1, n2 = values.shape
     pos = values > 0
     edges = np.flatnonzero([pos != np.roll(pos, -1, axis=0),
                             pos != np.roll(pos, -1, axis=1)])
-    return edges, _edge_vertices(values, edges)
+    axis1, ei, ej = np.unravel_index(edges, (2, n1, n2))
+    v0, v1 = _nudged(values[[ei, (ei + 1 - axis1) % n1],
+                            [ej, (ej + axis1) % n2]])
+    t = v0 / (v0 - v1)
+    return edges, np.stack([((ei + t * (1 - axis1)) / n1) % 1.0,
+                            ((ej + t * axis1) / n2) % 1.0], axis=1)
 
 
 def contour_periodic_grid(values: np.ndarray) -> Polyline:
@@ -271,52 +267,46 @@ def contour_periodic_grid(values: np.ndarray) -> Polyline:
 
     Grid point (i, j) sits at coordinates (i/n1, j/n2); the grid must be at
     least 2x2. All components are closed loops on the torus, with one
-    vertex per crossed grid edge in loop order. Components start at crossed
-    grid edges in the order a row-major scan of the cells first links them,
-    and head towards the edge each was first linked to.
+    vertex per crossed grid edge (_crossings) in loop order. Components
+    start at crossed grid edges in the order a row-major scan of the cells
+    first links them, and head towards the edge each was first linked to.
     """
     v = np.asarray(values)
     if v.ndim != 2 or min(v.shape) < 2:
         raise ContractViolation(
             f"periodic contouring needs a grid of at least 2x2, got {v.shape}")
     n1, n2 = v.shape
-    pos = v > 0
-    b10 = np.roll(pos, -1, axis=0)
-    i, j = np.divmod(np.flatnonzero((pos != b10)
-                                    | (pos != np.roll(pos, -1, axis=1))
-                                    | (pos != np.roll(b10, -1, axis=1))), n2)
+    edges, xy = _crossings(v)
 
-    # Corners a=(i,j), b=(i+1,j), c=(i+1,j+1), d=(i,j+1) of the active cells
-    # and their edges in slot order ab, bc, dc, ad. Edge ids: i*n2 + j for
-    # the edge from (i, j) along axis 0, n1*n2 + i*n2 + j along axis 1.
+    # A cell with corners a=(i,j), b=(i+1,j), c=(i+1,j+1), d=(i,j+1) has its
+    # sides in slot order ab, bc, dc, ad. An axis-0 edge (i, j) is side ab
+    # of cell (i, j) and dc of (i, j-1); an axis-1 edge (i, j) is side ad of
+    # (i, j) and bc of (i-1, j). Sorted by cell, row-major, then by slot, a
+    # cell's crossings lie side by side, and each two in a row form a link
+    # (`ends` holds positions into `edges`).
+    axis1, i, j = np.unravel_index(edges, (2, n1, n2))
+    cell_slot = np.concatenate([
+        4 * (i * n2 + j) + 3 * axis1,
+        4 * ((i - axis1) % n1 * n2 + (j + axis1 - 1) % n2) + 2 - axis1])
+    occurrence = np.argsort(cell_slot)
+    ends = occurrence % edges.size
+    # A saddle cell crosses all four sides: it links two slot pairs, split by
+    # the sign of the cell-center average.
+    cell = cell_slot[occurrence] // 4
+    s = np.flatnonzero(cell[3:] == cell[:-3])
+    i, j = np.divmod(cell[s], n2)
     ip = (i + 1) % n1
     jp = (j + 1) % n2
     a, b, c, d = _nudged(v[[i, ip, ip, i], [j, j, jp, jp]])
-    sa, sb, sc, sd = a > 0, b > 0, c > 0, d > 0
-    crossed = np.stack([sa != sb, sb != sc, sd != sc, sa != sd], axis=1)
-    slot_edges = np.stack([i * n2 + j, n1 * n2 + ip * n2 + j,
-                           i * n2 + jp, n1 * n2 + i * n2 + j], axis=1)
-    # A two-crossing cell links its crossed slots. A saddle cell links two
-    # slot pairs, split by the sign of the cell-center average.
-    saddle = crossed.all(axis=1)
-    center_like_a = (0.25 * (a + b + c + d) > 0) == sa
-    pairs = np.where(center_like_a[:, None, None], [[0, 1], [3, 2]],
-                     [[0, 3], [1, 2]])
-    pairs[~saddle, 0] = np.nonzero(crossed[~saddle])[1].reshape(-1, 2)
-    cell = np.repeat(np.arange(i.size), 1 + saddle)
-    used = np.stack([np.ones_like(saddle), saddle], axis=1)
-    ends = slot_edges[cell[:, None], pairs[used]].ravel()
+    center_like_a = (0.25 * (a + b + c + d) > 0) == (a > 0)
+    links = np.where(center_like_a[:, None], [0, 1, 3, 2], [0, 3, 1, 2])
+    ends[s[:, None] + np.arange(4)] = ends[s[:, None] + links]
 
     # Every crossed edge ends exactly two links. The stable sort puts its two
     # occurrences side by side, first occurrence first; the neighbour at an
     # occurrence is the other end of that link.
     order = np.argsort(ends, kind="stable")
-    edges = ends[order[::2]]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size) // 2
-    first, second = rank[order ^ 1].reshape(-1, 2).T.tolist()
-
-    xy = _edge_vertices(v, edges)
+    first, second = ends[order ^ 1].reshape(-1, 2).T.tolist()
 
     # Walk each loop once, from its first edge in start order.
     components = []

@@ -119,16 +119,15 @@ def phase_transition(k_values, n_values, trials: int, seed, grid_res: int,
     A cell is decided without contouring the estimate when an upper bound
     on its Chamfer distance is below 3/grid_res (less 1e-9 of it, for the
     rounding of the means). The bound reads both grids' crossing sets
-    (curve_model._crossings), which are the contours' vertices. A vertex's
-    nearest neighbour on the other curve is no farther than that curve's
-    vertex on the same grid edge, in the plane; a recovered vertex with no
-    such partner takes its planar KD-tree distance to the truth, and a
-    truth vertex with none its distance to the unpartnered recovered
-    vertices (a subset, so no nearer; inf when there are none). Where the
-    bound is above the threshold (a pair straddling the seam is about 1
-    apart in the plane) or the estimate has no crossing, the cell takes
-    known_support_trial's exact decision (_recovery_error), so each cell
-    equals it.
+    (curve_model._crossings). A vertex's nearest neighbour on the other
+    curve is no farther than that curve's vertex on the same grid edge, in
+    the plane; a recovered vertex with no such partner takes its planar
+    KD-tree distance to the truth, and a truth vertex with none its
+    distance to the unpartnered recovered vertices (a subset, so no nearer;
+    inf when there are none). Where the bound is above the threshold (a
+    pair straddling the seam is about 1 apart in the plane) or the estimate
+    has no crossing, the cell takes known_support_trial's exact decision
+    (_recovery_error), so each cell equals it.
     """
     if len(k_values) == 0 or len(n_values) == 0:
         raise ContractViolation("phase transition needs non-empty ranges")

@@ -320,8 +320,9 @@ class TestExtractZeroLevelSet:
 def contour_fields():
     """Named scalar fields covering the tracer's cases: smooth curves,
     products with many components, a non-square grid, exact zeros, an
-    integer grid, no crossing at all, saddles in every cell, and
-    piecewise-constant images."""
+    integer grid, no crossing at all, saddles in every cell (also on 2-wide
+    grids), piecewise-constant images, a saddle in the wrap cell and a
+    loop across both seams."""
     for k in (3, 5, 7):
         for res in (16, 64, 256):
             for seed in range(3):
@@ -352,6 +353,20 @@ def contour_fields():
                       ("multi-disk", multi_disk_phantom(64))):
         for level in (0.0, 0.1, 0.5):
             yield f"{name}-{level}", img.pixels - level
+    # every cell a saddle and every edge a side of two saddles, with both
+    # pairings of a saddle's crossings
+    yield "checkerboard-2x2", np.array([[1.0, -2.0], [-3.0, 5.0]])
+    yield "checkerboard-2x4", (-1.0) ** np.add.outer(
+        np.arange(2), np.arange(4)) * np.arange(1.0, 9.0).reshape(2, 4) ** 2
+    # a saddle in the wrap cell (n1-1, n2-1), whose center keeps its two
+    # negative corners (0, n2-1) and (n1-1, 0) apart
+    wrap_saddle = np.ones((6, 8))
+    wrap_saddle[0, 0], wrap_saddle[0, 7], wrap_saddle[5, 0] = 4.0, -2.0, -2.0
+    yield "saddle-wrap-cell", wrap_saddle
+    # one loop around the grid origin, crossing both seams
+    x1, x2 = np.meshgrid(wrap_delta(np.arange(24) / 24),
+                         wrap_delta(np.arange(40) / 40), indexing="ij")
+    yield "loop-both-seams", (x1 / 0.2) ** 2 + (x2 / 0.15) ** 2 - 1.0
 
 
 class TestContourPeriodicGrid:
